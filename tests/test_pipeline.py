@@ -336,3 +336,25 @@ def test_resume_detects_plan_change(ray_session, tmp_path):
     s = encode_job([new_path] + paths, out, cfg, concurrency=2, resume=False)
     assert s["skipped"] == 0
     assert decode_table(out).num_rows == 1200
+
+
+def test_resume_rejects_untagged_manifest(ray_session, tmp_path):
+    """An untagged manifest (what the streaming encoder and compaction
+    commit) never records a plan's lineage: resume over it must refuse as
+    a stale plan, not skip the partition."""
+    from orc_ray.pipelines.encode import _encode_stripes
+    from orc_ray.selector import SelectorState
+
+    d = tmp_path / "in"
+    write_synthetic_shards(str(d), num_rows=500, num_shards=1, seed=65)
+    paths = sorted(str(p) for p in d.glob("*.parquet"))
+    out = str(tmp_path / "enc")
+    cfg = EncoderConfig(stripe_target_tokens=100_000)
+    mf.ensure_dirs(out)
+    rows = _encode_stripes(pq.read_table(paths[0]), 0, out, cfg,
+                           SelectorState(cfg), {})
+    mf.commit_partition(out, 0, rows)
+    assert os.listdir(mf.manifest_dir(out)) == ["part-000000.parquet"]
+    with pytest.raises(ValueError, match="no longer match"):
+        encode_job(paths, out, cfg, concurrency=1, resume=True)
+    assert os.listdir(mf.manifest_dir(out)) == ["part-000000.parquet"]
