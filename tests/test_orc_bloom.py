@@ -21,6 +21,9 @@ from orc_ray.sources.orcbloom import (
 from orc_ray.sources.orcfile import ORCFile, read_orc
 
 GOLDEN = "/root/reference/examples/over1k_bloom.orc"
+needs_golden = pytest.mark.skipif(
+    not os.path.exists(GOLDEN),
+    reason="golden ORC corpus /root/reference/examples not present")
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +37,7 @@ def _column_kinds(f):
                                           f.schema.children)}
 
 
+@needs_golden
 def test_bloom_no_false_negatives_per_type(golden):
     """100% hit rate for present values on every bloom-bearing column of
     a supported type (int8..int64, float, double, string)."""
@@ -57,6 +61,7 @@ def test_bloom_no_false_negatives_per_type(golden):
     assert checked > 10_000  # 8 typed columns x ~1049 rows x 2 stripes
 
 
+@needs_golden
 def test_bloom_legacy_layout_parse(golden):
     """The golden file's 2015-era layout: k and numBits re-derived from
     (expectedEntries=10000, fpp=0.05) -> k=4, modulo base 62352 (the
@@ -67,6 +72,7 @@ def test_bloom_legacy_layout_parse(golden):
     assert (k, nbits, len(words)) == (4, 62352, 975)
 
 
+@needs_golden
 def test_bloom_skips_absent_value(golden):
     """Values absent from the whole file must be skippable in both
     stripes (false positives allowed in principle; these probes miss)."""
@@ -81,6 +87,7 @@ def test_bloom_skips_absent_value(golden):
     assert skipped > 0.8 * 2 * 200
 
 
+@needs_golden
 def test_bloom_empty_filter_is_inconclusive(golden):
     """The boolean column's filter is all zeros although the column holds
     data — an empty bitset must never prove absence."""
@@ -93,6 +100,7 @@ def test_bloom_empty_filter_is_inconclusive(golden):
     assert f.bloom_might_contain(0, "_col6", True)
 
 
+@needs_golden
 def test_bloom_timestamp_needs_writer_timezone(golden):
     """No writerTimezone in this legacy file -> timestamp probes must be
     inconclusive (the writer hashed local-JVM wall time; skipping on a
@@ -102,6 +110,7 @@ def test_bloom_timestamp_needs_writer_timezone(golden):
     assert f.bloom_might_contain(0, "_col8", 0)
 
 
+@needs_golden
 def test_point_lookup_read_orc_bloom_skip(ray_session, golden):
     """End-to-end: a point predicate through read_orc returns exactly the
     matching rows, and an absent point value prunes every stripe."""

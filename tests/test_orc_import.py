@@ -2,10 +2,12 @@
 cross-check on driver-shaped tables, projection, and the CLI command."""
 
 import json
+import os
 
 import pyarrow as pa
 import pyarrow.orc as paorc
 import pyarrow.parquet as pq
+import pytest
 
 from orc_ray.__main__ import main
 from orc_ray.sources.orcfile import ORCFile, read_orc
@@ -71,6 +73,9 @@ def test_read_orc_dataset_distributed(ray_session, tmp_path):
     assert got.equals(t)
 
 
+@pytest.mark.skipif(
+    not os.path.exists("/root/reference/examples"),
+    reason="golden ORC corpus /root/reference/examples not present")
 def test_stripe_statistics_and_pushdown(ray_session, tmp_path):
     """Foreign-ORC predicate pushdown: the golden split-elimination file
     (5 stripes with known userid ranges) plus a pyarrow-written
