@@ -18,8 +18,3 @@ Layout:
 """
 
 __version__ = "0.1.0"
-
-from . import _tuning as _t  # noqa: E402
-
-_t.ensure_env()
-del _t

@@ -30,8 +30,6 @@ from .bitpack import (
     _CLOSEST_ALIGNED,
     _CLOSEST_FIXED,
     _ENCODE_BW,
-    bit_length_u64,
-    closest_fixed_bits_arr,
     decode_bit_width,
     encode_bit_width,
     get_closest_aligned_fixed_bits,
@@ -870,55 +868,6 @@ def _unpack_matrix(data: np.ndarray, width: int, count: int) -> np.ndarray:
     for j in range(width):
         out = (out << _U64(1)) | bits[:, :, j].astype(_U64)
     return out
-
-
-def _read_short_repeat(buf, pos, signed):
-    first = buf[pos]
-    size = ((first >> 3) & 0x7) + 1
-    l = (first & 0x7) + MIN_REPEAT
-    val = int.from_bytes(buf[pos + 1: pos + 1 + size], "big")
-    if signed:
-        val = _as_i64((val >> 1) ^ (0 - (val & 1)))
-    else:
-        val = _as_i64(val)
-    return np.full(l, val, dtype=_I64), pos + 1 + size
-
-
-def _read_direct(buf, pos, signed):
-    first = buf[pos]
-    fb = decode_bit_width((first >> 1) & 0x1F)
-    l = ((first & 0x1) << 8 | buf[pos + 1]) + 1
-    vals, pos = unpack_bits(buf, fb, l, pos + 2)
-    if signed:
-        return zigzag_decode(vals), pos
-    return vals.view(_I64).copy(), pos
-
-
-def _read_delta(buf, pos, signed):
-    first = buf[pos]
-    fbo = (first >> 1) & 0x1F
-    fb = decode_bit_width(fbo) if fbo != 0 else 0
-    l = (first & 0x1) << 8 | buf[pos + 1]  # actual length - 1
-    pos += 2
-    if signed:
-        first_val, pos = read_vslong(buf, pos)
-    else:
-        u, pos = read_vulong(buf, pos)
-        first_val = _as_i64(u)
-    if fb == 0:
-        fd, pos = read_vslong(buf, pos)
-        if fd == 0:
-            return np.full(l + 1, first_val, dtype=_I64), pos
-        out = np.int64(first_val) + np.int64(fd) * np.arange(l + 1, dtype=_I64)
-        return out, pos
-    delta_base, pos = read_vslong(buf, pos)
-    abs_deltas, pos = unpack_bits(buf, fb, l - 1, pos)
-    steps = np.empty(l + 1, dtype=_I64)
-    steps[0] = first_val
-    steps[1] = delta_base
-    signed_tail = abs_deltas.view(_I64)
-    steps[2:] = signed_tail if delta_base >= 0 else -signed_tail
-    return np.cumsum(steps, dtype=_I64), pos
 
 
 def _read_patched_base(buf, pos):

@@ -9,8 +9,8 @@ Implements the raw snappy block format (public format description:
 google/snappy format_description.txt): varint uncompressed length, then
 tagged elements — 2-bit tag: 00 literal, 01/10/11 copies with 1/2/4-byte
 little-endian offsets. Pure Python: this is a compatibility path, not a
-hot kernel (our own streams use zlib/none — the codecs the reference can
-write — unless snappy is explicitly configured)."""
+hot kernel (our own streams use zstd, zlib or none unless snappy is
+explicitly configured)."""
 
 from __future__ import annotations
 

@@ -10,6 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# flate level of the "zlib" outer kind and string-blob codec: 6 = the
+# reference's flate default and the best size; level 1 trades <1% size for
+# ~25% single-node throughput but makes the pipeline more memory-bound
+# (worse multi-worker scaling on shared-bus hosts)
+ZLIB_LEVEL = 6
+# zstd level of the "zstd" outer kind and string-blob codec; 1 = ~620
+# MB/s/core on planar planes, within 0.3% of level 9's size on the bench
+# corpus
+ZSTD_LEVEL = 1
+
 
 @dataclass
 class EncoderConfig:
@@ -35,13 +45,6 @@ class EncoderConfig:
     # the default kind (the <=-reference size bar is asserted on measured
     # bytes_per_token, not per-stream).
     outer_compression: str = "auto"
-    # 6 = the reference's flate default and the best size; level 1 trades
-    # <1% size for ~25% single-node throughput but makes the pipeline more
-    # memory-bound (worse multi-worker scaling on shared-bus hosts)
-    zlib_level: int = 6
-    # zstd level for the outer stage; 1 = ~620 MB/s/core on planar planes,
-    # within 0.3% of level 9's size on the bench corpus
-    zstd_level: int = 1
     # seek points: record a (value position, byte offset) index entry per
     # stream every this-many values (writer.go:27 DefaultRowIndexStride),
     # enabling partial-stripe row-range decode; 0 disables
@@ -87,35 +90,7 @@ class EncoderConfig:
         costs ~11x the outer CPU).  Reclaims the full round-3 size point;
         the default config remains the speed-balanced mode, both reported
         by bench.py and documented in BASELINE.md."""
-        d = {"rle2_speed_tolerance": 0.0, "outer_compression": "zlib",
-             "zlib_level": 6}
+        d = {"rle2_speed_tolerance": 0.0, "outer_compression": "zlib"}
         d.update(overrides)
         return cls(**d)
 
-    def to_dict(self) -> dict:
-        return {
-            "stripe_target_tokens": self.stripe_target_tokens,
-            "stripe_target_rows": self.stripe_target_rows,
-            "dict_threshold": self.dict_threshold,
-            "int_candidates": list(self.int_candidates),
-            "string_blob_candidates": list(self.string_blob_candidates),
-            "outer_compression": self.outer_compression,
-            "zlib_level": self.zlib_level,
-            "zstd_level": self.zstd_level,
-            "row_index_stride": self.row_index_stride,
-            "selector_sample_values": self.selector_sample_values,
-            "selector_recheck_every": self.selector_recheck_every,
-            "rle2_speed_tolerance": self.rle2_speed_tolerance,
-            "fsst_iterations": self.fsst_iterations,
-            "bloom_columns": list(self.bloom_columns),
-            "user_metadata": dict(self.user_metadata),
-            "blob_checksum": self.blob_checksum,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        d = dict(d)
-        for k in ("int_candidates", "string_blob_candidates", "bloom_columns"):
-            if k in d:
-                d[k] = tuple(d[k])
-        return cls(**d)

@@ -240,10 +240,6 @@ def partition_candidates(group: pa.Table) -> pa.Table:
                      "doc_b": pa.array(key[:, 1], type=pa.int64())})
 
 
-def _first_row(group: pa.Table) -> pa.Table:
-    return group.slice(0, 1)
-
-
 # --- stage 3: exact-Jaccard verification -----------------------------------
 
 def _gather_segments(flat: np.ndarray, off: np.ndarray,

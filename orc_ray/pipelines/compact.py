@@ -17,11 +17,9 @@ directory is never mutated.
 from __future__ import annotations
 
 import json
-import os
 
 import pyarrow as pa
 
-from .._tuning import remote_args
 from ..config import EncoderConfig
 from ..selector import SelectorState
 from ..state import manifest as mf
@@ -57,13 +55,10 @@ class CompactionWorker:
     """Actor-pool stage: one output partition per input row. Selector
     state persists across partitions like the encode pool's."""
 
-    def __init__(self, src_dir: str, dst_dir: str, config_dict: dict):
-        from .._tuning import prewarm
-
-        prewarm()
+    def __init__(self, src_dir: str, dst_dir: str, config: EncoderConfig):
         self.src_dir = src_dir
         self.dst_dir = dst_dir
-        self.config = EncoderConfig.from_dict(config_dict)
+        self.config = config
         self.selector = SelectorState(self.config)
         # validate=True: compaction rewrites blobs, so a corrupt source
         # stripe must fail the task loudly here — silently re-encoding it
@@ -131,12 +126,11 @@ def compact_job(
     out_man = ds.map_batches(
         CompactionWorker,
         fn_constructor_kwargs={"src_dir": src_dir, "dst_dir": dst_dir,
-                               "config_dict": config.to_dict()},
+                               "config": config},
         batch_size=None,
         batch_format="pyarrow",
         concurrency=clamp_concurrency(concurrency, len(items)),
         num_cpus=1,
-        **remote_args(),
     ).materialize()
     enc_after = sum(r["encoded_bytes"] for r in out_man.take_all())
     return {

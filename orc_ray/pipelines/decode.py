@@ -21,7 +21,6 @@ import os
 
 import pyarrow as pa
 
-from .._tuning import remote_args
 from ..state import manifest as mf
 from ..stripe import decode_blob
 
@@ -29,9 +28,6 @@ from ..stripe import decode_blob
 class StripeDecoder:
     def __init__(self, out_dir: str, columns: list[str] | None = None,
                  postprocess=None, validate: bool = False):
-        from .._tuning import prewarm
-
-        prewarm()
         self.blobs_dir = mf.blobs_dir(out_dir)
         self.columns = columns
         # applied to each decoded stripe table INSIDE the decode task —
@@ -142,7 +138,6 @@ def decode_dataset(
         batch_format="pyarrow",
         concurrency=clamp_concurrency(concurrency, n_units),
         num_cpus=1,
-        **remote_args(),
     )
 
 
@@ -210,7 +205,6 @@ def decode_dataset_filtered(
         batch_format="pyarrow",
         concurrency=concurrency,
         num_cpus=1,
-        **remote_args(),
     )
 
 
@@ -307,7 +301,6 @@ def point_lookup(
         batch_format="pyarrow",
         concurrency=clamp_concurrency(concurrency, man.num_rows),
         num_cpus=1,
-        **remote_args(),
     )
 
 
@@ -418,7 +411,6 @@ def read_rows(
         concurrency=min(concurrency if isinstance(concurrency, int) else 4,
                         len(picked)),
         num_cpus=1,
-        **remote_args(),
     )
 
 

@@ -25,18 +25,17 @@ tasks; only manifest rows (metadata-sized) flow back.
 from __future__ import annotations
 
 import json
-import os
 import zlib as _zlib
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .._tuning import remote_args
 from ..config import EncoderConfig
 from ..selector import SelectorState
 from ..sources.planner import plan_partitions, read_partition
 from ..state import manifest as mf
+from ..state import storage
 from ..stripe import encode_table
 
 
@@ -137,12 +136,9 @@ class PartitionEncoder:
     (per-source codec choices) lives for the actor's lifetime — setup in
     __init__ once, work per batch (the stateful-stage pattern)."""
 
-    def __init__(self, out_dir: str, config_dict: dict):
-        from .._tuning import prewarm
-
-        prewarm()
+    def __init__(self, out_dir: str, config: EncoderConfig):
         self.out_dir = out_dir
-        self.config = EncoderConfig.from_dict(config_dict)
+        self.config = config
         self.selector = SelectorState(self.config)
 
     def __call__(self, specs: pa.Table) -> pa.Table:
@@ -151,10 +147,9 @@ class PartitionEncoder:
             pid = int(spec["pid"])
             tag = mf.lineage_tag(spec["file"], spec["row_start"],
                                  spec["row_count"])
-            mpath = mf.find_manifest(self.out_dir, pid, tag)
-            if mpath is not None:  # retried task: already committed
-                import pyarrow.parquet as pq
-                all_rows.extend(pq.read_table(mpath).to_pylist())
+            mpath = mf.manifest_path(self.out_dir, pid, tag)
+            if storage.exists(mpath):  # retried task: already committed
+                all_rows.extend(mf.read_manifest_file(mpath).to_pylist())
                 continue
             table = read_partition(spec)
             rows = _encode_stripes(
@@ -189,8 +184,6 @@ def encode_job(
     config = config or EncoderConfig()
     mf.ensure_dirs(out_dir)
     if not resume:
-        from ..state import storage
-
         mdir = mf.manifest_dir(out_dir)
         for name in storage.listdir(mdir):
             if name.endswith(".parquet"):
@@ -199,40 +192,22 @@ def encode_job(
         mf.write_user_metadata(out_dir, config.user_metadata)
     target = partition_target_tokens or config.stripe_target_tokens
     specs = plan_partitions(paths, target)
-    done = mf.completed_partitions(out_dir) if resume else set()
+    done = mf.completed_tags(out_dir) if resume else {}
     if done:
         # pids are positions in the (sorted-paths) plan, so they are only
         # meaningful for THIS plan. Validate each committed partition's
         # recorded lineage against the current spec: appends (new files
         # sorting last) keep old pids valid; removals/renames/reorders
         # make them stale and MUST fail loudly — silently skipping a pid
-        # whose content changed would drop data
+        # whose content changed would drop data.
         # listdir-only validation: each committed manifest's filename
-        # carries a crc32 of its lineage triple; legacy untagged files
-        # fall back to reading their lineage columns (one open per legacy
-        # file only)
-        tags = mf.completed_tags(out_dir)
-        legacy_lineage: dict[int, tuple] | None = None
+        # carries a crc32 of its lineage triple; an untagged manifest
+        # (streaming encode, compaction) never matches a plan spec
         by_pid = {s.pid: s for s in specs}
-        stale = []
-        valid = set()
-        for pid in sorted(done):
-            s = by_pid.get(pid)
-            if s is None:
-                stale.append(pid)
-                continue
-            tag = tags.get(pid)
-            if tag is not None:
-                ok = tag == mf.lineage_tag(s.file, s.row_start, s.row_count)
-            else:
-                if legacy_lineage is None:
-                    legacy_lineage = mf.completed_lineage(out_dir)
-                ok = legacy_lineage.get(pid) == (s.file, s.row_start,
-                                                 s.row_count)
-            if ok:
-                valid.add(pid)
-            else:
-                stale.append(pid)
+        stale = [pid for pid, tag in sorted(done.items())
+                 if pid not in by_pid or tag != mf.lineage_tag(
+                     by_pid[pid].file, by_pid[pid].row_start,
+                     by_pid[pid].row_count)]
         if stale:
             raise ValueError(
                 f"resume: {len(stale)} committed partition(s) (first: pid "
@@ -240,7 +215,6 @@ def encode_job(
                 "file set changed in a non-append way (removed/renamed/"
                 "reordered files). Encode into a fresh out_dir, or rerun "
                 "with resume=False to rebuild from scratch.")
-        done = valid
     todo = [s.to_dict() for s in specs if s.pid not in done]
     result = {"planned_partitions": len(specs), "skipped": len(specs) - len(todo)}
     if todo:
@@ -263,12 +237,11 @@ def encode_job(
         ds = ray.data.from_items(todo, override_num_blocks=n_blocks)
         man = ds.map_batches(
             PartitionEncoder,
-            fn_constructor_kwargs={"out_dir": out_dir, "config_dict": config.to_dict()},
+            fn_constructor_kwargs={"out_dir": out_dir, "config": config},
             batch_size=1,
             batch_format="pyarrow",
             concurrency=concurrency,
             num_cpus=1,
-            **remote_args(),
         )
         mm = man.materialize()  # manifest rows only: metadata-sized
         if not result["skipped"]:
@@ -290,12 +263,9 @@ def encode_job(
 class StreamingEncoder:
     """map_batches callable for the pure-streaming path."""
 
-    def __init__(self, out_dir: str, config_dict: dict):
-        from .._tuning import prewarm
-
-        prewarm()
+    def __init__(self, out_dir: str, config: EncoderConfig):
         self.out_dir = out_dir
-        self.config = EncoderConfig.from_dict(config_dict)
+        self.config = config
         self.selector = SelectorState(self.config)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -304,8 +274,6 @@ class StreamingEncoder:
         first = str(batch.column(0)[0].as_py())
         pid = _zlib.crc32(f"{first}:{batch.num_rows}".encode())
         mpath = mf.manifest_path(self.out_dir, pid)
-        from ..state import storage
-
         if storage.exists(mpath):
             return mf.read_manifest_file(mpath)
         rows = _encode_stripes(batch, pid, self.out_dir, self.config,
@@ -331,10 +299,9 @@ def encode_dataset_streaming(
         concurrency = _default_concurrency()
     return ds.map_batches(
         StreamingEncoder,
-        fn_constructor_kwargs={"out_dir": out_dir, "config_dict": config.to_dict()},
+        fn_constructor_kwargs={"out_dir": out_dir, "config": config},
         batch_size=batch_rows,
         batch_format="pyarrow",
         concurrency=concurrency,
         num_cpus=1,
-        **remote_args(),
     )

@@ -43,12 +43,11 @@ def _emb_ds(sf_dir: str, columns: list[str]):
 # --- text analysis ---------------------------------------------------------
 
 def q_token_count(sf_dir: str):
-    from .._tuning import remote_args
     from .encode import _default_concurrency
 
     return _docs_ds(sf_dir, ["doc_id", "text"]).map_batches(
         TokenCounter, batch_format="pyarrow",
-        concurrency=min(4, _default_concurrency()), num_cpus=1, **remote_args(),
+        concurrency=min(4, _default_concurrency()), num_cpus=1,
     )
 
 

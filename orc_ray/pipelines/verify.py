@@ -232,7 +232,6 @@ def checksum_encoded(out_dir: str, concurrency=None) -> dict:
     ``ray.data.read_parquet`` cost seconds of fan-out AND fixed the task
     granularity at one coarse block per read task (ragged multi-round
     tail); path items make both the fan-out and the tail quantum cheap."""
-    from .._tuning import remote_args
     from .decode import ManifestShardDecoder, clamp_concurrency, manifest_feed
     from .encode import _default_concurrency
 
@@ -247,7 +246,6 @@ def checksum_encoded(out_dir: str, concurrency=None) -> dict:
         batch_format="pyarrow",
         concurrency=clamp_concurrency(concurrency, n_units),
         num_cpus=1,
-        **remote_args(),
     ).take_all()
     count = sum(p["count"] for p in parts)
     hsum = 0
@@ -343,7 +341,6 @@ def fsck_encoded(out_dir: str, concurrency=None, max_bad: int = 100) -> dict:
     100k-stripe lake returns a summary, not a blob list."""
     import ray.data
 
-    from .._tuning import remote_args
     from .decode import _pool_blocks, clamp_concurrency, manifest_file_items
     from .encode import _default_concurrency
 
@@ -362,7 +359,6 @@ def fsck_encoded(out_dir: str, concurrency=None, max_bad: int = 100) -> dict:
         batch_format="pyarrow",
         concurrency=clamp_concurrency(concurrency, n_units),
         num_cpus=1,
-        **remote_args(),
     )
 
     def _summarize(batch: pa.Table) -> pa.Table:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codecs import forpack, planar, rle2, zlibchunk, zstdchunk
-from .config import EncoderConfig
+from .config import ZLIB_LEVEL, ZSTD_LEVEL, EncoderConfig
 
 
 def _sample(values: np.ndarray, max_n: int) -> np.ndarray:
@@ -152,10 +152,9 @@ def choose_int_codec(
             enc = encode_int_stream(s, c, signed)
             size = len(enc)
             if outer in ("auto", "zstd"):
-                size = min(size, len(zstdchunk.compress(
-                    enc, level=getattr(config, "zstd_level", 1))))
+                size = min(size, len(zstdchunk.compress(enc, level=ZSTD_LEVEL)))
             elif outer == "zlib":
-                size = min(size, len(zlibchunk.compress(enc, level=config.zlib_level)))
+                size = min(size, len(zlibchunk.compress(enc, level=ZLIB_LEVEL)))
         except Exception:
             continue
         if best_size is None or size < best_size:
@@ -179,15 +178,13 @@ def choose_int_codec(
 
 class CardinalitySketch:
     """Small HyperLogLog (2^p registers) over 64-bit value hashes — the
-    selector's running distinct-count estimate per (source, column), kept
-    across batches by the encoder actors (the "cardinality sketches" of the
-    stateful stage T4). Vectorized add; standard bias-corrected estimate."""
+    mergeable per-block sketch behind ``approx_distinct_words``.
+    Vectorized add; standard bias-corrected estimate."""
 
     def __init__(self, p: int = 10):
         self.p = p
         self.m = 1 << p
         self.regs = np.zeros(self.m, dtype=np.uint8)
-        self.n_seen = 0
 
     def add_hashes(self, h: np.ndarray) -> None:
         if not len(h):
@@ -200,7 +197,6 @@ class CardinalitySketch:
 
         rank = (65 - bit_length_u64(rest)).astype(np.uint8)
         np.maximum.at(self.regs, idx, rank)
-        self.n_seen += len(h)
 
     def estimate(self) -> float:
         m = float(self.m)
@@ -214,28 +210,12 @@ class CardinalitySketch:
 
 class SelectorState:
     """Warm-start cache for a stateful encoder actor: remembers the winning
-    codec per (group, stream), keeps HLL cardinality sketches per string
-    column, and only re-measures every Nth chunk."""
+    codec per (group, stream) and only re-measures every Nth chunk."""
 
     def __init__(self, config: EncoderConfig):
         self.config = config
         self._choice: dict[tuple[str, str], str] = {}
         self._count: dict[tuple[str, str], int] = {}
-        self.sketches: dict[tuple[str, str], CardinalitySketch] = {}
-
-    def observe_strings(self, group: str, column: str, hashes: np.ndarray) -> None:
-        key = (group, column)
-        sk = self.sketches.get(key)
-        if sk is None:
-            sk = self.sketches[key] = CardinalitySketch()
-        sk.add_hashes(hashes)
-
-    def sketch_summary(self) -> dict:
-        return {
-            f"{g}/{c}": {"distinct_est": round(sk.estimate(), 1),
-                         "values_seen": sk.n_seen}
-            for (g, c), sk in self.sketches.items()
-        }
 
     def choose_int(
         self,

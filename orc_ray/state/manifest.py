@@ -20,7 +20,6 @@ the analogue of StripeInformation + column statistics
 from __future__ import annotations
 
 import json
-import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -88,17 +87,6 @@ def manifest_path(out_dir: str, pid: int, tag: str | None = None) -> str:
     return storage.join(manifest_dir(out_dir), name)
 
 
-def find_manifest(out_dir: str, pid: int, tag: str | None = None) -> str | None:
-    """Existing manifest path for pid: the tagged name, or the legacy
-    untagged name (pre-tag dirs stay resumable)."""
-    if tag:
-        p = manifest_path(out_dir, pid, tag)
-        if storage.exists(p):
-            return p
-    p = manifest_path(out_dir, pid)
-    return p if storage.exists(p) else None
-
-
 def write_blob_atomic(out_dir: str, pid: int, stripe: int, blob: bytes) -> str:
     rel = blob_name(pid, stripe)
     storage.write_file_atomic(storage.join(blobs_dir(out_dir), rel), blob)
@@ -146,7 +134,7 @@ def completed_partitions(out_dir: str) -> set[int]:
 
 def completed_tags(out_dir: str) -> dict[int, str | None]:
     """pid -> lineage tag parsed from the manifest FILENAME (None for
-    legacy untagged names). A listdir-only resume validation primitive:
+    untagged names). A listdir-only resume validation primitive:
     no manifest file is opened."""
     out: dict[int, str | None] = {}
     for name in storage.listdir(manifest_dir(out_dir)):
@@ -156,31 +144,6 @@ def completed_tags(out_dir: str) -> dict[int, str | None]:
         pid_s, _, tag = stem.partition("-")
         out[int(pid_s)] = tag or None
     return out
-
-
-def completed_lineage(out_dir: str) -> dict[int, tuple]:
-    """pid -> (input_file, row_start, row_count) from each committed
-    manifest (first row; every stripe of a partition shares its lineage).
-    Resume validation reads this so a changed input plan can never be
-    silently skipped against stale partition ids."""
-    mdir = manifest_dir(out_dir)
-    names = sorted(n for n in storage.listdir(mdir)
-                   if n.startswith("part-") and n.endswith(".parquet"))
-
-    def _one(name: str):
-        t = read_manifest_file(storage.join(mdir, name),
-                               columns=["input_file", "row_start", "row_count"])
-        if not t.num_rows:
-            return None
-        return (int(name[5:11]), (t.column("input_file")[0].as_py(),
-                                  t.column("row_start")[0].as_py(),
-                                  t.column("row_count")[0].as_py()))
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(16, max(1, len(names)))) as ex:
-        pairs = [p for p in ex.map(_one, names) if p is not None]
-    return dict(pairs)
 
 
 def read_manifest(out_dir: str, columns: list[str] | None = None) -> pa.Table:

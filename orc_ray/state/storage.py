@@ -54,10 +54,6 @@ def _parse(path: str):
     return fs, p
 
 
-def is_remote(path: str) -> bool:
-    return "://" in path
-
-
 def join(base: str, *parts: str) -> str:
     """Path join that preserves URI schemes (os.path.join would collapse
     '//')."""

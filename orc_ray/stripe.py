@@ -36,7 +36,7 @@ import pyarrow.compute as pc
 from . import schema as _schema_mod
 from .codecs import byterle, fsst, rle2, zlibchunk, zstdchunk
 from .codecs.dictionary import dictionary_encode, string_blob, strings_from_blob
-from .config import EncoderConfig
+from .config import ZLIB_LEVEL, ZSTD_LEVEL, EncoderConfig
 from .selector import (
     SelectorState,
     choose_int_codec,
@@ -91,13 +91,10 @@ class _BlobWriter:
     # is already cheap)
     MIN_INDEX_BYTES = 4096
 
-    def __init__(self, outer: str, zlib_level: int, row_index_stride: int = 0,
-                 zstd_level: int = 1):
+    def __init__(self, outer: str, row_index_stride: int = 0):
         self.buf = bytearray()
         self.streams: list[dict] = []
         self.outer = outer
-        self.zlib_level = zlib_level
-        self.zstd_level = zstd_level
         self.stride = row_index_stride
 
     def add(self, column: str, kind: str, codec: str, data: bytes,
@@ -162,8 +159,7 @@ class _BlobWriter:
             chunk = (zstdchunk.SEEK_CHUNK
                      if seekable or "byte_index" in extra
                      else zstdchunk.DEFAULT_CHUNK)
-            z = zstdchunk.compress(data, chunk_size=chunk,
-                                   level=self.zstd_level)
+            z = zstdchunk.compress(data, chunk_size=chunk, level=ZSTD_LEVEL)
             if self.outer == "zstd" or len(z) < raw_len:
                 data, outer = z, "zstd"
                 if seekable or "byte_index" in extra:
@@ -172,7 +168,7 @@ class _BlobWriter:
         elif raw_len > 0 and attempt and self.outer == "zlib":
             # reference semantics: always flate (the per-chunk original
             # fallback inside the framing handles incompressible chunks)
-            data, outer = zlibchunk.compress(data, level=self.zlib_level), "zlib"
+            data, outer = zlibchunk.compress(data, level=ZLIB_LEVEL), "zlib"
             if seekable or "byte_index" in extra:
                 rec["chunk_offsets"] = zlibchunk.chunk_offsets(data)
                 rec["chunk_size"] = zlibchunk.DEFAULT_CHUNK
@@ -214,7 +210,7 @@ class _BlobWriter:
                      else zstdchunk.DEFAULT_CHUNK)
             z = zstdchunk.compress_parts(
                 [header, planes.reshape(-1)], chunk_size=chunk,
-                level=self.zstd_level)
+                level=ZSTD_LEVEL)
             if self.outer == "zstd" or len(z) < raw_len:
                 data, outer = z, "zstd"
                 if seekable:
@@ -303,11 +299,11 @@ def _encode_blob(
         if cand == "none":
             continue
         if cand == "zlib":
-            z = zlibchunk.compress(blob, level=config.zlib_level)
+            z = zlibchunk.compress(blob, level=ZLIB_LEVEL)
             if len(z) < best[3]:
                 best = ("zlib", z, lengths, len(z))
         elif cand == "zstd":
-            z = zstdchunk.compress(blob, level=getattr(config, "zstd_level", 1))
+            z = zstdchunk.compress(blob, level=ZSTD_LEVEL)
             if len(z) < best[3]:
                 best = ("zstd", z, lengths, len(z))
         elif cand == "fsst":
@@ -353,9 +349,7 @@ def encode_table(
     stateful selector cache (e.g. the partition's dominant source)."""
     config = config or EncoderConfig()
     table = table.combine_chunks()
-    w = _BlobWriter(config.outer_compression, config.zlib_level,
-                    getattr(config, "row_index_stride", 0),
-                    getattr(config, "zstd_level", 1))
+    w = _BlobWriter(config.outer_compression, config.row_index_stride)
     columns_meta = []
     for i, name in enumerate(table.column_names):
         arr = table.column(name)
@@ -374,14 +368,14 @@ def encode_table(
     meta = {
         "format": FORMAT_VERSION,
         "num_rows": table.num_rows,
-        "index_stride": getattr(config, "row_index_stride", 0),
+        "index_stride": config.row_index_stride,
         "outer": config.outer_compression,
         "schema_b64": base64.b64encode(table.schema.serialize().to_pybytes()).decode(),
         "columns": columns_meta,
         "streams": w.streams,
     }
     blob = bytes(w.buf)
-    if getattr(config, "blob_checksum", True):
+    if config.blob_checksum:
         # integrity record (the reference's ORC format has none): crc32 of
         # the final blob bytes, validated by decode_blob(validate=True)
         # and the fsck pipeline; meta-carried so the manifest schema is
@@ -597,11 +591,6 @@ def _encode_string_column(name, arr, valid, w, config, selector, group, meta) ->
         arr = arr.drop_null()
     n = len(arr)
     distinct = int(pc.count_distinct(arr).as_py()) if n else 0
-    if selector is not None and n and not is_binary:
-        # feed the actor's per-(source, column) cardinality sketch (T4)
-        from .codecs.dictionary import string_hashes64
-
-        selector.observe_strings(group, name, string_hashes64(arr))
     use_dict = (not is_binary) and n > 0 and distinct / n <= config.dict_threshold
     if use_dict:
         indexes, dict_blob, dict_lengths = dictionary_encode(arr)
@@ -684,7 +673,7 @@ def _encode_list_column(name, arr, valid, w, config, selector, group, meta) -> d
         "num_values": int(len(lengths)),
         "total_elements": int(lengths.sum()),
     }
-    stride = getattr(config, "row_index_stride", 0)
+    stride = config.row_index_stride
     if stride and len(lengths) > stride:
         # row-stride element offsets: lets a row-range decode locate the
         # child DATA value range without decoding every LENGTH before it
@@ -724,7 +713,7 @@ def _encode_map_column(name, arr, valid, w, config, selector, group, meta) -> di
     w.add(name, "LENGTH", len_codec, encode_int_stream(lengths, len_codec, False),
           signed=False)
     meta["encoding"] = "map"
-    stride = getattr(config, "row_index_stride", 0)
+    stride = config.row_index_stride
     if stride and len(lengths) > stride:
         rel = offsets - offsets[0]
         meta["elem_offsets"] = [int(x) for x in rel[::stride]]

@@ -190,23 +190,6 @@ def test_cardinality_sketch_accuracy():
         assert abs(est - true_n) / true_n < 0.15, (true_n, est)
 
 
-def test_sketch_in_selector_state():
-    import pyarrow as pa
-
-    from orc_ray.config import EncoderConfig
-    from orc_ray.selector import SelectorState
-    from orc_ray.stripe import encode_table
-
-    sel = SelectorState(EncoderConfig())
-    t = pa.table({"s": pa.array([f"v{i % 50}" for i in range(2000)])})
-    for _ in range(3):
-        encode_table(t, EncoderConfig(), selector=sel, group="web")
-    summary = sel.sketch_summary()
-    assert "web/s" in summary
-    assert abs(summary["web/s"]["distinct_est"] - 50) < 10
-    assert summary["web/s"]["values_seen"] == 6000
-
-
 # --- snappy block decoder (decode-only, compressioncodec.go:222-284) -------
 
 def test_snappy_literal_only():

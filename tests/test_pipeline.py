@@ -236,9 +236,6 @@ def test_user_metadata_roundtrip(ray_session, token_shards, tmp_path):
     assert mf.read_user_metadata(out) == {"pipeline": "unit-test", "v": "3"}
     summary = mf.manifest_summary(out, codec_histogram=False)
     assert summary["user_metadata"] == {"pipeline": "unit-test", "v": "3"}
-    # config dict round-trip (what actor pools receive)
-    assert EncoderConfig.from_dict(cfg.to_dict()).user_metadata == \
-        cfg.user_metadata
 
 
 def test_file_level_column_stats_merge(tmp_path):
