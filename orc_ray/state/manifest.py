@@ -124,14 +124,6 @@ def read_user_metadata(out_dir: str) -> dict:
     return json.loads(storage.read_file(path).decode())
 
 
-def completed_partitions(out_dir: str) -> set[int]:
-    out = set()
-    for name in storage.listdir(manifest_dir(out_dir)):
-        if name.startswith("part-") and name.endswith(".parquet"):
-            out.add(int(name[5:11]))
-    return out
-
-
 def completed_tags(out_dir: str) -> dict[int, str | None]:
     """pid -> lineage tag parsed from the manifest FILENAME (None for
     untagged names). A listdir-only resume validation primitive:

@@ -23,7 +23,7 @@ from orc_ray.sources.orcfile import ORCFile, read_orc
 GOLDEN = "/root/reference/examples/over1k_bloom.orc"
 needs_golden = pytest.mark.skipif(
     not os.path.exists(GOLDEN),
-    reason="golden ORC corpus /root/reference/examples not present")
+    reason=f"golden ORC corpus {os.path.dirname(GOLDEN)} not present")
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,7 @@ from orc_ray.sources.orcfile import ORCFile, OrcType, OrcUnsupportedError
 EXAMPLES = "/root/reference/examples"
 needs_examples = pytest.mark.skipif(
     not os.path.exists(EXAMPLES),
-    reason="golden ORC corpus /root/reference/examples not present")
+    reason=f"golden ORC corpus {EXAMPLES} not present")
 
 GOLDEN_FILES = [
     "TestOrcFile.columnProjection",

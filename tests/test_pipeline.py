@@ -127,7 +127,7 @@ def test_resume_skips_completed(ray_session, token_shards, tmp_path):
     assert s1["skipped"] == 0
 
     # simulate partial failure: drop 3 partitions' manifests + blobs
-    done = sorted(mf.completed_partitions(out))
+    done = sorted(mf.completed_tags(out))
     victims = done[:3]
     mdir = mf.manifest_dir(out)
     for pid in victims:
