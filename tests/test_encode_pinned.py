@@ -1,15 +1,21 @@
 """Pinned encoder output: a fixed seeded table must encode to the same
-bytes under both shipped configs. Refactors of the write path are judged
-by these digests — a change here means the on-disk format moved."""
+bytes under both shipped configs and under the opt-in snappy outer kind,
+and exported ORC files must not change under any compression kind.
+Refactors of the write path are judged by these digests — a change here
+means the on-disk format moved."""
 
 import hashlib
+import io
 import json
 
+import numpy as np
+import pyarrow as pa
 import pytest
 
 from orc_ray.config import EncoderConfig
 from orc_ray.pipelines.encode import split_stripes
 from orc_ray.selector import SelectorState
+from orc_ray.sources.orcwriter import write_orc_file
 from orc_ray.sources.tokens import synthesize_tokens
 from orc_ray.stripe import encode_table
 
@@ -37,10 +43,31 @@ PINNED = {
     ],
 }
 
+# sha256 of the blob only, per stripe: the meta may gain chunk indexes
+# on seekable streams without the stored bytes moving
+PINNED_BLOBS = {
+    "snappy": [
+        "549b6b2c8a6201badc1d42f822031e7023b462b85ea8ce3a38d6e1b5da9c4a4a",
+        "d538d2aadd6a7cc841f6e3249cfdace03dc730b4681d31d17e2a7e4cb5d23edf",
+        "2089fa4ce1cd58e50c37a8aa57f831f57a2950e2856b9a921e6ec01bcdec0864",
+        "3859489ee9e1d79dfb01e7447d7048656ef6a0b45b0a62fa87139ada31aae52b",
+    ],
+}
+
+# sha256 of the whole exported ORC file per CompressionKind
+PINNED_ORC = {
+    "none": "e156d2322a3438c396b296de896d8f8c9796d05321740959a19efd7dce2c776e",
+    "zlib": "9cd8e29b66e6de89886fd74881c1bae9c5937352a59dd07cdd8a28a666d614d4",
+    "snappy": "d36ebdd81313e5a681e38e6d4027a85664769aa5751dca65508df011ed4ed8e9",
+    "zstd": "74c6245f429b5286ed173880b878c4cf08446ab1895d696d9f29543960cf03d0",
+}
+
 CONFIGS = {
     "default": lambda: EncoderConfig(stripe_target_tokens=100_000),
     "size_priority": lambda: EncoderConfig.size_priority(
         stripe_target_tokens=100_000),
+    "snappy": lambda: EncoderConfig(stripe_target_tokens=100_000,
+                                    outer_compression="snappy"),
 }
 
 
@@ -60,6 +87,30 @@ def _digests(config: EncoderConfig) -> list[tuple[str, str]]:
     return out
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_encoder_output_pinned(name):
     assert _digests(CONFIGS[name]()) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BLOBS))
+def test_encoder_blobs_pinned(name):
+    assert [b for b, _ in _digests(CONFIGS[name]())] == PINNED_BLOBS[name]
+
+
+def _orc_table() -> pa.Table:
+    # token columns plus a nullable float and a bool column, so the file
+    # carries PRESENT, DATA, LENGTH and dictionary streams
+    table = synthesize_tokens(500, seed=7)
+    rng = np.random.default_rng(7)
+    n = table.num_rows
+    floats = pa.array(rng.normal(size=n), mask=rng.random(n) < 0.1)
+    return (table.append_column("score", floats)
+            .append_column("flag", pa.array(rng.random(n) < 0.3)))
+
+
+@pytest.mark.parametrize("compression", sorted(PINNED_ORC))
+def test_orc_export_pinned(compression):
+    buf = io.BytesIO()
+    write_orc_file(_orc_table(), buf, compression=compression)
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == \
+        PINNED_ORC[compression]
