@@ -1046,11 +1046,3 @@ def embedding_near_pairs(table: pa.Table, threshold: float = 0.95) -> pa.Table:
     return pa.table({"vec_a": pa.array(key[:, 0], type=pa.int64()),
                      "vec_b": pa.array(key[:, 1], type=pa.int64())})
 
-
-# --- back-compat shims used by unit tests ----------------------------------
-
-def _word_shingles(texts, k: int = 3) -> list[np.ndarray]:
-    """Per-doc arrays of shingle hashes (thin wrapper over the vectorized
-    shingle_sets kernel; kept for tests and the exact_jaccard helper)."""
-    sv, off = shingle_sets(texts, k=k)
-    return [sv[off[i]: off[i + 1]] for i in range(len(off) - 1)]

@@ -80,7 +80,8 @@ def test_fingerprints(docs):
 
 def test_minhash_similarity_estimate(docs):
     """Minhash signature agreement must approximate exact Jaccard."""
-    sets = dedup._word_shingles(docs.slice(0, 60).column("text"))
+    sv, off = dedup.shingle_sets(docs.slice(0, 60).column("text"))
+    sets = [sv[off[i]: off[i + 1]] for i in range(10)]
     s0 = dedup.minhash_signature(sets[0])
     for j in range(1, 10):
         sj = dedup.minhash_signature(sets[j])
