@@ -380,6 +380,8 @@ def cmd_import_orc(args) -> int:
 
 
 def main(argv=None) -> int:
+    from .codecs import CHUNKED_KINDS
+
     ap = argparse.ArgumentParser(prog="orc_ray")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -452,7 +454,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--columns", default="")
     p.add_argument("--compression", default="zlib",
-                   choices=["none", "zlib", "snappy", "zstd"])
+                   choices=["none", *CHUNKED_KINDS])
     p.add_argument("--rows-per-file", type=int, default=128 * 1024)
     p.add_argument("--cpus", type=int, default=None)
     p.set_defaults(fn=cmd_export_orc)

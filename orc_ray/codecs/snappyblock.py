@@ -8,16 +8,18 @@ is a real write path.
 Implements the raw snappy block format (public format description:
 google/snappy format_description.txt): varint uncompressed length, then
 tagged elements — 2-bit tag: 00 literal, 01/10/11 copies with 1/2/4-byte
-little-endian offsets. Pure Python: this is a compatibility path, not a
+little-endian offsets. ORC frames these blocks in chunks like every other
+kind (:mod:`chunked`). Pure Python: this is a compatibility path, not a
 hot kernel (our own streams use zstd, zlib or none unless snappy is
 explicitly configured)."""
 
 from __future__ import annotations
 
-DEFAULT_CHUNK = 256 * 1024  # writer.go:25 DefaultCompressionChunkSize
+from . import chunked
+from .chunked import DEFAULT_CHUNK
 
 
-def decompress_raw(data: bytes) -> bytes:
+def decompress_raw(data) -> bytes:
     """Decompress one raw snappy block."""
     # varint uncompressed length
     n = 0
@@ -153,37 +155,22 @@ def compress_raw(data: bytes) -> bytes:
     return bytes(out)
 
 
-def compress(data: bytes, chunk: int = DEFAULT_CHUNK) -> bytes:
-    """ORC-framed snappy stream: 3-byte chunk headers
-    ``(len << 1) | isOriginal`` with the store-uncompressed-if-bigger
-    fallback, same framing as the zlib codec."""
-    out = bytearray()
-    for s in range(0, max(len(data), 1), chunk):
-        piece = data[s: s + chunk]
-        comp = compress_raw(piece)
-        if len(comp) < len(piece):
-            out += ((len(comp) << 1) | 0).to_bytes(3, "little")
-            out += comp
-        else:
-            out += ((len(piece) << 1) | 1).to_bytes(3, "little")
-            out += piece
-    return bytes(out)
+def _compress_block(chunk) -> bytes:
+    return compress_raw(bytes(chunk))  # the matcher hashes bytes slices
 
 
-def decompress(data: bytes) -> bytes:
-    """Decompress an ORC-framed snappy stream: sequence of 3-byte chunk
-    headers ``(len << 1) | isOriginal`` followed by snappy blocks (the
-    same framing as the zlib codec, compressioncodec.go:302-314)."""
-    out = bytearray()
-    pos = 0
-    size = len(data)
-    while pos < size:
-        h = data[pos] | (data[pos + 1] << 8) | (data[pos + 2] << 16)
-        pos += 3
-        length = h >> 1
-        if h & 1:  # stored uncompressed
-            out += data[pos: pos + length]
-        else:
-            out += decompress_raw(data[pos: pos + length])
-        pos += length
-    return bytes(out)
+def _decompress_block(payload, raw_n: int | None) -> bytes:
+    return decompress_raw(payload)
+
+
+def compress(data, chunk_size: int = DEFAULT_CHUNK) -> bytes:
+    return chunked.compress_parts([data], _compress_block, chunk_size)
+
+
+def compress_parts(parts, chunk_size: int = DEFAULT_CHUNK) -> bytes:
+    return chunked.compress_parts(parts, _compress_block, chunk_size)
+
+
+def decompress(data, raw_length: int | None = None,
+               chunk_size: int = DEFAULT_CHUNK) -> bytearray:
+    return chunked.decompress(data, _decompress_block, raw_length, chunk_size)

@@ -1,12 +1,10 @@
-"""ORC-style chunked ZSTD block compression with store-uncompressed fallback.
+"""ORC chunked zstd: zstd blocks in the shared chunk framing.
 
 Apache ORC's own CompressionKind enumerates ZSTD alongside ZLIB/SNAPPY
 (proto/orc.proto CompressionKind); the reference implements only the
 zlib/snappy kinds (compressioncodec.go:169-284), so this module is the
-format's zstd kind realized over pyarrow's bundled C++ zstd. The framing is
-byte-identical to :mod:`zlibchunk` — 3-byte chunk header
-``(compressed_len << 1) | isOriginal`` over 256 KiB raw chunks — so the
-chunk-offset index logic (range reads) is shared.
+format's zstd kind realized over pyarrow's bundled C++ zstd, framed by
+:mod:`chunked` like every other kind.
 
 Why it exists: measured on the bench token corpus, zstd level 1 compresses
 the dominant planar stream at ~620 MB/s vs chunked zlib-6's ~55 MB/s at a
@@ -19,145 +17,48 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from .zlibchunk import DEFAULT_CHUNK, MAX_CHUNK, _header, chunk_offsets
+from . import chunked
+from .chunked import DEFAULT_CHUNK
 
-__all__ = ["compress", "decompress", "decompress_chunks", "chunk_offsets",
-           "DEFAULT_CHUNK", "SEEK_CHUNK"]
+# zstd level of the "zstd" outer kind and string-blob codec; 1 = ~620
+# MB/s/core on planar planes, within 0.3% of level 9's size on the bench
+# corpus
+LEVEL = 1
 
-# seekable streams compress in smaller chunks so a row-range read rounds to
-# 64 KiB per covered plane/slice instead of 256 KiB — measured +0.4% size
-# on token planes for ~4x tighter range reads
-SEEK_CHUNK = 65536
-
-_CODEC_CACHE: dict[int, pa.Codec] = {}
+_CODEC = pa.Codec("zstd", compression_level=LEVEL)
 
 
-def _codec(level: int) -> pa.Codec:
-    c = _CODEC_CACHE.get(level)
-    if c is None:
-        c = _CODEC_CACHE[level] = pa.Codec("zstd", compression_level=level)
-    return c
+def _compress_block(chunk) -> pa.Buffer:
+    return _CODEC.compress(chunk)
 
 
-def compress(data, chunk_size: int = DEFAULT_CHUNK, level: int = 1) -> bytes:
-    if chunk_size > MAX_CHUNK:
-        raise ValueError(f"chunk size {chunk_size} exceeds {MAX_CHUNK}")
-    c = _codec(level)
-    mv = memoryview(data)
-    out = bytearray()
-    for i in range(0, len(mv), chunk_size):
-        chunk = mv[i: i + chunk_size]
-        cd = c.compress(chunk)
-        if cd.size >= len(chunk):
-            out += _header(len(chunk), True)
-            out += chunk
-        else:
-            out += _header(cd.size, False)
-            out += cd
-    return bytes(out)
+def _decompress_block(payload, raw_n: int) -> memoryview:
+    # pa.Buffer's memoryview is format 'b'; cast('B') is zero-copy
+    return memoryview(_CODEC.decompress(payload, raw_n)).cast("B")
 
 
-def compress_parts(parts, chunk_size: int = DEFAULT_CHUNK,
-                   level: int = 1) -> bytes:
-    """Chunked compress over a list of buffers, byte-identical to
-    ``compress(b"".join(parts))`` but without materializing the joined
-    stream: chunks that fall inside one part compress zero-copy from its
-    memoryview; only the rare part-spanning chunk is assembled in a small
-    scratch. This is the fused encode path — per-stream intermediate
-    buffers (e.g. planar's concatenated planes) never exist."""
-    c = _codec(level)
-    views = [memoryview(p) for p in parts if len(p)]
-    total = sum(len(v) for v in views)
-    out = bytearray()
-    pi = 0          # current part index
-    po = 0          # offset inside current part
-    done = 0
-    while done < total:
-        want = min(chunk_size, total - done)
-        if po + want <= len(views[pi]):
-            chunk = views[pi][po: po + want]
-            po += want
-        else:  # spans parts: assemble once in a scratch
-            scratch = bytearray(want)
-            filled = 0
-            while filled < want:
-                take = min(want - filled, len(views[pi]) - po)
-                scratch[filled: filled + take] = views[pi][po: po + take]
-                filled += take
-                po += take
-                if po == len(views[pi]) and filled < want:
-                    pi += 1
-                    po = 0
-            chunk = memoryview(scratch)
-        if po == len(views[pi]) and pi + 1 < len(views):
-            pi += 1
-            po = 0
-        cd = c.compress(chunk)
-        if cd.size >= len(chunk):
-            out += _header(len(chunk), True)
-            out += chunk
-        else:
-            out += _header(cd.size, False)
-            out += cd
-        done += want
-    return bytes(out)
+def compress(data, chunk_size: int = DEFAULT_CHUNK) -> bytes:
+    return chunked.compress_parts([data], _compress_block, chunk_size)
+
+
+def compress_parts(parts, chunk_size: int = DEFAULT_CHUNK) -> bytes:
+    """Compress ``b"".join(parts)`` without joining: the fused encode
+    path, so per-stream intermediate buffers (e.g. planar's concatenated
+    planes) never exist."""
+    return chunked.compress_parts(parts, _compress_block, chunk_size)
 
 
 def decompress(data, raw_length: int,
                chunk_size: int = DEFAULT_CHUNK) -> bytearray:
-    """Decompress a full chunked-zstd stream. ``raw_length`` is the
-    stream's uncompressed size (manifest ``raw_length``): zstd needs the
-    exact per-chunk output size, which is ``chunk_size`` for every chunk
-    except the tail remainder.
-
-    Writes chunks into a preallocated buffer — the grow-and-copy
-    ``bytes(out)`` version moved every decoded stream through memory a
-    second time, which on the bus-bound 32-way decode was pure overhead.
-    Returns the bytearray itself (buffer protocol: ``np.frombuffer``,
-    slicing and indexing behave exactly like bytes downstream)."""
-    out = bytearray(raw_length)
-    outmv = memoryview(out)
-    mv = memoryview(data)
-    pos = 0
-    n = len(mv)
-    wpos = 0
-    c = _codec(1)
-    while pos < n:
-        h = mv[pos] | (mv[pos + 1] << 8) | (mv[pos + 2] << 16)
-        pos += 3
-        length = h >> 1
-        raw_n = min(chunk_size, raw_length - wpos)
-        if h & 1:  # stored original
-            outmv[wpos: wpos + length] = mv[pos: pos + length]
-        else:
-            # pa.Buffer's memoryview is format 'b'; cast('B') is zero-copy
-            outmv[wpos: wpos + raw_n] = memoryview(
-                c.decompress(mv[pos: pos + length], raw_n)).cast("B")
-        pos += length
-        wpos += raw_n
-    return out
+    """Decompress a chunked-zstd stream of ``raw_length`` raw bytes (the
+    manifest's ``raw_length``): zstd needs each chunk's exact output size,
+    which is ``chunk_size`` for every chunk except the tail."""
+    return chunked.decompress(data, _decompress_block, raw_length, chunk_size)
 
 
 def decompress_chunks(data, raw_sizes) -> bytearray:
-    """Decompress consecutive chunks whose raw sizes are known (range-read
-    path: the caller sliced ``data`` at chunk boundaries via the stream's
-    chunk-offset index)."""
-    out = bytearray(int(sum(raw_sizes)))
-    outmv = memoryview(out)
-    mv = memoryview(data)
-    pos = 0
-    wpos = 0
-    c = _codec(1)
-    for raw_n in raw_sizes:
-        h = mv[pos] | (mv[pos + 1] << 8) | (mv[pos + 2] << 16)
-        pos += 3
-        length = h >> 1
-        if h & 1:
-            outmv[wpos: wpos + length] = mv[pos: pos + length]
-        else:
-            # pa.Buffer's memoryview is format 'b'; cast('B') is zero-copy
-            outmv[wpos: wpos + raw_n] = memoryview(
-                c.decompress(mv[pos: pos + length], raw_n)).cast("B")
-        pos += length
-        wpos += raw_n
-    return out
+    """Decompress consecutive chunks whose raw sizes are known, e.g. a
+    slice of a stream cut at chunk boundaries through its chunk-offset
+    index. Every size but the last must be the stream's chunk size."""
+    return chunked.decompress(data, _decompress_block, int(sum(raw_sizes)),
+                              max(raw_sizes, default=DEFAULT_CHUNK))

@@ -10,16 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# flate level of the "zlib" outer kind and string-blob codec: 6 = the
-# reference's flate default and the best size; level 1 trades <1% size for
-# ~25% single-node throughput but makes the pipeline more memory-bound
-# (worse multi-worker scaling on shared-bus hosts)
-ZLIB_LEVEL = 6
-# zstd level of the "zstd" outer kind and string-blob codec; 1 = ~620
-# MB/s/core on planar planes, within 0.3% of level 9's size on the bench
-# corpus
-ZSTD_LEVEL = 1
-
 
 @dataclass
 class EncoderConfig:
@@ -38,12 +28,12 @@ class EncoderConfig:
     string_blob_candidates: tuple[str, ...] = ("fsst", "zstd", "none")
     # outer chunked block compression over each encoded stream (ORC's
     # CompressionKind, compressioncodec.go): "auto" tries zstd per stream
-    # and keeps it only when it shrinks the stream; "zstd"/"zlib"/"snappy"
-    # force that kind; "none" never compresses. ORC's proto enumerates
-    # ZSTD alongside ZLIB/SNAPPY; zstd-1 measures ~11x faster than the
-    # reference's flate-6 at <2% size cost on the token corpus, so it is
-    # the default kind (the <=-reference size bar is asserted on measured
-    # bytes_per_token, not per-stream).
+    # and keeps it only when it shrinks the stream; a kind named in
+    # codecs.CHUNKED_KINDS forces that kind; "none" never compresses.
+    # ORC's proto enumerates ZSTD alongside ZLIB/SNAPPY; zstd-1 measures
+    # ~11x faster than the reference's flate-6 at <2% size cost on the
+    # token corpus, so it is the default kind (the <=-reference size bar
+    # is asserted on measured bytes_per_token, not per-stream).
     outer_compression: str = "auto"
     # seek points: record a (value position, byte offset) index entry per
     # stream every this-many values (writer.go:27 DefaultRowIndexStride),

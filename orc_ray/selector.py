@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codecs import forpack, planar, rle2, zlibchunk, zstdchunk
-from .config import ZLIB_LEVEL, ZSTD_LEVEL, EncoderConfig
+from .codecs import CHUNKED_KINDS, forpack, outer_kind, planar, rle2
+from .config import EncoderConfig
 
 
 def _sample(values: np.ndarray, max_n: int) -> np.ndarray:
@@ -69,11 +69,11 @@ def _delta_view(values: np.ndarray) -> np.ndarray:
 # imported on the workers too (the same contract as any Ray UDF plugin).
 _BUILTIN_INT_CODECS = ("rle2", "rle2_delta", "for", "planar", "bytes")
 # ids with special-cased handling ANYWHERE in stream/blob records (e.g.
-# StripeWriter.add's outer-compression gate treats 'zlib'/'fsst' as
-# already-entropy-coded): a user codec under one of these names would get
-# silently different write-path behavior, so they are reserved too.
-_RESERVED_CODEC_IDS = _BUILTIN_INT_CODECS + (
-    "zlib", "fsst", "none", "snappy",   # outer/blob compression gates
+# _BlobWriter.add never outer-compresses 'fsst' or a chunked kind, which
+# are already entropy-coded): a user codec under one of these names would
+# get silently different write-path behavior, so they are reserved too.
+_RESERVED_CODEC_IDS = _BUILTIN_INT_CODECS + tuple(CHUNKED_KINDS) + (
+    "fsst", "none",                     # blob compression gates
     "dict", "int", "direct", "binary",  # encoding names in stream meta
 )
 _INT_CODEC_REGISTRY: dict[str, tuple] = {}
@@ -144,17 +144,15 @@ def choose_int_codec(
     # sharply in how compressible their output is (byte-planes vs
     # odd-width packs) — so measure with the SAME outer kind the writer
     # will use
-    outer = config.outer_compression
+    kind = outer_kind(config.outer_compression)[1]
     best, best_size = None, None
     sizes: dict[str, int] = {}
     for c in candidates:
         try:
             enc = encode_int_stream(s, c, signed)
             size = len(enc)
-            if outer in ("auto", "zstd"):
-                size = min(size, len(zstdchunk.compress(enc, level=ZSTD_LEVEL)))
-            elif outer == "zlib":
-                size = min(size, len(zlibchunk.compress(enc, level=ZLIB_LEVEL)))
+            if kind is not None and kind.trial:
+                size = min(size, len(kind.module.compress(enc)))
         except Exception:
             continue
         if best_size is None or size < best_size:

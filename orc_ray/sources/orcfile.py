@@ -2,8 +2,8 @@
 
 Reads *real* ORC files — the Apache format, as written by Hive/Java/C++/
 pyarrow — and decodes them through this repo's already-vector-exact codec
-kernels (``codecs.rle1/rle2/byterle/varint/zlibchunk/snappyblock``). This
-closes SURVEY.md §2 S9: the reference validates itself against 26 golden
+kernels (``codecs.rle1/rle2/byterle/varint`` and ``codecs.CHUNKED_KINDS``).
+This closes SURVEY.md §2 S9: the reference validates itself against 26 golden
 example files (/root/reference/orc_test.go:14-131 decodes
 examples/*.orc against examples/expected/*.jsn.gz); this module lets the
 engine ingest the same corpus — and any existing ORC lake — natively.
@@ -16,8 +16,8 @@ Format layout per the ORC spec (re-derived from /root/reference/reader.go:
 
 Every protobuf section and every stream is independently chunk-compressed
 with the file's CompressionKind using 3-byte ``(len<<1)|isOriginal``
-headers (compressioncodec.go:302-314) — the identical framing
-``codecs/zlibchunk.py`` implements for the engine's own format.
+headers (compressioncodec.go:302-314) — the framing ``codecs/chunked.py``
+implements once for the engine's own format and for this reader.
 
 The protobuf decode is a hand-rolled proto2 wire reader (~60 lines): the
 five messages we need are tiny and fixed, so a generated-code dependency
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pyarrow as pa
 
-from ..codecs import byterle, rle1, rle2, snappyblock, zlibchunk
+from ..codecs import CHUNKED_KINDS, byterle, chunked, rle1, rle2
 from ..codecs.varint import read_vulong
 
 # ---------------------------------------------------------------------------
@@ -114,9 +114,6 @@ class OrcUnsupportedError(NotImplementedError):
 
 # ---------------------------------------------------------------------------
 # chunked decompression (shared 3-byte-header framing, per-codec blocks)
-
-_COMPRESSION_NAMES = {0: "none", 1: "zlib", 2: "snappy", 3: "lzo", 4: "lz4", 5: "zstd"}
-
 
 def _lz4_block_decompress(src: bytes) -> bytes:
     """Pure-python LZ4 *block* format decoder (token / literals / match
@@ -265,35 +262,27 @@ def _zstd_frame_decompress(src: bytes) -> bytes:
     return stream.read()
 
 
+# per-chunk block decoders of the kinds only foreign files use, called by
+# the shared chunk loop as block(payload, raw_size). A foreign zstd chunk's
+# raw size is unknown, so it decodes as a self-describing frame instead of
+# through zstdchunk.
+_FOREIGN_BLOCKS = {
+    3: lambda src, _n: _lzo1x_decompress(src),
+    4: lambda src, _n: _lz4_block_decompress(src),
+    CHUNKED_KINDS["zstd"].orc_kind:
+        lambda src, _n: _zstd_frame_decompress(src),
+}
+_KINDS_BY_ID = {k.orc_kind: k for k in CHUNKED_KINDS.values()}
+
+
 def _decompress(data: bytes | memoryview, kind: int) -> bytes:
-    data = bytes(data)
     if kind == 0:
-        return data
-    if kind == 1:
-        return zlibchunk.decompress(data)
-    if kind == 2:
-        block = snappyblock.decompress_raw
-    elif kind == 3:
-        block = _lzo1x_decompress
-    elif kind == 4:
-        block = _lz4_block_decompress
-    elif kind == 5:
-        block = _zstd_frame_decompress
-    else:
-        raise OrcUnsupportedError(
-            f"compression kind {_COMPRESSION_NAMES.get(kind, kind)} is not supported"
-        )
-    out = bytearray()
-    pos = 0
-    n = len(data)
-    while pos < n:
-        h = data[pos] | (data[pos + 1] << 8) | (data[pos + 2] << 16)
-        pos += 3
-        length = h >> 1
-        chunk = data[pos: pos + length]
-        pos += length
-        out += chunk if h & 1 else block(chunk)
-    return bytes(out)
+        return bytes(data)
+    if kind in _FOREIGN_BLOCKS:
+        return chunked.decompress(data, _FOREIGN_BLOCKS[kind])
+    if kind in _KINDS_BY_ID:
+        return _KINDS_BY_ID[kind].module.decompress(data)
+    raise OrcUnsupportedError(f"compression kind {kind} is not supported")
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 Writes real ORC files — readable by pyarrow.orc, Hive/Java/C++, and this
 repo's own ``ORCFile`` reader — from Arrow tables, over the repo's
-vector-exact codec kernels (``codecs.rle2/byterle/varint/zlibchunk/
-snappyblock/zstdchunk``).  This closes the one reference capability the
-repo lacked (VERDICT r4 "What's missing" #1): the reference's entire
-write path produces real ORC (/root/reference/writer.go:107-497,
-treewriter.go:15-1219); ``ingest-orc`` could read foreign lakes but not
-emit files the ORC ecosystem can read back.
+vector-exact codec kernels (``codecs.rle2/byterle/varint`` and the
+chunked compression kinds of ``codecs.CHUNKED_KINDS``).  This closes the
+one reference capability the repo lacked (VERDICT r4 "What's missing"
+#1): the reference's entire write path produces real ORC
+(/root/reference/writer.go:107-497, treewriter.go:15-1219);
+``ingest-orc`` could read foreign lakes but not emit files the ORC
+ecosystem can read back.
 
 File layout re-derived from the reference writer's flush order
 (/root/reference/writer.go:191-197 magic, :320-481 writeStripe,
@@ -17,10 +18,10 @@ File layout re-derived from the reference writer's flush order
 
 Every protobuf section and every stream is independently chunk-compressed
 with the file's CompressionKind using the 3-byte ``(len<<1)|isOriginal``
-framing (compressioncodec.go:302-314) that ``codecs/zlibchunk.py``
-implements.  ``rowIndexStride=0`` — no ROW_INDEX streams — which the
-format defines as "no row index present" (readers then never consult the
-index region).
+framing (compressioncodec.go:302-314) of ``codecs/chunked.py``, the same
+framing the engine's own streams use.  ``rowIndexStride=0`` — no
+ROW_INDEX streams — which the format defines as "no row index present"
+(readers then never consult the index region).
 
 Encodings match the reference writer's choices per type
 (treewriterfactory.go:13-104): RLEv2 (DIRECT_V2) for all integer-family
@@ -53,26 +54,18 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..codecs import byterle, rle2, snappyblock, zlibchunk, zstdchunk
+from ..codecs import CHUNKED_KINDS, byterle, rle2
+from ..codecs.chunked import DEFAULT_CHUNK
 from ..codecs.dictionary import dictionary_encode, string_blob
 from ..codecs.timestamp import BASE_SECONDS, UNIT_PER_SEC, format_nanos
 from ..codecs.varint import write_vulong
 
 DICTIONARY_THRESHOLD = 0.49      # treewriter.go:537
 DEFAULT_STRIPE_ROWS = 1 << 20    # writer.go:21 DefaultStripeTargetRowCount
-DEFAULT_CHUNK = 256 * 1024       # writer.go:25 DefaultCompressionChunkSize
 
 _KIND_PRESENT, _KIND_DATA, _KIND_LENGTH, _KIND_DICT, _KIND_SECONDARY = \
     0, 1, 2, 3, 5
 _ENC_DIRECT, _ENC_DIRECT_V2, _ENC_DICTIONARY_V2 = 0, 2, 3
-
-_COMPRESSORS = {
-    "none": (0, lambda b, chunk: b),
-    "zlib": (1, lambda b, chunk: zlibchunk.compress(b, chunk)),
-    "snappy": (2, lambda b, chunk: snappyblock.compress(b, chunk)),
-    "zstd": (5, lambda b, chunk: zstdchunk.compress(b, chunk)),
-}
-
 
 # ---------------------------------------------------------------------------
 # proto2 wire writer (mirror of orcfile._pb_fields)
@@ -598,13 +591,14 @@ def write_orc_file(table: pa.Table, path, *, compression: str = "zlib",
 
     Returns a small summary dict (rows, stripes, bytes).  Layout follows
     the reference writer's flush order (writer.go:320-497); compression is
-    one of none/zlib/snappy/zstd (CompressionKinds 0/1/2/5 — the reference
-    itself can only write zlib or none, compressioncodec.go:286-300).
+    "none" or a kind of ``codecs.CHUNKED_KINDS`` (the reference itself can
+    only write zlib or none, compressioncodec.go:286-300).
     """
-    ckind, braw = _COMPRESSORS[compression]
+    codec = None if compression == "none" else CHUNKED_KINDS[compression]
+    ckind = codec.orc_kind if codec else 0
 
     def comp(b: bytes) -> bytes:
-        return braw(b, chunk_size)
+        return codec.module.compress(b, chunk_size) if codec else b
 
     tree = _build_tree(table.schema)
     nodes = list(_iter_nodes(tree))

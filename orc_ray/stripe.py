@@ -14,11 +14,11 @@ Column mappings (SURVEY.md §2.2):
 - bool -> boolean bitstream over byte RLE                  (C10/C11)
 - float32/64 -> raw IEEE-754 little-endian                 (C16)
 - string/binary -> dictionary (sorted, distinct/total <= 0.49) or direct;
-  blob optionally FSST or chunked zlib                     (C12-C15, C21)
+  blob optionally FSST or a chunked kind (zstd/zlib/snappy) (C12-C15, C21)
 - list<int> -> LENGTH stream (diff of offsets) + child DATA (C23)
 - nulls -> PRESENT boolean stream, suppressed when the chunk has no nulls
   (C26; only non-null values enter DATA, like BaseTreeWriter)
-- optional outer chunked zlib per stream                   (C27)
+- optional outer chunked compression per stream (codecs.CHUNKED_KINDS) (C27)
 
 No Ray imports here: pure (pyarrow, numpy) so it unit-tests standalone and
 runs unchanged inside ``map_batches`` tasks.
@@ -34,9 +34,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import schema as _schema_mod
-from .codecs import byterle, fsst, rle2, zlibchunk, zstdchunk
+from .codecs import CHUNKED_KINDS, byterle, chunked, fsst, outer_kind, rle2
 from .codecs.dictionary import dictionary_encode, string_blob, strings_from_blob
-from .config import ZLIB_LEVEL, ZSTD_LEVEL, EncoderConfig
+from .config import EncoderConfig
 from .selector import (
     SelectorState,
     choose_int_codec,
@@ -94,12 +94,20 @@ class _BlobWriter:
     def __init__(self, outer: str, row_index_stride: int = 0):
         self.buf = bytearray()
         self.streams: list[dict] = []
-        self.outer = outer
+        self.auto = outer == "auto"
+        self.outer_name, self.outer_kind = outer_kind(outer)
         self.stride = row_index_stride
 
-    def add(self, column: str, kind: str, codec: str, data: bytes,
+    def add(self, column: str, kind: str, codec: str, data,
             index_values: np.ndarray | None = None, **extra) -> None:
-        raw_len = len(data)
+        """Append one stream. ``data`` is its bytes, or a list of buffers
+        whose concatenation is the stream: planar passes its header and
+        (k, n) plane matrix, which the outer kind compresses without the
+        joined stream (2-3x the compressed size on token data) ever
+        existing."""
+        parts = data if isinstance(data, list) else [data]
+        head = parts[0]
+        raw_len = sum(len(p) for p in parts)
         rec = {"column": column, "kind": kind, "codec": codec,
                "raw_length": raw_len}
         # seek points (T5/ROW_INDEX analogue, positionrecorder.go:1-12):
@@ -113,7 +121,7 @@ class _BlobWriter:
             # delta streams only get an index when the caller provides the
             # original values (the re-base prefixes); recording vindex
             # without vprefix would invite silently-wrong range decodes
-            entries = rle2.run_index(data, self.stride)
+            entries = rle2.run_index(head, self.stride)
             if len(entries) > 1:
                 rec["vindex"] = [[int(v), int(b)] for v, b in entries]
                 seekable = True
@@ -127,7 +135,7 @@ class _BlobWriter:
         if codec == "for" and raw_len >= self.MIN_INDEX_BYTES and self.stride:
             from .codecs import forpack
 
-            n_, vmin_, width_, hdr_ = forpack.parse_header(data[:24])
+            n_, vmin_, width_, hdr_ = forpack.parse_header(head[:24])
             rec["for_header"] = [int(n_), int(vmin_), int(width_), int(hdr_)]
             seekable = True
         # planar streams: value i of plane p is at byte hdr + p*n + i —
@@ -135,115 +143,52 @@ class _BlobWriter:
         if codec == "planar" and raw_len >= self.MIN_INDEX_BYTES and self.stride:
             from .codecs import planar as _planar
 
-            n_, vmin_, k_, hdr_ = _planar.parse_header(data[:24])
+            n_, vmin_, k_, hdr_ = _planar.parse_header(head[:24])
             rec["planar_header"] = [int(n_), int(vmin_), int(k_), int(hdr_)]
             seekable = True
         # raw fixed-width payloads (float streams) are analytically
         # seekable too: byte range of values [lo, hi) is pure math — mark
-        # them so an outer zlib gets a chunk index for range reads
+        # them so an outer kind gets a chunk index for range reads
         if codec == "bytes" and raw_len >= self.MIN_INDEX_BYTES and self.stride:
             seekable = True
-        # codec-level chunked zlib (string blobs): chunk index enables raw
-        # range reads when paired with a byte_index
-        if codec in ("zlib", "zstd") and "byte_index" in extra:
-            rec["chunk_offsets"] = zlibchunk.chunk_offsets(data)
-            rec["chunk_size"] = zlibchunk.DEFAULT_CHUNK
+        # codec-level chunked compression (string blobs): chunk index
+        # enables raw range reads when paired with a byte_index
+        blob_kind = CHUNKED_KINDS.get(codec)
+        if blob_kind is not None and "byte_index" in extra:
+            rec["chunk_offsets"] = chunked.chunk_offsets(head)
+            rec["chunk_size"] = chunked.DEFAULT_CHUNK
         outer = "none"
-        # fsst/zlib/zstd payloads are already entropy-coded AND were
+        # fsst and chunked-blob payloads are already entropy-coded AND were
         # already measured against block compression in _encode_blob —
-        # recompressing only burns CPU without improving the size bar
-        attempt = codec not in ("fsst", "zlib", "zstd")
-        if raw_len > 0 and attempt and self.outer in ("zstd", "auto"):
-            # ORC's ZSTD compression kind: ~11x the throughput of flate-6
-            # at <2% size on the token corpus (see codecs/zstdchunk.py)
-            chunk = (zstdchunk.SEEK_CHUNK
-                     if seekable or "byte_index" in extra
-                     else zstdchunk.DEFAULT_CHUNK)
-            z = zstdchunk.compress(data, chunk_size=chunk, level=ZSTD_LEVEL)
-            if self.outer == "zstd" or len(z) < raw_len:
-                data, outer = z, "zstd"
-                if seekable or "byte_index" in extra:
-                    rec["chunk_offsets"] = zlibchunk.chunk_offsets(data)
+        # recompressing only burns CPU without improving the size bar.
+        # "auto" keeps its kind only where it shrinks the stream; a forced
+        # kind always keeps it (the per-chunk original fallback inside the
+        # framing handles incompressible chunks, reference semantics)
+        if (raw_len > 0 and self.outer_kind is not None
+                and codec != "fsst" and blob_kind is None):
+            indexed = seekable or "byte_index" in extra
+            chunk = (self.outer_kind.seek_chunk if indexed
+                     else chunked.DEFAULT_CHUNK)
+            z = self.outer_kind.module.compress_parts(parts, chunk_size=chunk)
+            if not self.auto or len(z) < raw_len:
+                parts, outer = [z], self.outer_name
+                if indexed:
+                    rec["chunk_offsets"] = chunked.chunk_offsets(z)
                     rec["chunk_size"] = chunk
-        elif raw_len > 0 and attempt and self.outer == "zlib":
-            # reference semantics: always flate (the per-chunk original
-            # fallback inside the framing handles incompressible chunks)
-            data, outer = zlibchunk.compress(data, level=ZLIB_LEVEL), "zlib"
-            if seekable or "byte_index" in extra:
-                rec["chunk_offsets"] = zlibchunk.chunk_offsets(data)
-                rec["chunk_size"] = zlibchunk.DEFAULT_CHUNK
-        elif raw_len > 0 and attempt and self.outer == "snappy":
-            # writable snappy — beyond the reference, which rejects snappy
-            # for writes (writer.go:70-87); per-chunk original fallback is
-            # built into the framing
-            from .codecs import snappyblock
-
-            data, outer = snappyblock.compress(data), "snappy"
-        rec.update({"offset": len(self.buf), "length": len(data),
-                    "outer": outer})
+        rec.update({"offset": len(self.buf),
+                    "length": sum(len(p) for p in parts), "outer": outer})
         rec.update(extra)
         self.streams.append(rec)
-        self.buf += data
-
-    def add_planar_parts(self, column: str, kind: str, header: bytes,
-                         planes, n: int, vmin: int, **extra) -> None:
-        """Fused planar stream: compress straight from the (k, n) plane
-        matrix via zstd's compress_parts — the joined raw stream (2-3x the
-        compressed size on token data) is never materialized, which on a
-        bandwidth-bound 32-way encode saves three full-stream copies
-        (tobytes + bytearray extend + bytes()). Byte-identical on disk to
-        add(codec='planar', data=header+planes.tobytes())."""
-        if planes is None:  # empty stream: header only, store raw
-            self.add(column, kind, "planar", header, **extra)
-            return
-        k = planes.shape[0]
-        raw_len = len(header) + planes.size
-        rec = {"column": column, "kind": kind, "codec": "planar",
-               "raw_length": raw_len}
-        seekable = False
-        if raw_len >= self.MIN_INDEX_BYTES and self.stride:
-            rec["planar_header"] = [int(n), int(vmin), int(k), len(header)]
-            seekable = True
-        data, outer = None, "none"
-        if self.outer in ("zstd", "auto"):
-            chunk = (zstdchunk.SEEK_CHUNK if seekable
-                     else zstdchunk.DEFAULT_CHUNK)
-            z = zstdchunk.compress_parts(
-                [header, planes.reshape(-1)], chunk_size=chunk,
-                level=ZSTD_LEVEL)
-            if self.outer == "zstd" or len(z) < raw_len:
-                data, outer = z, "zstd"
-                if seekable:
-                    rec["chunk_offsets"] = zlibchunk.chunk_offsets(data)
-                    rec["chunk_size"] = chunk
-        if data is None:  # forced zlib/snappy/none or incompressible: join
-            self.add(column, kind, "planar",
-                     header + planes.tobytes(), **extra)
-            return
-        rec.update({"offset": len(self.buf), "length": len(data),
-                    "outer": outer})
-        rec.update(extra)
-        self.streams.append(rec)
-        self.buf += data
+        for p in parts:
+            self.buf += memoryview(p)
 
 
 def _decompress_outer(data: bytes, rec: dict, outer: str) -> bytes:
-    stream_outer = rec.get("outer", outer)
-    if rec["raw_length"] == 0:
+    kind = CHUNKED_KINDS.get(rec.get("outer", outer))
+    if kind is None or rec["raw_length"] == 0:
         return data
-    if stream_outer == "zlib":
-        return zlibchunk.decompress(data)
-    if stream_outer == "zstd":
-        return zstdchunk.decompress(
-            data, rec["raw_length"],
-            rec.get("chunk_size", zstdchunk.DEFAULT_CHUNK))
-    if stream_outer == "snappy":
-        # decode-only compatibility codec (compressioncodec.go:222-284;
-        # the reference cannot write snappy either, writer.go:70-87)
-        from .codecs import snappyblock
-
-        return snappyblock.decompress(data)
-    return data
+    return kind.module.decompress(data, rec["raw_length"],
+                                  rec.get("chunk_size", chunked.DEFAULT_CHUNK))
 
 
 def _stream_bytes(blob: bytes, rec: dict, outer: str) -> bytes:
@@ -273,7 +218,7 @@ def _encode_blob(
     blob: bytes, lengths: np.ndarray, config: EncoderConfig,
     selector: SelectorState | None = None, group: str = "", column: str = "",
 ) -> tuple[str, bytes, np.ndarray]:
-    """Choose fsst/zlib/none for a string byte payload by measured size.
+    """Choose fsst, a chunked kind or none for a string byte payload by size.
     Returns (codec, payload, lengths_for_stream) — with FSST the LENGTH
     stream carries compressed lengths. When a selector actor is present the
     trained FSST symbol table is reused across chunks of the same
@@ -296,16 +241,10 @@ def _encode_blob(
             full_trial = False
     best = ("none", blob, lengths, len(blob))
     for cand in candidates:
-        if cand == "none":
-            continue
-        if cand == "zlib":
-            z = zlibchunk.compress(blob, level=ZLIB_LEVEL)
+        if cand in CHUNKED_KINDS:
+            z = CHUNKED_KINDS[cand].module.compress(blob)
             if len(z) < best[3]:
-                best = ("zlib", z, lengths, len(z))
-        elif cand == "zstd":
-            z = zstdchunk.compress(blob, level=ZSTD_LEVEL)
-            if len(z) < best[3]:
-                best = ("zstd", z, lengths, len(z))
+                best = (cand, z, lengths, len(z))
         elif cand == "fsst":
             if selector is not None:
                 table = selector.fsst_table(
@@ -326,10 +265,9 @@ def _encode_blob(
 def _decode_blob(codec: str, payload: bytes, lengths: np.ndarray) -> tuple[bytes, np.ndarray]:
     if codec == "none":
         return payload, lengths
-    if codec == "zlib":
-        return zlibchunk.decompress(payload), lengths
-    if codec == "zstd":
-        return zstdchunk.decompress(payload, int(np.sum(lengths))), lengths
+    if codec in CHUNKED_KINDS:
+        return (CHUNKED_KINDS[codec].module.decompress(
+            payload, int(np.sum(lengths))), lengths)
     if codec == "fsst":
         return fsst.decompress(payload, lengths)
     raise ValueError(f"unknown blob codec {codec!r}")
@@ -402,19 +340,18 @@ def _add_int_stream(
     w: _BlobWriter, name: str, kind: str, codec: str, vals: np.ndarray,
     signed: bool, index_values: np.ndarray | None = None, **extra,
 ) -> None:
-    """Route an int stream to the writer: planar goes through the fused
-    parts path (plane matrix compressed in place, no joined raw stream);
-    everything else through the regular encode-then-add path."""
+    """Route an int stream to the writer: planar hands over its header and
+    plane matrix as parts (compressed in place, no joined raw stream);
+    every other codec its encoded bytes."""
     if codec == "planar":
         from .codecs import planar as _planar
 
         header, planes = _planar.encode_parts(vals)
-        n_, vmin_, _k, _hdr = _planar.parse_header(header)
-        w.add_planar_parts(name, kind, header, planes, n_, vmin_,
-                           signed=signed, **extra)
-        return
-    w.add(name, kind, codec, encode_int_stream(vals, codec, signed),
-          signed=signed, index_values=index_values, **extra)
+        data = [header] if planes is None else [header, planes.reshape(-1)]
+    else:
+        data = encode_int_stream(vals, codec, signed)
+    w.add(name, kind, codec, data, signed=signed, index_values=index_values,
+          **extra)
 
 
 def _int_stats(vals: np.ndarray) -> dict:
@@ -616,9 +553,9 @@ def _encode_string_column(name, arr, valid, w, config, selector, group, meta) ->
             # lets a row-range decode read only that slice of the blob
             boff = np.zeros(len(lens) + 1, dtype=np.int64)
             np.cumsum(lens, out=boff[1:])
-            if blob_codec in ("none", "zlib", "zstd"):
+            if blob_codec == "none" or blob_codec in CHUNKED_KINDS:
                 extra["byte_index"] = [int(x) for x in boff[:-1:stride]]
-                if blob_codec in ("zlib", "zstd"):
+                if blob_codec in CHUNKED_KINDS:
                     extra["blob_raw_length"] = len(blob)
             elif blob_codec == "fsst":
                 # fsst LENGTH entries ARE compressed lengths, so their
@@ -1030,33 +967,28 @@ class RangeReader:
 
 def _raw_range(reader: RangeReader, rec: dict, raw_lo: int, raw_hi: int) -> bytes:
     """Read raw stream bytes [raw_lo, raw_hi) touching only the needed
-    byte range (through the outer zlib chunk index when present)."""
+    byte range (through the outer chunk index when present)."""
     raw_hi = min(raw_hi, rec["raw_length"])
     if raw_lo >= raw_hi:
         return b""
-    outer = rec.get("outer", "none")
-    if outer not in ("zlib", "zstd"):
+    kind = CHUNKED_KINDS.get(rec.get("outer", "none"))
+    if kind is None:
         return reader.read(rec["offset"] + raw_lo, raw_hi - raw_lo)
     offs = rec.get("chunk_offsets")
     if offs is None:  # no chunk index: whole-stream decompress
         data = reader.read(rec["offset"], rec["length"])
-        if outer == "zlib":
-            return zlibchunk.decompress(data)[raw_lo:raw_hi]
-        return zstdchunk.decompress(
+        return kind.module.decompress(
             data, rec["raw_length"],
-            rec.get("chunk_size", zstdchunk.DEFAULT_CHUNK))[raw_lo:raw_hi]
+            rec.get("chunk_size", chunked.DEFAULT_CHUNK))[raw_lo:raw_hi]
     csize = rec["chunk_size"]
     c0 = raw_lo // csize
     c1 = min((raw_hi + csize - 1) // csize, len(offs))
     byte_lo = offs[c0]
     byte_hi = offs[c1] if c1 < len(offs) else rec["length"]
     data = reader.read(rec["offset"] + byte_lo, byte_hi - byte_lo)
-    if outer == "zlib":
-        raw = zlibchunk.decompress(data)
-    else:  # zstd chunks need their exact raw sizes (chunk_size-or-tail)
-        raw = zstdchunk.decompress_chunks(
-            data, [min(csize, rec["raw_length"] - i * csize)
-                   for i in range(c0, c1)])
+    # every covered chunk is csize raw bytes except the stream's tail
+    raw = kind.module.decompress(
+        data, min(c1 * csize, rec["raw_length"]) - c0 * csize, csize)
     return raw[raw_lo - c0 * csize: raw_hi - c0 * csize]
 
 
@@ -1070,8 +1002,11 @@ def _int_range(reader: RangeReader, rec: dict, lo: int, hi: int,
     codec = rec["codec"]
     if codec == "rle2_delta" and vindex is not None and "vprefix" not in rec:
         vindex = None  # no re-base prefixes: fall back to full decode
-    if codec == "for" and (rec.get("outer", "none") not in ("zlib", "zstd")
-                           or "chunk_offsets" in rec):
+    # fixed-width layouts range-read through the outer chunk index; an
+    # outer-compressed stream without one decodes whole
+    ranged = (rec.get("outer", "none") not in CHUNKED_KINDS
+              or "chunk_offsets" in rec)
+    if codec == "for" and ranged:
         # fixed-width packing: the byte range of [lo, hi) is pure math
         from .codecs import forpack
 
@@ -1085,8 +1020,7 @@ def _int_range(reader: RangeReader, rec: dict, lo: int, hi: int,
         payload = _raw_range(reader, rec, byte_lo, byte_hi)
         vals = forpack.decode_range(payload, lo2, lo, hi, vmin, width)
         return vals.astype(out_dtype, copy=False)
-    if codec == "planar" and (rec.get("outer", "none") not in ("zlib", "zstd")
-                              or "chunk_offsets" in rec):
+    if codec == "planar" and ranged:
         from .codecs import planar
 
         if "planar_header" in rec:
@@ -1235,8 +1169,9 @@ def _decode_column_rows(reader, fetch_full, cm, t, streams, n_rows, lo, hi,
         len_rec = streams[(name, "LENGTH")]
         data_rec = streams[(name, "DATA")]
         bindex = data_rec.get("byte_index")
-        if bindex is None or data_rec["codec"] not in ("none", "zlib", "zstd",
-                                                       "fsst"):
+        blob_kind = CHUNKED_KINDS.get(data_rec["codec"])
+        if bindex is None or (blob_kind is None
+                              and data_rec["codec"] not in ("none", "fsst")):
             return full()
         # one LENGTH range read covers both the partial-sum head and the
         # requested values (avoids decompressing the same chunks twice);
@@ -1250,7 +1185,7 @@ def _decode_column_rows(reader, fetch_full, cm, t, streams, n_rows, lo, hi,
         lens = both[vlo - base_val:]
         b0 = bindex[k] + int(head.sum())
         nbytes = int(lens.sum())
-        if data_rec["codec"] in ("zlib", "zstd"):
+        if blob_kind is not None:
             # codec-level chunked block compression: range through its
             # chunk index (the shim re-labels it as an outer stage, which
             # shares the exact same framing)

@@ -8,7 +8,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from orc_ray.codecs import byterle, dictionary, forpack, fsst, zlibchunk
+from orc_ray.codecs import (byterle, chunked, dictionary, forpack, fsst,
+                            zlibchunk, zstdchunk)
 
 
 # --- byte RLE / boolean ----------------------------------------------------
@@ -81,8 +82,8 @@ def test_forpack_int64_extremes():
 def test_zlib_chunk_headers():
     # compressioncodec_test.go:21-46: len 100000 compressed -> 40 0d 03;
     # len 5 original -> 0b 00 00
-    assert zlibchunk._header(100_000, False) == bytes([0x40, 0x0D, 0x03])
-    assert zlibchunk._header(5, True) == bytes([0x0B, 0x00, 0x00])
+    assert chunked.header(100_000, False) == bytes([0x40, 0x0D, 0x03])
+    assert chunked.header(5, True) == bytes([0x0B, 0x00, 0x00])
 
 
 def test_zlib_roundtrip_compressible():
@@ -284,3 +285,30 @@ def test_snappy_outer_stripe_roundtrip():
     assert any(s["outer"] == "snappy" for s in meta["streams"])
     got = decode_blob(blob, meta)
     assert got.equals(t) or got.cast(t.schema).equals(t)
+
+
+def test_chunked_kinds_share_framing():
+    """Every chunked kind frames the same way: compress_parts equals
+    compress of the joined parts, each chunk found through chunk_offsets
+    decodes on its own, and a sized decompress equals an unsized one."""
+    from orc_ray.codecs import CHUNKED_KINDS
+
+    rng = np.random.default_rng(4)
+    parts = [b"head", bytes(rng.integers(0, 8, 150_000, dtype=np.uint8)),
+             b"x" * 70_000]
+    data = b"".join(parts)
+    csize = 64 * 1024
+    for name, kind in CHUNKED_KINDS.items():
+        comp = kind.module.compress(data, csize)
+        assert kind.module.compress_parts(parts, csize) == comp, name
+        assert kind.module.decompress(comp, len(data), csize) == data, name
+        offs = chunked.chunk_offsets(comp)
+        assert len(offs) == -(-len(data) // csize)
+        one = comp[offs[1]: offs[2]]
+        assert kind.module.decompress(one, csize, csize) == \
+            data[csize: 2 * csize], name
+    assert zlibchunk.decompress(zlibchunk.compress(data)) == data
+    zcomp = zstdchunk.compress(data, csize)
+    c2 = chunked.chunk_offsets(zcomp)[2]
+    assert zstdchunk.decompress_chunks(
+        zcomp[c2:], [csize, len(data) - 3 * csize]) == data[2 * csize:]

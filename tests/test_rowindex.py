@@ -311,3 +311,56 @@ def test_nested_range_decode_is_byte_sparse(nested_stripe):
         assert sub.num_rows == 5000
         frac = touched / len(blob)
         assert frac < cap, f"{col}: 5k of 400k rows touched {frac:.1%}"
+
+
+def _outer_table() -> pa.Table:
+    rng = np.random.default_rng(3)
+    n = 20_000
+    lens = rng.integers(1, 30, n)
+    off = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(lens, out=off[1:])
+    vals = rng.integers(0, 50257, int(off[-1])).astype(np.int32)
+    return pa.table({
+        "doc_id": pa.array(np.arange(n) * 7, type=pa.int64()),
+        "tokens": pa.ListArray.from_arrays(pa.array(off), pa.array(vals)),
+        "score": pa.array(rng.normal(size=n)),
+        "title": pa.array([f"doc-{i:07d}" for i in range(n)]),
+    })
+
+
+def _assert_rows(t, blob, meta):
+    n = t.num_rows
+    for r0, cnt in [(0, 37), (n // 2, 37), (n - 37, 37)]:
+        sub, _ = decode_blob_rows(blob, meta, r0, cnt)
+        for c in t.column_names:
+            assert sub.column(c).to_pylist() == \
+                t.column(c).slice(r0, cnt).to_pylist(), (c, r0)
+
+
+@pytest.mark.parametrize("outer", ["none", "zlib", "zstd", "snappy", "auto"])
+def test_range_decode_every_outer_kind(outer):
+    """Row ranges read through every outer kind's chunk index: seekable
+    streams of each chunked kind record chunk offsets, so the first,
+    middle and last rows decode from their own chunks."""
+    t = _outer_table()
+    cfg = EncoderConfig(outer_compression=outer, row_index_stride=1000)
+    blob, meta = encode_table(t, cfg)
+    if outer != "none":
+        assert any("chunk_offsets" in r for r in meta["streams"]
+                   if r["outer"] != "none")
+    _assert_rows(t, blob, meta)
+
+
+def test_range_decode_snappy_without_chunk_index():
+    """Snappy streams written without chunk offsets (older writers) still
+    read row ranges, through whole-stream decompress."""
+    t = _outer_table()
+    cfg = EncoderConfig(outer_compression="snappy", row_index_stride=1000)
+    blob, meta = encode_table(t, cfg)
+    stripped = 0
+    for rec in meta["streams"]:
+        if rec["outer"] == "snappy" and "chunk_offsets" in rec:
+            del rec["chunk_offsets"], rec["chunk_size"]
+            stripped += 1
+    assert stripped
+    _assert_rows(t, blob, meta)

@@ -305,8 +305,9 @@ def test_registered_int_codec_roundtrip():
         u = np.frombuffer(buf, dtype=np.uint64, count=n) ^ KEY
         return u.view(np.int64).astype(out_dtype, copy=False)
 
-    with pytest.raises(ValueError):
-        sel_mod.register_int_codec("rle2", enc, dec)
+    for reserved in ("rle2", "zstd"):
+        with pytest.raises(ValueError):
+            sel_mod.register_int_codec(reserved, enc, dec)
 
     sel_mod.register_int_codec("xor64", enc, dec)
     try:
@@ -332,3 +333,11 @@ def test_registered_int_codec_roundtrip():
     # after unregistration the manifest id must fail loudly, not silently
     with pytest.raises(ValueError):
         decode_blob(blob, meta)
+
+
+def test_unknown_outer_compression_rejected():
+    """A misspelled outer kind fails loudly instead of silently writing
+    uncompressed streams."""
+    table = pa.table({"v": pa.array([1, 2, 3], type=pa.int64())})
+    with pytest.raises(ValueError, match="auto, none, zlib, snappy, zstd"):
+        encode_table(table, EncoderConfig(outer_compression="zstd1"))
