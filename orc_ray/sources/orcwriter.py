@@ -6,7 +6,7 @@ vector-exact codec kernels (``codecs.rle2/byterle/varint`` and the
 chunked compression kinds of ``codecs.CHUNKED_KINDS``).  This closes the
 one reference capability the repo lacked (VERDICT r4 "What's missing"
 #1): the reference's entire write path produces real ORC
-(/root/reference/writer.go:107-497, treewriter.go:15-1219);
+(writer.go:107-497, treewriter.go:15-1219);
 ``ingest-orc`` could read foreign lakes but not emit files the ORC
 ecosystem can read back.
 
