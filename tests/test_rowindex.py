@@ -36,16 +36,21 @@ def big_stripe():
     return t, bytes(blob), meta
 
 
-def test_range_decode_correct_at_boundaries(big_stripe):
-    t, blob, meta = big_stripe
-    for (r0, cnt) in [(612345, 10000), (0, 10000), (995000, 5000), (7, 3),
-                      (999999, 1)]:
+def _check_ranges(t, blob, meta, ranges):
+    """Each (r0, cnt) row range decodes to exactly that slice of ``t``
+    (types, values and nulls); (0, num_rows) is the whole stripe."""
+    for r0, cnt in ranges:
         sub, _ = decode_blob_rows(blob, meta, r0, cnt)
-        exp = t.slice(r0, cnt)
         assert sub.num_rows == cnt
         for c in t.column_names:
-            assert exp.column(c).combine_chunks().to_pylist() == \
-                sub.column(c).combine_chunks().to_pylist(), (c, r0)
+            exp = t.column(c).slice(r0, cnt).combine_chunks()
+            assert exp.equals(sub.column(c).combine_chunks()), (c, r0, cnt)
+
+
+def test_range_decode_correct_at_boundaries(big_stripe):
+    t, blob, meta = big_stripe
+    _check_ranges(t, blob, meta, [(612345, 10000), (0, 10000), (995000, 5000),
+                                  (7, 3), (999999, 1), (0, t.num_rows)])
 
 
 def test_range_decode_is_byte_sparse(big_stripe):
@@ -136,13 +141,8 @@ def nullable_stripe():
 
 def test_nullable_range_decode_correct(nullable_stripe):
     t, blob, meta = nullable_stripe
-    for (r0, cnt) in [(612345, 10000), (0, 1000), (999000, 1000), (7, 3)]:
-        sub, _ = decode_blob_rows(blob, meta, r0, cnt)
-        exp = t.slice(r0, cnt)
-        assert sub.num_rows == cnt
-        for c in t.column_names:
-            assert exp.column(c).combine_chunks().to_pylist() == \
-                sub.column(c).combine_chunks().to_pylist(), (c, r0)
+    _check_ranges(t, blob, meta, [(612345, 10000), (0, 1000), (999000, 1000),
+                                  (7, 3), (0, t.num_rows)])
 
 
 def test_nullable_range_decode_is_byte_sparse(nullable_stripe):
@@ -183,19 +183,35 @@ def test_range_decode_fallback_types():
 
     n = 5000
     rng = np.random.default_rng(11)
+    tags = (np.arange(n) % 3 == 0).astype(np.int8)
     t = pa.table({
         "i": pa.array([None if k % 7 == 0 else k for k in range(n)],
                       type=pa.int64()),
         "st": pa.array([{"a": k, "b": f"s{k % 5}"} for k in range(n)],
                        type=pa.struct([("a", pa.int64()), ("b", pa.string())])),
+        "st_null": pa.array(
+            [None if k % 9 == 0 else {"a": k, "b": f"s{k % 5}"}
+             for k in range(n)],
+            type=pa.struct([("a", pa.int64()), ("b", pa.string())])),
         "d": pa.array([D.Decimal(k) / 100 for k in range(n)],
                       type=pa.decimal128(20, 2)),
         "bl": pa.array((rng.integers(0, 2, n) == 1).tolist(), type=pa.bool_()),
+        "bl_null": pa.array(
+            [None if k % 11 == 0 else bool(k % 3) for k in range(n)],
+            type=pa.bool_()),
         "f": pa.array(rng.random(n), type=pa.float64()),
+        "u": pa.UnionArray.from_dense(
+            pa.array(tags),
+            pa.array(np.cumsum(tags == 0) * (tags == 0)
+                     + np.cumsum(tags == 1) * (tags == 1) - 1,
+                     type=pa.int32()),
+            [pa.array(np.arange(n) * 3, type=pa.int64()),
+             pa.array([f"u{k}" for k in range(n)])],
+            ["num", "txt"], [0, 1]),
     })
     cfg = EncoderConfig(stripe_target_tokens=10**9, row_index_stride=500)
     blob, meta = encode_table(t, cfg)
-    for (r0, cnt) in [(1234, 700), (0, 10), (4990, 10)]:
+    for (r0, cnt) in [(1234, 700), (0, 10), (4990, 10), (0, n)]:
         sub, _ = decode_blob_rows(bytes(blob), meta, r0, cnt)
         exp = t.slice(r0, cnt)
         for c in t.column_names:
@@ -238,13 +254,8 @@ def exotic_stripe():
 
 def test_exotic_range_decode_correct(exotic_stripe):
     t, blob, meta = exotic_stripe
-    for (r0, cnt) in [(612345, 10000), (0, 1000), (999000, 1000), (7, 3)]:
-        sub, _ = decode_blob_rows(blob, meta, r0, cnt)
-        exp = t.slice(r0, cnt)
-        assert sub.num_rows == cnt
-        for c in t.column_names:
-            assert exp.column(c).combine_chunks().to_pylist() == \
-                sub.column(c).combine_chunks().to_pylist(), (c, r0)
+    _check_ranges(t, blob, meta, [(612345, 10000), (0, 1000), (999000, 1000),
+                                  (7, 3), (0, t.num_rows)])
 
 
 def test_exotic_range_decode_is_byte_sparse(exotic_stripe):
@@ -294,13 +305,8 @@ def nested_stripe():
 
 def test_nested_range_decode_correct(nested_stripe):
     t, blob, meta = nested_stripe
-    for (r0, cnt) in [(212345, 5000), (0, 1000), (399000, 1000), (7, 3)]:
-        sub, _ = decode_blob_rows(blob, meta, r0, cnt)
-        exp = t.slice(r0, cnt)
-        assert sub.num_rows == cnt
-        for c in t.column_names:
-            assert exp.column(c).combine_chunks().to_pylist() == \
-                sub.column(c).combine_chunks().to_pylist(), (c, r0)
+    _check_ranges(t, blob, meta, [(212345, 5000), (0, 1000), (399000, 1000),
+                                  (7, 3), (0, t.num_rows)])
 
 
 def test_nested_range_decode_is_byte_sparse(nested_stripe):
@@ -330,7 +336,7 @@ def _outer_table() -> pa.Table:
 
 def _assert_rows(t, blob, meta):
     n = t.num_rows
-    for r0, cnt in [(0, 37), (n // 2, 37), (n - 37, 37)]:
+    for r0, cnt in [(0, 37), (n // 2, 37), (n - 37, 37), (0, n)]:
         sub, _ = decode_blob_rows(blob, meta, r0, cnt)
         for c in t.column_names:
             assert sub.column(c).to_pylist() == \
