@@ -58,25 +58,16 @@ def cmd_decode(args) -> int:
     columns = args.columns.split(",") if args.columns else None
     if args.rows:
         # seek-point path: reads only the byte ranges covering the range
-        import json as _json
-        import os as _os
-
         import pyarrow as pa
 
-        from .pipelines.decode import plan_row_ranges
+        from .pipelines.decode import StripeRangeDecoder, plan_row_ranges
         from .state import manifest as mf
-        from .stripe import decode_blob_rows
 
         start_s, count_s = args.rows.split(":")
-        man = mf.read_manifest(args.dir)
-        parts = []
-        for p in plan_row_ranges(man, int(start_s), int(count_s)):
-            meta = _json.loads(p["meta_json"])
-            path = _os.path.join(mf.blobs_dir(args.dir), p["blob_path"])
-            sub, _ = decode_blob_rows(path, meta, p["row_lo"], p["row_cnt"],
-                                      columns=columns)
-            parts.append(sub)
-        table = pa.concat_tables(parts) if parts else None
+        picked = plan_row_ranges(mf.read_manifest(args.dir), int(start_s),
+                                 int(count_s))
+        table = pa.concat_tables(StripeRangeDecoder(args.dir, columns)(
+            pa.Table.from_pylist(picked))) if picked else None
     else:
         table = decode_table(args.dir, columns=columns)
     if table is None:

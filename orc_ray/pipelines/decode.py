@@ -17,7 +17,6 @@ track stripe sizes and the stream stays bounded.
 from __future__ import annotations
 
 import json
-import os
 
 import pyarrow as pa
 
@@ -343,12 +342,13 @@ class StripeRangeDecoder:
         self.columns = columns
 
     def __call__(self, man: pa.Table):
+        from ..state import storage
         from ..stripe import decode_blob_rows
 
         cols = ["blob_path", "meta_json", "row_lo", "row_cnt"]
         for row in man.select(cols).to_pylist():
             meta = json.loads(row["meta_json"])
-            path = os.path.join(self.blobs_dir, row["blob_path"])
+            path = storage.join(self.blobs_dir, row["blob_path"])
             table, _ = decode_blob_rows(path, meta, row["row_lo"],
                                         row["row_cnt"], columns=self.columns)
             yield table
@@ -408,8 +408,7 @@ def read_rows(
         fn_constructor_kwargs={"out_dir": out_dir, "columns": columns},
         batch_size=None,
         batch_format="pyarrow",
-        concurrency=min(concurrency if isinstance(concurrency, int) else 4,
-                        len(picked)),
+        concurrency=clamp_concurrency(concurrency, len(picked)),
         num_cpus=1,
     )
 

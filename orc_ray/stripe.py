@@ -43,6 +43,7 @@ from .selector import (
     decode_int_stream,
     encode_int_stream,
 )
+from .state import storage
 
 FORMAT_VERSION = 1
 
@@ -181,33 +182,6 @@ class _BlobWriter:
         self.streams.append(rec)
         for p in parts:
             self.buf += memoryview(p)
-
-
-def _decompress_outer(data: bytes, rec: dict, outer: str) -> bytes:
-    kind = CHUNKED_KINDS.get(rec.get("outer", outer))
-    if kind is None or rec["raw_length"] == 0:
-        return data
-    return kind.module.decompress(data, rec["raw_length"],
-                                  rec.get("chunk_size", chunked.DEFAULT_CHUNK))
-
-
-def _stream_bytes(blob: bytes, rec: dict, outer: str) -> bytes:
-    data = blob[rec["offset"]: rec["offset"] + rec["length"]]
-    return _decompress_outer(data, rec, outer)
-
-
-def read_stream_from_file(path: str, meta: dict, column: str, kind: str) -> bytes | None:
-    """Read + decompress ONE named stream's byte range from a blob file.
-    Point lookups use this to fetch just a stripe's BLOOM_FILTER bytes —
-    the stripe is ruled in/out without reading its data streams."""
-    outer = meta.get("outer", "none")
-    for rec in meta["streams"]:
-        if rec["column"] == column and rec["kind"] == kind:
-            from .state import storage
-
-            data = storage.read_file_range(path, rec["offset"], rec["length"])
-            return _decompress_outer(data, rec, outer)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -665,12 +639,29 @@ def _encode_map_column(name, arr, valid, w, config, selector, group, meta) -> di
 
 
 # ---------------------------------------------------------------------------
-# decode
+# decode: one column decoder over row ranges (intra-stripe seek points,
+# T5 / cursor.go:179-198); a whole-stripe decode is the range [0, num_rows)
 # ---------------------------------------------------------------------------
 
 class BlobIntegrityError(ValueError):
     """A stripe blob's bytes do not match the crc32 its manifest recorded
     at encode time (bit-rot, torn write, or wrong file)."""
+
+
+class RangeReader:
+    """Byte-range access to a blob (bytes, or a path read through the
+    storage backend) that counts the bytes actually touched — the unit the
+    seek-point tests assert on."""
+
+    def __init__(self, src):
+        self._src = src
+        self.bytes_read = 0
+
+    def read(self, offset: int, length: int) -> bytes:
+        self.bytes_read += length
+        if isinstance(self._src, str):
+            return storage.read_file_range(self._src, offset, length)
+        return bytes(self._src[offset: offset + length])
 
 
 def decode_blob(blob: bytes, meta: dict, columns: list[str] | None = None,
@@ -688,324 +679,101 @@ def decode_blob(blob: bytes, meta: dict, columns: list[str] | None = None,
             raise BlobIntegrityError(
                 f"blob checksum mismatch: {len(blob)} bytes, expected "
                 f"crc32 {expect:#010x}, got {_zlib_crc32(blob):#010x}")
-    schema = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(meta["schema_b64"])))
+    return _decode_rows(RangeReader(blob), meta, 0, meta["num_rows"], columns)
+
+
+def decode_blob_rows(src, meta: dict, row_start: int, row_count: int,
+                     columns: list[str] | None = None) -> tuple[pa.Table, int]:
+    """Decode only rows [row_start, row_start+row_count) of a stripe blob.
+    Every stream is read over the byte range its seek-point index says
+    covers those rows; a stream without the index that range math needs
+    (PRESENT, bool data, union tags, small or unindexed streams) is read
+    whole, and no other stream is touched. ``src`` is blob bytes or a path
+    read through the storage backend. Returns (table, bytes_touched)."""
+    reader = RangeReader(src)
+    lo = max(0, row_start)
+    hi = min(meta["num_rows"], row_start + row_count)
+    return _decode_rows(reader, meta, lo, hi, columns), reader.bytes_read
+
+
+def read_stream_from_file(path: str, meta: dict, column: str, kind: str) -> bytes | None:
+    """Read + decompress ONE named stream's byte range from a blob file.
+    Point lookups use this to fetch just a stripe's BLOOM_FILTER bytes —
+    the stripe is ruled in/out without reading its data streams."""
+    rec = _stream_dir(meta).get((column, kind))
+    return None if rec is None else _raw_range(RangeReader(path), rec)
+
+
+def _stream_dir(meta: dict) -> dict:
+    """(column, kind) -> stream record; a record without its own outer
+    kind inherits the stripe's."""
     outer = meta.get("outer", "none")
-    n_rows = meta["num_rows"]
-    streams = {}
-    for rec in meta["streams"]:
-        streams[(rec["column"], rec["kind"])] = rec
+    return {(r["column"], r["kind"]): r if "outer" in r else {**r, "outer": outer}
+            for r in meta["streams"]}
 
-    names = columns if columns is not None else [c["name"] for c in meta["columns"]]
+
+def _decode_rows(reader: RangeReader, meta: dict, lo: int, hi: int,
+                 columns: list[str] | None) -> pa.Table:
+    """Rows [lo, hi) of the projected columns: the one driver behind both
+    decode_blob and decode_blob_rows."""
+    schema = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(meta["schema_b64"])))
+    streams = _stream_dir(meta)
+    stride = meta.get("index_stride", 0)
     cols_meta = {c["name"]: c for c in meta["columns"]}
-
-    def fetch(rec: dict) -> bytes:
-        return _stream_bytes(blob, rec, outer)
-
-    out_arrays = []
-    out_fields = []
-    for name in names:
-        cm = cols_meta[name]
-        field = schema.field(name)
-        arr = _decode_column(fetch, cm, field.type, streams, n_rows)
-        out_arrays.append(arr)
-        out_fields.append(field)
-    return pa.Table.from_arrays(out_arrays, schema=pa.schema(out_fields))
+    fields = [schema.field(name)
+              for name in (columns if columns is not None else cols_meta)]
+    arrays = [_decode_column_rows(reader, streams, stride, cols_meta[f.name],
+                                  f.type, meta["num_rows"], lo, hi)
+              for f in fields]
+    return pa.Table.from_arrays(arrays, schema=pa.schema(fields))
 
 
-def _get(fetch, streams, column, kind) -> bytes | None:
-    rec = streams.get((column, kind))
-    if rec is None:
-        return None
-    return fetch(rec)
-
-
-def _rec(streams, column, kind) -> dict | None:
-    return streams.get((column, kind))
-
-
-def _decode_column(fetch, cm, t, streams, n_rows) -> pa.Array:
-    name = cm["name"]
-    null_count = cm.get("null_count", 0)
-    valid = None
-    if null_count:
-        pbuf = _get(fetch, streams, name, "PRESENT")
-        valid = byterle.decode_bools(pbuf, n_rows)
-    n_vals = n_rows - null_count
-
-    enc = cm["encoding"]
-    if enc == "struct":
-        children = []
-        for i, field in enumerate(t):
-            child_n = n_rows  # children are full-length
-            children.append(
-                _decode_column(fetch, cm["children"][i], field.type, streams,
-                               child_n)
-            )
-        mask = None if valid is None else ~valid
-        return pa.StructArray.from_arrays(
-            children, fields=list(t),
-            mask=pa.array(mask) if mask is not None else None,
-        )
-    if enc == "timestamp":
-        from .codecs.timestamp import join_unit
-
-        rec = _rec(streams, name, "DATA")
-        secs_rel = decode_int_stream(fetch(rec),
-                                     rec["codec"], True, n_vals)
-        srec = _rec(streams, name, "SECONDARY")
-        fmt_nanos = decode_int_stream(fetch(srec),
-                                      srec["codec"], False, n_vals)
-        vals = join_unit(secs_rel, fmt_nanos, cm["unit"])
-        return _int_array(vals, t, valid, n_rows)
-    if enc == "int":
-        rec = _rec(streams, name, "DATA")
-        # decode straight into 32-bit when the target type guarantees the
-        # values fit — halves the hottest streams' memory traffic
-        out_dtype = np.int64
-        if rec["codec"] in ("rle2", "planar") and pa.types.is_integer(t):
-            bits = t.bit_width
-            if (bits <= 32 and pa.types.is_signed_integer(t)) or bits <= 16:
-                out_dtype = np.int32
-        vals = decode_int_stream(
-            fetch(rec), rec["codec"],
-            rec.get("signed", True), n_vals, out_dtype=out_dtype
-        )
-        return _int_array(vals, t, valid, n_rows)
-    if enc == "bool":
-        rec = _rec(streams, name, "DATA")
-        bits = byterle.decode_bools(fetch(rec), n_vals)
-        if valid is None:
-            return pa.array(bits, type=pa.bool_())
-        return _scatter_array(bits, valid, pa.bool_())
-    if enc == "float":
-        rec = _rec(streams, name, "DATA")
-        dtype = np.float32 if t == pa.float32() else np.float64
-        vals = np.frombuffer(fetch(rec), dtype=dtype)
-        if valid is None:
-            return pa.array(vals, type=t)
-        return _scatter_array(vals, valid, t)
-    if enc == "dict":
-        rec = _rec(streams, name, "DATA")
-        indexes = decode_int_stream(fetch(rec), rec["codec"], False, n_vals)
-        dict_rec = _rec(streams, name, "DICT_DATA")
-        dict_size = dict_rec["dict_size"]
-        len_rec = _rec(streams, name, "LENGTH")
-        lens = decode_int_stream(fetch(len_rec), len_rec["codec"], False, dict_size)
-        dblob, dlens = _decode_blob(dict_rec["codec"], fetch(dict_rec), lens)
-        dict_arr = strings_from_blob(dblob, dlens)
-        vals_arr = dict_arr.take(pa.array(indexes, type=pa.int64()))
-        if valid is None:
-            return vals_arr.cast(t) if vals_arr.type != t else vals_arr
-        return _scatter_strings(vals_arr, valid, t)
-    if enc in ("direct", "binary"):
-        len_rec = _rec(streams, name, "LENGTH")
-        lens = decode_int_stream(fetch(len_rec), len_rec["codec"], False, n_vals)
-        data_rec = _rec(streams, name, "DATA")
-        dblob, dlens = _decode_blob(data_rec["codec"], fetch(data_rec), lens)
-        vals_arr = strings_from_blob(dblob, dlens)
-        if enc == "binary":
-            vals_arr = vals_arr.cast(pa.binary())
-        if valid is None:
-            return vals_arr.cast(t) if vals_arr.type != t else vals_arr
-        return _scatter_strings(vals_arr, valid, t)
-    if enc == "list":
-        len_rec = _rec(streams, name, "LENGTH")
-        lens = decode_int_stream(fetch(len_rec), len_rec["codec"], False, n_vals)
-        total = int(lens.sum())
-        if "child" in cm:  # recursive child (any type, nullable too)
-            child = _decode_column(fetch, cm["child"], t.value_type, streams,
-                                   total)
-        else:  # flat int fast path (e.g. tokens)
-            data_rec = _rec(streams, name, "DATA")
-            child_np = np.dtype(t.value_type.to_pandas_dtype()) \
-                if pa.types.is_integer(t.value_type) else np.int64
-            out_dtype = np.int32 if (child_np == np.int32 and data_rec["codec"]
-                                     in ("rle2", "planar")) else np.int64
-            vals = decode_int_stream(fetch(data_rec), data_rec["codec"],
-                                     data_rec.get("signed", True), total,
-                                     out_dtype=out_dtype)
-            child = _int_array(vals, t.value_type, None, total)
-        if pa.types.is_large_list(t):
-            offsets = np.zeros(n_vals + 1, dtype=np.int64)
-            np.cumsum(lens, out=offsets[1:])
-            out = pa.LargeListArray.from_arrays(pa.array(offsets, type=pa.int64()), child)
-        else:
-            offsets = np.zeros(n_vals + 1, dtype=np.int32)
-            np.cumsum(lens, out=offsets[1:])
-            out = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), child)
-        return out if valid is None else _scatter_generic(out, valid)
-    if enc == "map":
-        len_rec = _rec(streams, name, "LENGTH")
-        lens = decode_int_stream(fetch(len_rec),
-                                 len_rec["codec"], False, n_vals)
-        total = int(lens.sum())
-        keys = _decode_column(fetch, cm["key"], t.key_type, streams, total)
-        items = _decode_column(fetch, cm["value"], t.item_type, streams, total)
-        offsets = np.zeros(n_vals + 1, dtype=np.int32)
-        np.cumsum(lens, out=offsets[1:])
-        out = pa.MapArray.from_arrays(pa.array(offsets, type=pa.int32()),
-                                      keys, items)
-        if out.type != t:  # restore field names lost by from_arrays
-            out = out.cast(t)
-        return out if valid is None else _scatter_generic(out, valid)
-    if enc == "decimal":
-        rec = _rec(streams, name, "DATA")
-        lo = decode_int_stream(fetch(rec), rec["codec"],
-                               True, n_vals)
-        srec = _rec(streams, name, "SECONDARY")
-        hi = decode_int_stream(fetch(srec), srec["codec"],
-                               True, n_vals)
-        if valid is not None:
-            lo_f = np.zeros(n_rows, dtype=np.int64)
-            hi_f = np.zeros(n_rows, dtype=np.int64)
-            lo_f[valid] = lo
-            hi_f[valid] = hi
-            lo, hi = lo_f, hi_f
-        halves = np.empty(n_rows * 2, dtype=np.int64)
-        halves[0::2] = lo
-        halves[1::2] = hi
-        vbuf = None
-        if valid is not None:
-            vbuf = pa.py_buffer(np.packbits(valid, bitorder="little").tobytes())
-        return pa.Array.from_buffers(
-            t, n_rows, [vbuf, pa.py_buffer(halves.tobytes())],
-            null_count=n_rows - n_vals if valid is not None else 0)
-    if enc == "union":
-        rec = _rec(streams, name, "DATA")
-        tags = byterle.decode_bytes(fetch(rec), n_rows) \
-            .view(np.int8)
-        children = []
-        for i, field in enumerate(t):
-            tc = cm["type_codes"][i]
-            cn = int((tags == tc).sum())
-            children.append(_decode_column(fetch, cm["children"][i], field.type,
-                                           streams, cn))
-        # canonical dense offsets: running count per tag
-        offsets = np.zeros(n_rows, dtype=np.int32)
-        for i in range(len(t)):
-            m = tags == cm["type_codes"][i]
-            offsets[m] = np.arange(int(m.sum()), dtype=np.int32)
-        return pa.UnionArray.from_dense(
-            pa.array(tags, type=pa.int8()),
-            pa.array(offsets, type=pa.int32()),
-            children,
-            [f.name for f in t],
-            cm["type_codes"],
-        )
-    raise ValueError(f"unknown encoding {enc!r}")
-
-
-def _scatter_generic(dense: pa.Array, valid: np.ndarray) -> pa.Array:
-    """Re-insert nulls into any dense array via take with null indexes."""
-    n = len(valid)
-    idx = np.full(n, -1, dtype=np.int64)
-    idx[valid] = np.arange(len(dense), dtype=np.int64)
-    return dense.take(pa.array(idx, type=pa.int64(), mask=~valid))
-
-
-def _int_array(vals: np.ndarray, t: pa.DataType, valid, n_rows) -> pa.Array:
-    """int64 values -> Arrow array of the original int-like type."""
-    if pa.types.is_timestamp(t) or pa.types.is_date64(t) or pa.types.is_time64(t):
-        base = pa.array(vals, type=pa.int64())
-        out = base.view(t)
-    elif pa.types.is_date32(t) or pa.types.is_time32(t):
-        out = pa.array(vals.astype(np.int32), type=pa.int32()).view(t)
-    else:
-        out = pa.array(vals.astype(np.dtype(t.to_pandas_dtype()), copy=False), type=t)
-    if valid is None:
-        return out
-    return _scatter_typed(out, valid, t, vals)
-
-
-def _scatter_array(vals: np.ndarray, valid: np.ndarray, t: pa.DataType) -> pa.Array:
-    full = np.zeros(len(valid), dtype=vals.dtype)
-    full[valid] = vals
-    return pa.array(full, type=t, mask=~valid)
-
-
-def _scatter_typed(dense: pa.Array, valid: np.ndarray, t, vals: np.ndarray) -> pa.Array:
-    if pa.types.is_timestamp(t) or pa.types.is_date64(t) or pa.types.is_time64(t):
-        full = np.zeros(len(valid), dtype=np.int64)
-        full[valid] = vals
-        return pa.array(full, type=pa.int64(), mask=~valid).view(t)
-    if pa.types.is_date32(t) or pa.types.is_time32(t):
-        full = np.zeros(len(valid), dtype=np.int32)
-        full[valid] = vals.astype(np.int32)
-        return pa.array(full, type=pa.int32(), mask=~valid).view(t)
-    full = np.zeros(len(valid), dtype=np.dtype(t.to_pandas_dtype()))
-    full[valid] = vals.astype(full.dtype)
-    return pa.array(full, type=t, mask=~valid)
-
-
-def _scatter_strings(dense: pa.Array, valid: np.ndarray, t) -> pa.Array:
-    """Re-insert nulls into a dense string/binary array."""
-    taken = _scatter_generic(dense, valid)
-    return taken.cast(t) if taken.type != t else taken
-
-
-# ---------------------------------------------------------------------------
-# row-range decode (intra-stripe seek points, T5 / cursor.go:179-198)
-# ---------------------------------------------------------------------------
-
-class RangeReader:
-    """Byte-range access to a blob (bytes or a file path) that counts the
-    bytes actually touched — the unit the seek-point tests assert on."""
-
-    def __init__(self, src):
-        self._bytes = src if isinstance(src, (bytes, bytearray, memoryview)) else None
-        self._path = src if isinstance(src, str) else None
-        self.bytes_read = 0
-
-    def read(self, offset: int, length: int) -> bytes:
-        self.bytes_read += length
-        if self._bytes is not None:
-            return bytes(self._bytes[offset: offset + length])
-        with open(self._path, "rb") as f:
-            f.seek(offset)
-            return f.read(length)
-
-
-def _raw_range(reader: RangeReader, rec: dict, raw_lo: int, raw_hi: int) -> bytes:
-    """Read raw stream bytes [raw_lo, raw_hi) touching only the needed
-    byte range (through the outer chunk index when present)."""
-    raw_hi = min(raw_hi, rec["raw_length"])
+def _raw_range(reader: RangeReader, rec: dict, raw_lo: int = 0,
+               raw_hi: int | None = None):
+    """Raw stream bytes [raw_lo, raw_hi) (default: the whole stream),
+    touching only the covering byte range — through the outer chunk index
+    when the stream has one. The one place decode undoes outer
+    compression."""
+    raw_len = rec["raw_length"]
+    raw_hi = raw_len if raw_hi is None else min(raw_hi, raw_len)
     if raw_lo >= raw_hi:
         return b""
-    kind = CHUNKED_KINDS.get(rec.get("outer", "none"))
+    kind = CHUNKED_KINDS.get(rec["outer"])
     if kind is None:
         return reader.read(rec["offset"] + raw_lo, raw_hi - raw_lo)
+    csize = rec.get("chunk_size", chunked.DEFAULT_CHUNK)
     offs = rec.get("chunk_offsets")
-    if offs is None:  # no chunk index: whole-stream decompress
-        data = reader.read(rec["offset"], rec["length"])
-        return kind.module.decompress(
-            data, rec["raw_length"],
-            rec.get("chunk_size", chunked.DEFAULT_CHUNK))[raw_lo:raw_hi]
-    csize = rec["chunk_size"]
-    c0 = raw_lo // csize
-    c1 = min((raw_hi + csize - 1) // csize, len(offs))
-    byte_lo = offs[c0]
-    byte_hi = offs[c1] if c1 < len(offs) else rec["length"]
-    data = reader.read(rec["offset"] + byte_lo, byte_hi - byte_lo)
-    # every covered chunk is csize raw bytes except the stream's tail
+    if offs is None:  # no chunk index: decompress the whole stream
+        base, byte_lo, byte_hi, raw_n = 0, 0, rec["length"], raw_len
+    else:
+        c0 = raw_lo // csize
+        c1 = min(-(-raw_hi // csize), len(offs))
+        base = c0 * csize
+        byte_lo = offs[c0]
+        byte_hi = offs[c1] if c1 < len(offs) else rec["length"]
+        # every covered chunk is csize raw bytes except the stream's tail
+        raw_n = min(c1 * csize, raw_len) - base
     raw = kind.module.decompress(
-        data, min(c1 * csize, rec["raw_length"]) - c0 * csize, csize)
-    return raw[raw_lo - c0 * csize: raw_hi - c0 * csize]
+        reader.read(rec["offset"] + byte_lo, byte_hi - byte_lo), raw_n, csize)
+    if raw_lo == base and raw_hi == base + raw_n:
+        return raw
+    return raw[raw_lo - base: raw_hi - base]
 
 
-def _int_range(reader: RangeReader, rec: dict, lo: int, hi: int,
+def _int_range(reader: RangeReader, rec: dict, lo: int, hi: int, n: int,
                out_dtype=np.int64) -> np.ndarray:
-    """Decode values [lo, hi) of an int stream, reading only the covering
-    runs when the stream has seek points."""
+    """Values [lo, hi) of an int stream of ``n`` values. A strict sub-range
+    reads only its covering bytes where the layout (for, planar) or the
+    seek points (rle2) allow; the whole stream, or one with no such path,
+    is read once and decoded by decode_int_stream."""
     import bisect
 
-    vindex = rec.get("vindex")
     codec = rec["codec"]
-    if codec == "rle2_delta" and vindex is not None and "vprefix" not in rec:
-        vindex = None  # no re-base prefixes: fall back to full decode
+    part = lo > 0 or hi < n
     # fixed-width layouts range-read through the outer chunk index; an
     # outer-compressed stream without one decodes whole
-    ranged = (rec.get("outer", "none") not in CHUNKED_KINDS
-              or "chunk_offsets" in rec)
+    ranged = part and (rec["outer"] not in CHUNKED_KINDS
+                       or "chunk_offsets" in rec)
     if codec == "for" and ranged:
         # fixed-width packing: the byte range of [lo, hi) is pure math
         from .codecs import forpack
@@ -1013,8 +781,7 @@ def _int_range(reader: RangeReader, rec: dict, lo: int, hi: int,
         if "for_header" in rec:
             n, vmin, width, hdr = rec["for_header"]
         else:
-            head = _raw_range(reader, rec, 0, min(24, rec["raw_length"]))
-            n, vmin, width, hdr = forpack.parse_header(head)
+            n, vmin, width, hdr = forpack.parse_header(_raw_range(reader, rec, 0, 24))
         hi = min(hi, n)
         byte_lo, byte_hi, lo2 = forpack.range_bytes(lo, hi, width, hdr)
         payload = _raw_range(reader, rec, byte_lo, byte_hi)
@@ -1026,17 +793,19 @@ def _int_range(reader: RangeReader, rec: dict, lo: int, hi: int,
         if "planar_header" in rec:
             n, vmin, k, hdr = rec["planar_header"]
         else:
-            head = _raw_range(reader, rec, 0, min(24, rec["raw_length"]))
-            n, vmin, k, hdr = planar.parse_header(head)
+            n, vmin, k, hdr = planar.parse_header(_raw_range(reader, rec, 0, 24))
         hi = min(hi, n)
         payloads = [_raw_range(reader, rec, blo, bhi)
                     for blo, bhi in planar.plane_ranges(lo, hi, n, k, hdr)]
         vals = planar.decode_range(payloads, lo, hi, vmin,
                                    out_dtype=out_dtype)
         return vals.astype(out_dtype, copy=False)
+    vindex = rec.get("vindex") if part else None
+    if codec == "rle2_delta" and "vprefix" not in rec:
+        vindex = None  # no re-base prefixes: decode from the start
     if vindex is None or codec not in ("rle2", "rle2_delta"):
-        data = _raw_range(reader, rec, 0, rec["raw_length"])
-        vals = decode_int_stream(data, codec, rec.get("signed", True), hi,
+        vals = decode_int_stream(_raw_range(reader, rec), codec,
+                                 rec.get("signed", True), hi,
                                  out_dtype=out_dtype)
         return vals[lo:hi]
     vpos = [e[0] for e in vindex]
@@ -1057,248 +826,257 @@ def _int_range(reader: RangeReader, rec: dict, lo: int, hi: int,
     return vals[lo - run_v: need]
 
 
-def decode_blob_rows(src, meta: dict, row_start: int, row_count: int,
-                     columns: list[str] | None = None) -> tuple[pa.Table, int]:
-    """Decode only rows [row_start, row_start+row_count) of a stripe blob,
-    touching only the byte ranges the seek-point indexes say are needed
-    (int/list/string fast paths; columns with nulls or exotic encodings
-    fall back to full-stream reads of just their own streams). ``src`` is
-    blob bytes or a file path. Returns (table, bytes_touched)."""
-    reader = RangeReader(src)
-    schema = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(meta["schema_b64"])))
-    outer = meta.get("outer", "none")
-    n_rows = meta["num_rows"]
-    lo = max(0, row_start)
-    hi = min(n_rows, row_start + row_count)
-    streams = {(r["column"], r["kind"]): r for r in meta["streams"]}
-    names = columns if columns is not None else [c["name"] for c in meta["columns"]]
-    cols_meta = {c["name"]: c for c in meta["columns"]}
-
-    def fetch_full(rec: dict) -> bytes:
-        data = reader.read(rec["offset"], rec["length"])
-        return _decompress_outer(data, rec, outer)
-
-    stride = meta.get("index_stride", 0)
-    out_arrays, out_fields = [], []
-    for name in names:
-        cm = cols_meta[name]
-        field = schema.field(name)
-        arr = _decode_column_rows(reader, fetch_full, cm, field.type, streams,
-                                  n_rows, lo, hi, stride)
-        out_arrays.append(arr)
-        out_fields.append(field)
-    return (pa.Table.from_arrays(out_arrays, schema=pa.schema(out_fields)),
-            reader.bytes_read)
+def _out_dtype(codec: str, t: pa.DataType):
+    """int32 where the codec decodes natively at 32 bits and type ``t``
+    guarantees the values fit — halves the hottest streams' memory
+    traffic; int64 otherwise."""
+    if codec in ("rle2", "planar") and pa.types.is_integer(t) and (
+            t.bit_width <= 16
+            or (t.bit_width <= 32 and pa.types.is_signed_integer(t))):
+        return np.int32
+    return np.int64
 
 
-def _decode_column_rows(reader, fetch_full, cm, t, streams, n_rows, lo, hi,
-                        stride):
+def _strings_range(reader: RangeReader, data_rec: dict, len_rec: dict,
+                   lo: int, hi: int, n: int, stride: int) -> pa.Array:
+    """Strings [lo, hi) of a direct string column's ``n`` values. With a
+    byte_index, one LENGTH read from the covering index entry gives the
+    payload byte range of [lo, hi), and only that range is read; a DATA
+    stream without one is read and decoded whole."""
+    codec = data_rec["codec"]
+    bindex = data_rec.get("byte_index")
+    if bindex is None:
+        lens = _int_range(reader, len_rec, 0, n, n)
+        blob, lens = _decode_blob(codec, _raw_range(reader, data_rec), lens)
+        return strings_from_blob(blob, lens).slice(lo, hi - lo)
+    # byte_index entries are per stride VALUES (== rows when the column
+    # has no nulls)
+    k = min(lo // stride, len(bindex) - 1)
+    base = k * stride
+    both = _int_range(reader, len_rec, base, hi, n)
+    lens = both[lo - base:]
+    b0 = bindex[k] + int(both[: lo - base].sum())
+    b1 = b0 + int(lens.sum())
+    if codec in CHUNKED_KINDS:
+        # a block-compressed payload ranges through its chunk index, read
+        # as if it were the stream's outer stage (the framing is the same)
+        blob = _raw_range(reader, dict(data_rec, outer=codec,
+                                       raw_length=data_rec["blob_raw_length"]),
+                          b0, b1)
+    else:
+        blob = _raw_range(reader, data_rec, b0, b1)
+    if codec != "fsst":
+        return strings_from_blob(blob, lens)
+    # symbol table (a small header) + only the covering token bytes; lens
+    # are the COMPRESSED lengths decompress_with_table consumes
+    head = _raw_range(reader, data_rec, 0, data_rec["fsst_header_len"])
+    table, _ = fsst.SymbolTable.deserialize(head, 0)
+    return strings_from_blob(*fsst.decompress_with_table(
+        table, np.frombuffer(blob, dtype=np.uint8), lens))
+
+
+def _decode_column_rows(reader: RangeReader, streams: dict, stride: int,
+                        cm: dict, t: pa.DataType, n_rows: int, lo: int,
+                        hi: int) -> pa.Array:
+    """Rows [lo, hi) of one column whose streams hold ``n_rows`` rows; each
+    stream is read through the helper that knows its range math."""
     name = cm["name"]
     enc = cm["encoding"]
     n_out = hi - lo
-    # fallback: decode the column fully (its own streams only), slice rows
-    def full():
-        return _decode_column(fetch_full, cm, t, streams, n_rows).slice(
-            lo, hi - lo)
-
-    if enc == "struct":
-        # recurse per child: struct children are full-length (they carry
-        # their own PRESENT), so the row range maps through unchanged and
-        # each child keeps whatever byte-sparse path its encoding has
-        children = [
-            _decode_column_rows(reader, fetch_full, cm["children"][i],
-                                field.type, streams, n_rows, lo, hi, stride)
-            for i, field in enumerate(t)]
-        mask = None
-        if cm.get("null_count", 0):
-            prec = streams.get((name, "PRESENT"))
-            if prec is None:
-                return full()
-            valid = byterle.decode_bools(fetch_full(prec), n_rows)
-            mask = pa.array(~valid[lo:hi])
-        return pa.StructArray.from_arrays(children, fields=list(t), mask=mask)
-    valid_slice = None
-    vlo, vhi = lo, hi
+    n_vals = n_rows - cm.get("null_count", 0)  # values in the data streams
+    valid = None
+    vlo, vhi = lo, hi  # the rows' value range in the data streams
     if cm.get("null_count", 0):
-        # PRESENT-aware range decode (reference: treewriter.go:69-92 /
-        # cursor.go:179-198 record present positions in ROW_INDEX): the
-        # present stream is tiny (n_rows BITS raw, byte-RLE'd smaller), so
-        # scan it whole — its own bytes only — then map the row range to
-        # the VALUE range of the data streams, which keep their seek-point
-        # byte-sparse reads. Without this every nullable column lost the
-        # ~3% byte-touch property to a full-stream fallback.
-        prec = streams.get((name, "PRESENT"))
-        if prec is None or enc not in ("int", "direct", "binary", "dict",
-                                       "float", "timestamp", "decimal",
-                                       "list", "map"):
-            return full()
-        valid = byterle.decode_bools(fetch_full(prec), n_rows)
-        valid_slice = valid[lo:hi]
-        vlo = int(valid[:lo].sum())
-        vhi = vlo + int(valid_slice.sum())
-        if vhi == vlo:  # every requested row is null
-            return pa.nulls(n_out, type=t)
+        # PRESENT-aware range decode (treewriter.go:69-92 / cursor.go:179-198
+        # record present positions in ROW_INDEX): the present stream is
+        # tiny (n_rows BITS raw, byte-RLE'd smaller), so it is read whole
+        # and maps the row range to the VALUE range of the data streams,
+        # which keep their seek-point byte-sparse reads
+        present = byterle.decode_bools(
+            _raw_range(reader, streams[(name, "PRESENT")]), hi)
+        valid = present[lo:]
+        vlo = int(np.count_nonzero(present[:lo]))
+        vhi = vlo + int(np.count_nonzero(valid))
+    if enc == "struct":
+        # struct children are full-length (they carry their own PRESENT),
+        # so the row range maps through unchanged
+        children = [
+            _decode_column_rows(reader, streams, stride, cm["children"][i],
+                                field.type, n_rows, lo, hi)
+            for i, field in enumerate(t)]
+        return pa.StructArray.from_arrays(
+            children, fields=list(t),
+            mask=None if valid is None else pa.array(~valid))
+    if valid is not None and vhi == vlo:  # every requested row is null
+        return pa.nulls(n_out, type=t)
     if enc == "int":
         rec = streams[(name, "DATA")]
-        out_dtype = np.int64
-        if rec["codec"] in ("rle2", "planar") and pa.types.is_integer(t):
-            bits = t.bit_width
-            if (bits <= 32 and pa.types.is_signed_integer(t)) or bits <= 16:
-                out_dtype = np.int32
-        vals = _int_range(reader, rec, vlo, vhi, out_dtype)
-        return _int_array(vals, t, valid_slice, n_out)
+        vals = _int_range(reader, rec, vlo, vhi, n_vals,
+                          _out_dtype(rec["codec"], t))
+        return _int_array(vals, t, valid)
     if enc == "timestamp":
         from .codecs.timestamp import join_unit
 
-        rec = streams[(name, "DATA")]
-        srec = streams[(name, "SECONDARY")]
-        secs = _int_range(reader, rec, vlo, vhi)
-        fmt = _int_range(reader, srec, vlo, vhi)
-        vals = join_unit(secs, fmt, cm["unit"])
-        return _int_array(vals, t, valid_slice, n_out)
+        secs = _int_range(reader, streams[(name, "DATA")], vlo, vhi, n_vals)
+        fmt = _int_range(reader, streams[(name, "SECONDARY")], vlo, vhi,
+                         n_vals)
+        return _int_array(join_unit(secs, fmt, cm["unit"]), t, valid)
+    if enc == "bool":
+        bits = byterle.decode_bools(
+            _raw_range(reader, streams[(name, "DATA")]), vhi)[vlo:]
+        if valid is None:
+            return pa.array(bits, type=pa.bool_())
+        return _scatter_array(bits, valid, pa.bool_())
     if enc == "float":
-        rec = streams[(name, "DATA")]
         dtype = np.float32 if t == pa.float32() else np.float64
         isz = np.dtype(dtype).itemsize
-        raw = _raw_range(reader, rec, vlo * isz, vhi * isz)
-        vals = np.frombuffer(raw, dtype=dtype)
-        if valid_slice is None:
+        vals = np.frombuffer(_raw_range(reader, streams[(name, "DATA")],
+                                        vlo * isz, vhi * isz), dtype=dtype)
+        if valid is None:
             return pa.array(vals, type=t)
-        return _scatter_array(vals, valid_slice, t)
-    if enc in ("direct", "binary"):
-        len_rec = streams[(name, "LENGTH")]
-        data_rec = streams[(name, "DATA")]
-        bindex = data_rec.get("byte_index")
-        blob_kind = CHUNKED_KINDS.get(data_rec["codec"])
-        if bindex is None or (blob_kind is None
-                              and data_rec["codec"] not in ("none", "fsst")):
-            return full()
-        # one LENGTH range read covers both the partial-sum head and the
-        # requested values (avoids decompressing the same chunks twice);
-        # byte_index entries are per stride VALUES, so the math below runs
-        # in value space (== row space when the column has no nulls)
-        stride_rows = stride or max(n_rows, 1)
-        k = min(vlo // stride_rows, len(bindex) - 1)
-        base_val = k * stride_rows
-        both = _int_range(reader, len_rec, base_val, vhi)
-        head = both[: vlo - base_val]
-        lens = both[vlo - base_val:]
-        b0 = bindex[k] + int(head.sum())
-        nbytes = int(lens.sum())
-        if blob_kind is not None:
-            # codec-level chunked block compression: range through its
-            # chunk index (the shim re-labels it as an outer stage, which
-            # shares the exact same framing)
-            shim = dict(data_rec)
-            shim["outer"] = data_rec["codec"]
-            shim["raw_length"] = data_rec["blob_raw_length"]
-            blob = _raw_range(reader, shim, b0, b0 + nbytes)
+        return _scatter_array(vals, valid, t)
+    if enc in ("dict", "direct", "binary"):
+        if enc == "dict":
+            indexes = _int_range(reader, streams[(name, "DATA")], vlo, vhi,
+                                 n_vals)
+            dict_rec = streams[(name, "DICT_DATA")]
+            size = dict_rec["dict_size"]
+            lens = _int_range(reader, streams[(name, "LENGTH")], 0, size, size)
+            dictionary = strings_from_blob(*_decode_blob(
+                dict_rec["codec"], _raw_range(reader, dict_rec), lens))
+            vals = dictionary.take(pa.array(indexes, type=pa.int64()))
         else:
-            blob = _raw_range(reader, data_rec, b0, b0 + nbytes)
-        if data_rec["codec"] == "fsst":
-            # symbol table (tiny header) + only the covering token-byte
-            # slice; lens here are the COMPRESSED lengths from the LENGTH
-            # stream, exactly what decompress_with_table consumes
-            head_b = _raw_range(reader, data_rec, 0,
-                                data_rec["fsst_header_len"])
-            ftable, _ = fsst.SymbolTable.deserialize(head_b, 0)
-            dblob, dlens = fsst.decompress_with_table(
-                ftable, np.frombuffer(blob, dtype=np.uint8), lens)
-            vals_arr = strings_from_blob(dblob, dlens)
-        else:
-            vals_arr = strings_from_blob(blob, lens)
-        if valid_slice is not None:
-            return _scatter_strings(vals_arr, valid_slice, t)
-        return vals_arr.cast(t) if not pa.types.is_string(t) else vals_arr
-    if enc == "dict":
-        rec = streams[(name, "DATA")]
-        indexes = _int_range(reader, rec, vlo, vhi)
-        dict_rec = streams[(name, "DICT_DATA")]
-        dict_size = dict_rec["dict_size"]
-        len_rec = streams[(name, "LENGTH")]
-        lens = decode_int_stream(fetch_full(len_rec), len_rec["codec"], False,
-                                 dict_size)
-        dblob, dlens = _decode_blob(dict_rec["codec"], fetch_full(dict_rec), lens)
-        dict_arr = strings_from_blob(dblob, dlens)
-        taken = dict_arr.take(pa.array(indexes, type=pa.int64()))
-        if valid_slice is not None:
-            return _scatter_strings(taken, valid_slice, t)
-        return taken
+            vals = _strings_range(reader, streams[(name, "DATA")],
+                                  streams[(name, "LENGTH")], vlo, vhi,
+                                  n_vals, stride)
+        if valid is not None:
+            return _scatter_strings(vals, valid, t)
+        return vals if vals.type == t else vals.cast(t)
     if enc == "decimal":
-        lo64 = _int_range(reader, streams[(name, "DATA")], vlo, vhi)
-        hi64 = _int_range(reader, streams[(name, "SECONDARY")], vlo, vhi)
-        if valid_slice is not None:
+        lo64 = _int_range(reader, streams[(name, "DATA")], vlo, vhi, n_vals)
+        hi64 = _int_range(reader, streams[(name, "SECONDARY")], vlo, vhi,
+                          n_vals)
+        vbuf = None
+        null_count = 0
+        if valid is not None:
             lo_f = np.zeros(n_out, dtype=np.int64)
             hi_f = np.zeros(n_out, dtype=np.int64)
-            lo_f[valid_slice] = lo64
-            hi_f[valid_slice] = hi64
+            lo_f[valid] = lo64
+            hi_f[valid] = hi64
             lo64, hi64 = lo_f, hi_f
+            vbuf = pa.py_buffer(np.packbits(valid, bitorder="little").tobytes())
+            null_count = n_out - (vhi - vlo)
         halves = np.empty(n_out * 2, dtype=np.int64)
         halves[0::2] = lo64
         halves[1::2] = hi64
-        vbuf = None
-        null_count = 0
-        if valid_slice is not None:
-            vbuf = pa.py_buffer(
-                np.packbits(valid_slice, bitorder="little").tobytes())
-            null_count = n_out - int(valid_slice.sum())
         return pa.Array.from_buffers(
             t, n_out, [vbuf, pa.py_buffer(halves.tobytes())],
             null_count=null_count)
-    if enc in ("list", "map") and "elem_offsets" in cm:
-        # locate the child VALUE range via the row-stride element-offset
-        # anchors (one LENGTH range read covers the partial-sum head and
-        # the requested lengths), then either range-read the flat int
-        # child directly or recurse — nested children keep whatever
-        # byte-sparse paths their own encodings have
-        len_rec = streams[(name, "LENGTH")]
-        eoffs = cm["elem_offsets"]
-        stride_vals = stride or max(n_rows, 1)
-        k = min(vlo // stride_vals, len(eoffs) - 1)
-        base_val = k * stride_vals
-        both = _int_range(reader, len_rec, base_val, vhi)
-        head = both[: vlo - base_val]
-        lens = both[vlo - base_val:]
-        el0 = eoffs[k] + int(head.sum())
+    if enc in ("list", "map"):
+        # locate the child VALUE range through the row-stride element
+        # offsets (a column without them anchors at element 0): one LENGTH
+        # read covers the partial-sum head and the requested lengths
+        eoffs = cm.get("elem_offsets", [0])
+        k = min(vlo // max(stride, 1), len(eoffs) - 1)
+        base = k * stride
+        both = _int_range(reader, streams[(name, "LENGTH")], base, vhi, n_vals)
+        lens = both[vlo - base:]
+        el0 = eoffs[k] + int(both[: vlo - base].sum())
         el1 = el0 + int(lens.sum())
-        items = None
-        if enc == "list" and "child" not in cm:
-            data_rec = streams[(name, "DATA")]
-            child_np = np.dtype(t.value_type.to_pandas_dtype()) \
-                if pa.types.is_integer(t.value_type) else np.int64
-            out_dtype = np.int32 if (child_np == np.int32
-                                     and data_rec["codec"] == "rle2") \
-                else np.int64
-            vals = _int_range(reader, data_rec, el0, el1, out_dtype)
-            child = _int_array(vals, t.value_type, None, el1 - el0)
-        elif enc == "list":
-            total = cm["stats"]["total_elements"]
-            child = _decode_column_rows(reader, fetch_full, cm["child"],
-                                        t.value_type, streams, total,
-                                        el0, el1, stride)
-        else:
-            total = cm["stats"]["total_entries"]
-            child = _decode_column_rows(reader, fetch_full, cm["key"],
-                                        t.key_type, streams, total,
-                                        el0, el1, stride)
-            items = _decode_column_rows(reader, fetch_full, cm["value"],
-                                        t.item_type, streams, total,
-                                        el0, el1, stride)
-        offsets = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
         if enc == "map":
-            out = pa.MapArray.from_arrays(
-                pa.array(offsets.astype(np.int32), type=pa.int32()),
-                child, items)
+            total = cm["stats"]["total_entries"]
+            keys = _decode_column_rows(reader, streams, stride, cm["key"],
+                                       t.key_type, total, el0, el1)
+            items = _decode_column_rows(reader, streams, stride, cm["value"],
+                                        t.item_type, total, el0, el1)
+            offsets = np.zeros(len(lens) + 1, dtype=np.int32)
+            np.cumsum(lens, out=offsets[1:])
+            out = pa.MapArray.from_arrays(pa.array(offsets), keys, items)
             if out.type != t:  # restore field names lost by from_arrays
                 out = out.cast(t)
-        elif pa.types.is_large_list(t):
-            out = pa.LargeListArray.from_arrays(
-                pa.array(offsets, type=pa.int64()), child)
         else:
-            out = pa.ListArray.from_arrays(
-                pa.array(offsets.astype(np.int32), type=pa.int32()), child)
-        if valid_slice is not None:
-            return _scatter_generic(out, valid_slice)
-        return out
-    return full()
+            total = cm["stats"]["total_elements"]
+            if "child" in cm:  # recursive child (any type, nullable too)
+                child = _decode_column_rows(reader, streams, stride,
+                                            cm["child"], t.value_type, total,
+                                            el0, el1)
+            else:  # flat int fast path (e.g. tokens)
+                rec = streams[(name, "DATA")]
+                vals = _int_range(reader, rec, el0, el1, total,
+                                  _out_dtype(rec["codec"], t.value_type))
+                child = _int_array(vals, t.value_type, None)
+            large = pa.types.is_large_list(t)
+            offsets = np.zeros(len(lens) + 1,
+                               dtype=np.int64 if large else np.int32)
+            np.cumsum(lens, out=offsets[1:])
+            out = (pa.LargeListArray if large else pa.ListArray).from_arrays(
+                pa.array(offsets), child)
+        return out if valid is None else _scatter_generic(out, valid)
+    if enc == "union":
+        # the tag stream is read whole; each child decodes the range of its
+        # own values that rows [lo, hi) hold, and the dense offsets are
+        # rebuilt as a running count per tag
+        tags_all = byterle.decode_bytes(
+            _raw_range(reader, streams[(name, "DATA")]), n_rows).view(np.int8)
+        tags = tags_all[lo:hi]
+        offsets = np.zeros(n_out, dtype=np.int32)
+        children = []
+        for i, field in enumerate(t):
+            tc = cm["type_codes"][i]
+            m = tags == tc
+            c0 = int(np.count_nonzero(tags_all[:lo] == tc))
+            cn = int(np.count_nonzero(m))
+            children.append(_decode_column_rows(
+                reader, streams, stride, cm["children"][i], field.type,
+                int(np.count_nonzero(tags_all == tc)), c0, c0 + cn))
+            offsets[m] = np.arange(cn, dtype=np.int32)
+        return pa.UnionArray.from_dense(
+            pa.array(tags, type=pa.int8()), pa.array(offsets), children,
+            [f.name for f in t], cm["type_codes"])
+    raise ValueError(f"unknown encoding {enc!r}")
+
+
+def _scatter_generic(dense: pa.Array, valid: np.ndarray) -> pa.Array:
+    """Re-insert nulls into any dense array via take with null indexes."""
+    n = len(valid)
+    idx = np.full(n, -1, dtype=np.int64)
+    idx[valid] = np.arange(len(dense), dtype=np.int64)
+    return dense.take(pa.array(idx, type=pa.int64(), mask=~valid))
+
+
+def _int_array(vals: np.ndarray, t: pa.DataType, valid) -> pa.Array:
+    """Decoded int values -> Arrow array of the original int-like type,
+    with nulls re-inserted where ``valid`` is False."""
+    if valid is not None:
+        return _scatter_typed(vals, valid, t)
+    if pa.types.is_timestamp(t) or pa.types.is_date64(t) or pa.types.is_time64(t):
+        return pa.array(vals, type=pa.int64()).view(t)
+    if pa.types.is_date32(t) or pa.types.is_time32(t):
+        return pa.array(vals.astype(np.int32), type=pa.int32()).view(t)
+    return pa.array(vals.astype(np.dtype(t.to_pandas_dtype()), copy=False), type=t)
+
+
+def _scatter_array(vals: np.ndarray, valid: np.ndarray, t: pa.DataType) -> pa.Array:
+    full = np.zeros(len(valid), dtype=vals.dtype)
+    full[valid] = vals
+    return pa.array(full, type=t, mask=~valid)
+
+
+def _scatter_typed(vals: np.ndarray, valid: np.ndarray, t) -> pa.Array:
+    if pa.types.is_timestamp(t) or pa.types.is_date64(t) or pa.types.is_time64(t):
+        full = np.zeros(len(valid), dtype=np.int64)
+        full[valid] = vals
+        return pa.array(full, type=pa.int64(), mask=~valid).view(t)
+    if pa.types.is_date32(t) or pa.types.is_time32(t):
+        full = np.zeros(len(valid), dtype=np.int32)
+        full[valid] = vals.astype(np.int32)
+        return pa.array(full, type=pa.int32(), mask=~valid).view(t)
+    full = np.zeros(len(valid), dtype=np.dtype(t.to_pandas_dtype()))
+    full[valid] = vals.astype(full.dtype)
+    return pa.array(full, type=t, mask=~valid)
+
+
+def _scatter_strings(dense: pa.Array, valid: np.ndarray, t) -> pa.Array:
+    """Re-insert nulls into a dense string/binary array."""
+    taken = _scatter_generic(dense, valid)
+    return taken.cast(t) if taken.type != t else taken

@@ -177,8 +177,10 @@ def test_fsst_string_range_decode_byte_sparse():
 
 
 def test_range_decode_fallback_types():
-    """Columns without fast range paths (nulls, structs, decimals, bools)
-    still range-decode correctly via the full-stream fallback."""
+    """Encodings whose range decode reads a stream whole (PRESENT, bool
+    bitstreams, union tags) or recurses into children (structs, unions),
+    plus nullable ints and decimals, decode every row range exactly, the
+    whole stripe included."""
     import decimal as D
 
     n = 5000
