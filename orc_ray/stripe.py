@@ -687,9 +687,10 @@ def decode_blob_rows(src, meta: dict, row_start: int, row_count: int,
     """Decode only rows [row_start, row_start+row_count) of a stripe blob.
     Every stream is read over the byte range its seek-point index says
     covers those rows; a stream without the index that range math needs
-    (PRESENT, bool data, union tags, small or unindexed streams) is read
-    whole, and no other stream is touched. ``src`` is blob bytes or a path
-    read through the storage backend. Returns (table, bytes_touched)."""
+    (PRESENT, bool data, union tags, dictionaries, small or unindexed
+    streams) is read whole, and no other stream is touched. ``src`` is
+    blob bytes or a path read through the storage backend. Returns
+    (table, bytes_touched)."""
     reader = RangeReader(src)
     lo = max(0, row_start)
     hi = min(meta["num_rows"], row_start + row_count)
