@@ -951,7 +951,7 @@ def _decode_column_rows(reader: RangeReader, streams: dict, stride: int,
                                   streams[(name, "LENGTH")], vlo, vhi,
                                   n_vals, stride)
         if valid is not None:
-            return _scatter_strings(vals, valid, t)
+            vals = _scatter_generic(vals, valid)
         return vals if vals.type == t else vals.cast(t)
     if enc == "decimal":
         lo64 = _int_range(reader, streams[(name, "DATA")], vlo, vhi, n_vals)
@@ -1048,13 +1048,16 @@ def _scatter_generic(dense: pa.Array, valid: np.ndarray) -> pa.Array:
 def _int_array(vals: np.ndarray, t: pa.DataType, valid) -> pa.Array:
     """Decoded int values -> Arrow array of the original int-like type,
     with nulls re-inserted where ``valid`` is False."""
-    if valid is not None:
-        return _scatter_typed(vals, valid, t)
     if pa.types.is_timestamp(t) or pa.types.is_date64(t) or pa.types.is_time64(t):
-        return pa.array(vals, type=pa.int64()).view(t)
-    if pa.types.is_date32(t) or pa.types.is_time32(t):
-        return pa.array(vals.astype(np.int32), type=pa.int32()).view(t)
-    return pa.array(vals.astype(np.dtype(t.to_pandas_dtype()), copy=False), type=t)
+        storage = pa.int64()
+    elif pa.types.is_date32(t) or pa.types.is_time32(t):
+        storage = pa.int32()
+    else:
+        storage = t
+    vals = vals.astype(storage.to_pandas_dtype(), copy=False)
+    out = (pa.array(vals, type=storage) if valid is None
+           else _scatter_array(vals, valid, storage))
+    return out if storage == t else out.view(t)
 
 
 def _scatter_array(vals: np.ndarray, valid: np.ndarray, t: pa.DataType) -> pa.Array:
@@ -1062,22 +1065,3 @@ def _scatter_array(vals: np.ndarray, valid: np.ndarray, t: pa.DataType) -> pa.Ar
     full[valid] = vals
     return pa.array(full, type=t, mask=~valid)
 
-
-def _scatter_typed(vals: np.ndarray, valid: np.ndarray, t) -> pa.Array:
-    if pa.types.is_timestamp(t) or pa.types.is_date64(t) or pa.types.is_time64(t):
-        full = np.zeros(len(valid), dtype=np.int64)
-        full[valid] = vals
-        return pa.array(full, type=pa.int64(), mask=~valid).view(t)
-    if pa.types.is_date32(t) or pa.types.is_time32(t):
-        full = np.zeros(len(valid), dtype=np.int32)
-        full[valid] = vals.astype(np.int32)
-        return pa.array(full, type=pa.int32(), mask=~valid).view(t)
-    full = np.zeros(len(valid), dtype=np.dtype(t.to_pandas_dtype()))
-    full[valid] = vals.astype(full.dtype)
-    return pa.array(full, type=t, mask=~valid)
-
-
-def _scatter_strings(dense: pa.Array, valid: np.ndarray, t) -> pa.Array:
-    """Re-insert nulls into a dense string/binary array."""
-    taken = _scatter_generic(dense, valid)
-    return taken.cast(t) if taken.type != t else taken

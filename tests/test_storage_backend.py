@@ -104,7 +104,7 @@ def test_point_lookup_through_fs_backend(ray_session, tmp_path):
     assert got.column("doc_id")[0].as_py() == want
 
 
-def test_read_rows_through_fs_backend(ray_session, tmp_path, capsys):
+def test_read_rows_through_fs_backend(ray_session, tmp_path):
     """Row-range reads fetch their byte ranges through the backend: the
     distributed read_rows and the CLI's decode --rows both return the
     same rows over the URI as a full decode does."""
