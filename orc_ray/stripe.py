@@ -715,7 +715,7 @@ def _stream_dir(meta: dict) -> dict:
 
 def _decode_rows(reader: RangeReader, meta: dict, lo: int, hi: int,
                  columns: list[str] | None) -> pa.Table:
-    """Rows [lo, hi) of the projected columns: the one driver behind both
+    """Rows [lo, hi) of the projected columns: the one function behind both
     decode_blob and decode_blob_rows."""
     schema = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(meta["schema_b64"])))
     streams = _stream_dir(meta)
