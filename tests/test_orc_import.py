@@ -52,7 +52,7 @@ def test_pyarrow_orc_crosscheck_all_codecs(tmp_path):
             b = mine.column(c).combine_chunks()
             if a.type != b.type:
                 b = b.cast(a.type)
-            assert a.equals(b), f"{name}.{c} differs"
+            assert a.equals(b), f"{comp}.{c} differs"
 
 
 def test_read_orc_dataset_distributed(ray_session, tmp_path):
