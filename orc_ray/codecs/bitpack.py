@@ -175,33 +175,42 @@ def unpack_bits(buf, width: int, count: int, offset: int = 0) -> tuple[np.ndarra
     starts on a byte boundary (each RLE run is byte-aligned)."""
     nbytes = (count * width + 7) // 8
     raw = np.frombuffer(buf, dtype=_U8, count=nbytes, offset=offset)
+    return unpack_rows(raw.reshape(1, nbytes), width, count)[0], offset + nbytes
+
+
+# big-endian views for the widths that are whole machine words
+_BE_WORD = {8: np.dtype(">u1"), 16: np.dtype(">u2"), 32: np.dtype(">u4"),
+            64: np.dtype(">u8")}
+
+
+def unpack_rows(data: np.ndarray, width: int, count: int) -> np.ndarray:
+    """Unpack a C-contiguous (k, nbytes) uint8 matrix, one byte-aligned run
+    of ``count`` values of ``width`` bits per row (nbytes = ceil(count *
+    width / 8)), to a (k, count) uint64 matrix."""
+    k, nbytes = data.shape
     if count == 0:
-        return np.empty(0, dtype=_U64), offset
-    if width == 64:
-        out = raw.view(">u8").astype(_U64)
-        return out, offset + nbytes
-    if width == 8:
-        return raw.astype(_U64), offset + nbytes
-    if width == 16:
-        return raw.view(">u2").astype(_U64), offset + nbytes
-    if width == 32:
-        return raw.view(">u4").astype(_U64), offset + nbytes
+        return np.empty((k, 0), dtype=_U64)
+    word = _BE_WORD.get(width)
+    if word is not None:
+        return data.view(word).astype(_U64)
     if width % 8 == 0:
-        k = width // 8
-        m = raw.reshape(count, k).astype(_U64)
-        out = np.zeros(count, dtype=_U64)
-        for j in range(k):
+        m = data.reshape(k * count, width // 8).astype(_U64)
+        out = np.zeros(k * count, dtype=_U64)
+        for j in range(width // 8):
             out = (out << _U64(8)) | m[:, j]
-        return out, offset + nbytes
+        return out.reshape(k, count)
     # odd width: inverse of _pack_odd — byte-aligned groups of g values,
-    # each value rebuilt from <= width//8 + 2 byte-slices (vectorized)
+    # each value rebuilt from <= width//8 + 2 byte-slices (vectorized);
+    # the k rows' groups stack into one (k * ngrp, gb) matrix
     g = 8 // math.gcd(width, 8)
     ngrp = (count + g - 1) // g
     gb = g * width // 8
     if ngrp * gb != nbytes:
-        raw = np.concatenate([raw, np.zeros(ngrp * gb - nbytes, dtype=_U8)])
-    m = raw.reshape(ngrp, gb).astype(_U64)
-    out2 = np.zeros((ngrp, g), dtype=_U64)
+        padded = np.zeros((k, ngrp * gb), dtype=_U8)
+        padded[:, :nbytes] = data
+        data = padded
+    m = data.reshape(k * ngrp, gb).astype(_U64)
+    out2 = np.zeros((k * ngrp, g), dtype=_U64)
     mask = (_U64(1) << _U64(width)) - _U64(1)
     for j in range(g):
         bit0 = j * width
@@ -213,4 +222,4 @@ def unpack_bits(buf, width: int, count: int, offset: int = 0) -> tuple[np.ndarra
             else:
                 acc |= m[:, b] >> _U64(-s)
         acc &= mask
-    return out2.reshape(-1)[:count], offset + nbytes
+    return out2.reshape(k, ngrp * g)[:, :count]

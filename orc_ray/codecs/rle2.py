@@ -4,9 +4,14 @@ From-scratch numpy re-creation of the reference's RLEv2 writer/reader
 (/root/reference/runlengthintegerwriterv2.go:9-788,
 /root/reference/runlengthintegerreaderv2.go:36-426). The reference is a
 per-value state machine; here the same segmentation semantics are derived
-up-front from the whole array (vectorized run detection), then each run is
-emitted with vectorized kernels. Output is byte-identical to the reference
-writer (validated against its test vectors in tests/test_rle2.py).
+up-front from the whole array (vectorized run detection), then every
+variable scope goes through one vectorized determineEncoding pass
+(``_encode_var_ragged``). Output is byte-identical to the reference writer
+(validated against its test vectors in tests/test_rle2.py).
+
+Reading has one run-header walk (``_scan_runs``): ``decode`` unpacks the
+runs it lists, and ``run_index`` turns its run counts into seek points.
+Bit payloads unpack through ``bitpack.unpack_rows``.
 
 Segmentation semantics re-created (runlengthintegerwriterv2.go:87-212):
 - >=3 consecutive equal values form a "fixed run"; when the 3rd equal value
@@ -28,8 +33,6 @@ import numpy as np
 from .bitpack import (
     DECODE_BIT_WIDTH,
     _CLOSEST_ALIGNED,
-    _CLOSEST_FIXED,
-    _ENCODE_BW,
     decode_bit_width,
     encode_bit_width,
     get_closest_aligned_fixed_bits,
@@ -37,15 +40,12 @@ from .bitpack import (
     pack_bits,
     percentile_bits,
     unpack_bits,
+    unpack_rows,
 )
 
-# plain-list width table for decode's pass-1 loop (list index beats a numpy
+# plain-list width table for the run-header walk (list index beats a numpy
 # scalar index ~10x in a hot Python loop)
 _DBW_LIST = [int(w) for w in DECODE_BIT_WIDTH]
-# lookup arrays for the batched encoder
-_ENC_CODE_OF = _ENCODE_BW[_CLOSEST_FIXED]  # bit length (0..64) -> width code
-_CLOSEST_ALIGNED_ARR = _CLOSEST_ALIGNED
-_DECODE_BW_ARR = DECODE_BIT_WIDTH
 # per width code, the largest value representable at that width (uint64):
 # searchsorted(_WIDTH_UPPER, x) == encodeBitWidth(findClosestNumBits(x))
 _WIDTH_UPPER = np.array(
@@ -57,8 +57,6 @@ _WIDTH_UPPER32 = np.array(
     dtype=np.uint32,
 )
 from .varint import (
-    read_vslong,
-    read_vulong,
     write_vslong,
     write_vulong,
     zigzag_decode,
@@ -96,11 +94,10 @@ def _as_i64(v: int) -> int:
 def encode(values: np.ndarray, signed: bool) -> bytes:
     """Encode an int64 array into an RLEv2 byte stream.
 
-    All variable scopes are classified in one ragged vectorized pass
-    (per-scope percentile widths / monotonicity / fixed-delta flags computed
-    with reduceat kernels over the concatenated scope values); DIRECT scopes
-    with byte-aligned widths are bit-packed in per-width groups. Fixed runs
-    and the rare non-DIRECT scopes use the scalar emitters.
+    Fixed runs are emitted by ``_emit_fixed``. Every variable scope, however
+    many there are, goes through ``_encode_var_ragged``: one pass over the
+    concatenated scope values classifies them all, then DIRECT and
+    monotonic DELTA scopes are bit-packed in per-width groups.
 
     int32 inputs whose value range fits 32-bit delta arithmetic stay in
     32-bit end-to-end (identical output bytes, half the memory traffic —
@@ -116,32 +113,26 @@ def encode(values: np.ndarray, signed: bool) -> bytes:
     else:
         v = np.ascontiguousarray(values, dtype=_I64)
     segs = list(_segments(v))
-    if not segs:
-        return b""
     pieces: list[bytes | None] = [None] * len(segs)
     var_idx = [i for i, (k, s, e) in enumerate(segs) if k == 1]
-    if len(var_idx) >= 4:
+    if var_idx:
         starts = np.array([segs[i][1] for i in var_idx], dtype=np.int64)
         ends = np.array([segs[i][2] for i in var_idx], dtype=np.int64)
         for idx, piece in zip(var_idx, _encode_var_ragged(v, starts, ends, signed)):
             pieces[idx] = piece
     for i, (kind, s, e) in enumerate(segs):
-        if pieces[i] is not None:
-            continue
-        out = bytearray()
         if kind == 0:
+            out = bytearray()
             _emit_fixed(out, int(v[s]), e - s, signed)
-        else:
-            _emit_variable(out, v[s:e].astype(_I64, copy=False), signed)
-        pieces[i] = bytes(out)
+            pieces[i] = bytes(out)
     return b"".join(pieces)
 
 
 def _encode_var_ragged(
     v: np.ndarray, starts: np.ndarray, ends: np.ndarray, signed: bool
 ) -> list[bytes]:
-    """Vectorized determineEncoding + emit for k variable scopes of any
-    sizes. Stats follow runlengthintegerwriterv2.go:265-402 exactly."""
+    """Vectorized determineEncoding + emit for k >= 1 variable scopes of
+    any sizes. Stats follow runlengthintegerwriterv2.go:265-402 exactly."""
     k = len(starts)
     narrow = v.dtype == np.int32
     lengths = ends - starts
@@ -167,16 +158,14 @@ def _encode_var_ragged(
         _WIDTH_UPPER32 if narrow else _WIDTH_UPPER, ZZ, side="left"
     ).astype(np.int32, copy=False)
     hist = np.bincount(seg_of * np.int32(32) + codes, minlength=k * 32).reshape(k, 32)
-    zz100 = _pct_from_hist_ragged(hist, lengths, 1.0)
-    zz90 = _pct_from_hist_ragged(hist, lengths, 0.9)
+    zz100, zz90 = _pct_from_hist_ragged(hist, lengths)
 
     # delta stats: boundary gaps neutralized per reduction
     is_first = np.zeros(total, dtype=bool)
     is_first[off[:-1][lengths > 0]] = True
     D = np.empty(total, dtype=V.dtype)
-    if total:
-        D[0] = 0
-        np.subtract(V[1:], V[:-1], out=D[1:])
+    D[0] = 0
+    np.subtract(V[1:], V[:-1], out=D[1:])
     # initial delta per scope (scopes of length 1 get 0)
     has2 = lengths >= 2
     initial = np.zeros(k, dtype=V.dtype)
@@ -185,7 +174,7 @@ def _encode_var_ragged(
     # is_fixed: every in-scope delta equals initial
     eq_init = D == initial[seg_of]
     eq_init[is_first] = True
-    is_fixed = np.logical_and.reduceat(eq_init, off[:-1]) if k else np.empty(0, bool)
+    is_fixed = np.logical_and.reduceat(eq_init, off[:-1])
     # monotonicity from delta signs (valid wherever safe-subtract holds;
     # unsafe scopes go DIRECT regardless, matching the reference's ordering)
     geq = D >= 0
@@ -207,8 +196,8 @@ def _encode_var_ragged(
     short = lengths <= MIN_REPEAT
     mono = (initial != 0) & (is_inc | is_dec)
 
-    direct = short | ~safe | (safe & ~const & ~is_fixed & ~mono & (zz100 - zz90 <= 1))
-    maybe_patched = ~direct & safe & ~const & ~is_fixed & ~mono
+    direct = short | ~safe | (~const & ~is_fixed & ~mono & (zz100 - zz90 <= 1))
+    mono &= ~direct & ~const & ~is_fixed
 
     pieces: list[bytes | None] = [None] * k
 
@@ -217,38 +206,29 @@ def _encode_var_ragged(
     # to per-scope packing, which zero-pads the final byte).
     direct_idx = np.flatnonzero(direct)
     if len(direct_idx):
-        fbs = _CLOSEST_ALIGNED_ARR[zz100[direct_idx]]
+        fbs = _CLOSEST_ALIGNED[zz100[direct_idx]]
         for fb in np.unique(fbs):
             fb = int(fb)
             rows = direct_idx[fbs == fb]
-            if len(rows) > 1:
-                packed, byte_off = _group_pack(ZZ, off[rows], lengths[rows], fb)
-                for j, r in enumerate(rows):
-                    run = int(lengths[r]) - 1
-                    header = bytes([
-                        (DIRECT << 6) | (encode_bit_width(fb) << 1) | ((run & 0x100) >> 8),
-                        run & 0xFF,
-                    ])
-                    pieces[r] = header + packed[byte_off[j]: byte_off[j + 1]]
-            else:
-                for r in rows:
-                    run = int(lengths[r]) - 1
-                    header = bytes([
-                        (DIRECT << 6) | (encode_bit_width(fb) << 1) | ((run & 0x100) >> 8),
-                        run & 0xFF,
-                    ])
-                    pieces[r] = header + pack_bits(ZZ[off[r]: off[r + 1]], fb)
+            packed, byte_off = _group_pack(ZZ, off[rows], lengths[rows], fb)
+            for j, r in enumerate(rows):
+                run = int(lengths[r]) - 1
+                header = bytes([
+                    (DIRECT << 6) | (encode_bit_width(fb) << 1) | ((run & 0x100) >> 8),
+                    run & 0xFF,
+                ])
+                pieces[r] = header + packed[byte_off[j]: byte_off[j + 1]]
 
     # DELTA-var scopes (monotonic): group the abs-delta tails by width too
-    mono_emit = np.flatnonzero(~direct & safe & ~const & ~is_fixed & mono)
-    if len(mono_emit) > 3:
+    mono_emit = np.flatnonzero(mono)
+    if len(mono_emit):
         absD = np.abs(D)
         tail_starts = off[mono_emit] + 2
         tail_lens = lengths[mono_emit] - 2
         tail_max = _ragged_max(absD, tail_starts, tail_lens)
         dmax = np.maximum(initial[mono_emit].astype(_I64), tail_max.astype(_I64))
         codes_d = np.searchsorted(_WIDTH_UPPER, dmax.view(_U64))
-        fbs_d = _CLOSEST_ALIGNED_ARR[_DECODE_BW_ARR[codes_d]]
+        fbs_d = _CLOSEST_ALIGNED[DECODE_BIT_WIDTH[codes_d]]
         fbs_d = np.where(fbs_d == 1, 2, fbs_d)
         for fb in np.unique(fbs_d):
             fb = int(fb)
@@ -268,35 +248,22 @@ def _encode_var_ragged(
                 out.extend(packed[byte_off[j]: byte_off[j + 1]])
                 pieces[r] = bytes(out)
 
-    for r in np.flatnonzero(~direct):
-        if pieces[r] is not None:
-            continue
+    # the rest: constant and fixed-delta scopes, then PATCHED_BASE
+    # candidates (DIRECT when the 95th/100th base-reduced widths tie)
+    for r in np.flatnonzero(~direct & ~mono):
         out = bytearray()
-        seg = V[off[r]: off[r + 1]]
-        if narrow:
-            seg = seg.astype(_I64)
         if const[r]:
             _emit_delta_fixed(out, int(vmin[r]), 0, int(lengths[r]), signed)
         elif is_fixed[r]:
-            _emit_delta_fixed(out, int(seg[0]), int(initial[r]), int(lengths[r]), signed)
-        elif mono[r]:
-            deltas = D[off[r] + 1: off[r + 1]].astype(_I64, copy=False)
-            abs_tail = np.abs(deltas[1:])
-            delta_max = int(initial[r])
-            if len(abs_tail):
-                delta_max = max(delta_max, int(abs_tail.max()))
-            bits_delta_max = get_closest_fixed_bits(_u64(delta_max).bit_length())
-            _emit_delta_var(out, seg, int(initial[r]), abs_tail, bits_delta_max, signed)
-        elif maybe_patched[r]:
-            base_red = (seg - vmin[r]).view(_U64)
+            _emit_delta_fixed(out, int(V[off[r]]), int(initial[r]), int(lengths[r]), signed)
+        else:
+            base_red = (V[off[r]: off[r + 1]].astype(_I64) - vmin[r]).view(_U64)
             br95 = percentile_bits(base_red, 0.95)
             br100 = percentile_bits(base_red, 1.0)
             if br100 - br95 != 0:
                 _emit_patched_base(out, base_red, int(vmin[r]), br95, br100)
             else:
                 _emit_direct(out, ZZ[off[r]: off[r + 1]], int(zz100[r]))
-        else:
-            _emit_direct(out, ZZ[off[r]: off[r + 1]], int(zz100[r]))
         pieces[r] = bytes(out)
     return pieces  # type: ignore[return-value]
 
@@ -339,11 +306,13 @@ def _ragged_max(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.
     return res[0::2]
 
 
-def _pct_from_hist_ragged(hist: np.ndarray, lengths: np.ndarray, p: float) -> np.ndarray:
-    per_len = lengths.astype(np.float64) * (1.0 - p)
+def _pct_from_hist_ragged(hist: np.ndarray, lengths: np.ndarray):
+    """Per-scope 100th and 90th percentileBits from (k, 32) width-code
+    histograms."""
     cum = np.cumsum(hist[:, ::-1], axis=1)
-    j = np.argmax(cum > per_len[:, None], axis=1)
-    return _DECODE_BW_ARR[31 - j]
+    j100 = np.argmax(cum > 0, axis=1)
+    j90 = np.argmax(cum > lengths.astype(np.float64)[:, None] * (1.0 - 0.9), axis=1)
+    return DECODE_BIT_WIDTH[31 - j100], DECODE_BIT_WIDTH[31 - j90]
 
 
 def _segments(v: np.ndarray):
@@ -439,82 +408,12 @@ def _emit_delta_fixed(out: bytearray, first: int, delta: int, length: int, signe
     write_vslong(out, delta)
 
 
-def _emit_variable(out: bytearray, chunk: np.ndarray, signed: bool) -> None:
-    """determineEncoding (runlengthintegerwriterv2.go:265-402) + emit."""
-    n = len(chunk)
-    zz = zigzag_encode(chunk) if signed else chunk.view(_U64)
-    zz100 = percentile_bits(zz, 1.0)
-    if n <= MIN_REPEAT:
-        _emit_direct(out, zz, zz100)
-        return
-
-    deltas = chunk[1:] - chunk[:-1]  # wrapping int64
-    initial = int(deltas[0])
-    is_fixed_delta = bool(np.all(deltas == deltas[0]))
-    vmin = int(chunk.min())
-    vmax = int(chunk.max())
-    # direct comparisons like the reference (delta subtraction may wrap)
-    is_inc = bool(np.all(chunk[1:] >= chunk[:-1]))
-    is_dec = bool(np.all(chunk[1:] <= chunk[:-1]))
-    # adjDeltas: [initial, |d2|, |d3|, ...]; deltaMax = max over these
-    abs_tail = np.abs(deltas[1:])  # wrapping abs like the reference
-    delta_max = initial
-    if len(abs_tail):
-        delta_max = max(initial, int(abs_tail.max()))
-
-    if not _is_safe_subtract(vmax, vmin):
-        _emit_direct(out, zz, zz100)
-        return
-    if vmin == vmax:
-        _emit_delta_fixed(out, vmin, 0, n, signed)
-        return
-    if is_fixed_delta:
-        _emit_delta_fixed(out, int(chunk[0]), initial, n, signed)
-        return
-    if initial != 0 and (is_inc or is_dec):
-        bits_delta_max = get_closest_fixed_bits(_u64(delta_max).bit_length())
-        _emit_delta_var(out, chunk, initial, abs_tail, bits_delta_max, signed)
-        return
-
-    zz90 = percentile_bits(zz, 0.9)
-    if zz100 - zz90 > 1:
-        base_red = (chunk - vmin).view(_U64)
-        br95 = percentile_bits(base_red, 0.95)
-        br100 = percentile_bits(base_red, 1.0)
-        if br100 - br95 != 0:
-            _emit_patched_base(out, base_red, vmin, br95, br100)
-            return
-    _emit_direct(out, zz, zz100)
-
-
 def _emit_direct(out: bytearray, zz: np.ndarray, zz100: int) -> None:
     fb = get_closest_aligned_fixed_bits(zz100)
     run = len(zz) - 1
     out.append((DIRECT << 6) | (encode_bit_width(fb) << 1) | ((run & 0x100) >> 8))
     out.append(run & 0xFF)
     out.extend(pack_bits(zz, fb))
-
-
-def _emit_delta_var(
-    out: bytearray,
-    chunk: np.ndarray,
-    initial: int,
-    abs_tail: np.ndarray,
-    bits_delta_max: int,
-    signed: bool,
-) -> None:
-    fb = get_closest_aligned_fixed_bits(bits_delta_max)
-    if fb == 1:
-        fb = 2
-    run = len(chunk) - 1
-    out.append((DELTA << 6) | (encode_bit_width(fb) << 1) | ((run & 0x100) >> 8))
-    out.append(run & 0xFF)
-    if signed:
-        write_vslong(out, int(chunk[0]))
-    else:
-        write_vulong(out, int(chunk[0]))
-    write_vslong(out, initial)
-    out.extend(pack_bits(abs_tail.view(_U64), fb))
 
 
 def _emit_patched_base(out: bytearray, base_red: np.ndarray, vmin: int, br95: int, br100: int) -> None:
@@ -578,10 +477,6 @@ def _emit_patched_base(out: bytearray, base_red: np.ndarray, vmin: int, br95: in
     )
 
 
-def _is_safe_subtract(left: int, right: int) -> bool:
-    return (left ^ right) >= 0 or (left ^ _as_i64(left - right)) >= 0
-
-
 # ---------------------------------------------------------------------------
 # decode
 # ---------------------------------------------------------------------------
@@ -591,51 +486,81 @@ def run_index(buf: bytes, stride: int) -> list[tuple[int, int]]:
     the (value position, byte offset) of the run containing that stride
     boundary. Mirrors ORC's ROW_INDEX positions (positionrecorder.go:1-12,
     writer.go:337-384): decode can start at any entry's byte offset and
-    skip (boundary - value position) values. Header-scan only — O(#runs),
+    skip (boundary - value position) values. Header walk only — O(#runs),
     never unpacks payloads."""
+    _, pos, cnt, _, _, _ = _scan_runs(buf)
+    starts = np.zeros(len(cnt) + 1, dtype=np.int64)
+    np.cumsum(cnt, out=starts[1:])
+    bounds = np.arange(0, starts[-1], stride, dtype=np.int64)
+    r = np.searchsorted(starts, bounds, side="right") - 1
+    return list(zip(starts[r].tolist(), pos[r].tolist()))
+
+
+def _scan_runs(buf: bytes, n: int | None = None):
+    """Walk the run headers of an RLEv2 stream, stopping after ``n`` values
+    when given. Returns per-run int64 arrays (tag, byte position, count,
+    width) — width is the bit width, 0 for a fixed-delta DELTA run, and
+    the value's byte count for SHORT_REPEAT — plus, per DELTA run in
+    order, the byte positions of its two header varints' terminators.
+    Varints are <= 10 bytes: a tight byte scan for the terminators beats
+    parsing them here; ``decode`` batch-parses them."""
     size = len(buf)
-    entries: list[tuple[int, int]] = []
+    # flat per-field lists (cheap scalar appends; np.array over an int
+    # list is far faster than over a tuple list)
+    tags = []
+    positions = []
+    counts = []
+    widths = []
+    t_add = tags.append; p_add = positions.append
+    c_add = counts.append; w_add = widths.append
+    dbw = _DBW_LIST
+    delta_e1 = []; delta_e2 = []
+    d1_add = delta_e1.append; d2_add = delta_e2.append
     pos = 0
     total = 0
-    next_boundary = 0
-    while pos < size:
+    while pos < size and (n is None or total < n):
         first = buf[pos]
-        tag = (first >> 6) & 0x3
-        if tag == SHORT_REPEAT:
+        tag = first >> 6
+        if tag == DELTA:
+            fbo = (first >> 1) & 0x1F
+            fb = dbw[fbo] if fbo != 0 else 0
+            cnt = ((first & 0x1) << 8 | buf[pos + 1]) + 1
+            e1 = pos + 2
+            while buf[e1] >= 0x80:
+                e1 += 1
+            e2 = e1 + 1
+            while buf[e2] >= 0x80:
+                e2 += 1
+            d1_add(e1); d2_add(e2)
+            t_add(tag); p_add(pos); c_add(cnt); w_add(fb)
+            pos = e2 + 1
+            if fb != 0:
+                pos += ((cnt - 2) * fb + 7) // 8
+        elif tag == DIRECT:
+            fb = dbw[(first >> 1) & 0x1F]
+            cnt = ((first & 0x1) << 8 | buf[pos + 1]) + 1
+            t_add(tag); p_add(pos); c_add(cnt); w_add(fb)
+            pos += 2 + (cnt * fb + 7) // 8
+        elif tag == SHORT_REPEAT:
             sz = ((first >> 3) & 0x7) + 1
             cnt = (first & 0x7) + MIN_REPEAT
-            nxt = pos + 1 + sz
-        elif tag == DIRECT:
-            fb = decode_bit_width((first >> 1) & 0x1F)
-            cnt = ((first & 0x1) << 8 | buf[pos + 1]) + 1
-            nxt = pos + 2 + (cnt * fb + 7) // 8
-        elif tag == PATCHED_BASE:
-            fb = decode_bit_width((first >> 1) & 0x1F)
+            t_add(tag); p_add(pos); c_add(cnt); w_add(sz)
+            pos += 1 + sz
+        else:  # PATCHED_BASE
+            fb = dbw[(first >> 1) & 0x1F]
             cnt = ((first & 0x1) << 8 | buf[pos + 1]) + 1
             third = buf[pos + 2]
             base_bytes = ((third >> 5) & 0x7) + 1
-            patch_width = decode_bit_width(third & 0x1F)
+            patch_width = dbw[third & 0x1F]
             fourth = buf[pos + 3]
             patch_gap_width = ((fourth >> 5) & 0x7) + 1
             pll = fourth & 0x1F
             gvp_w = get_closest_fixed_bits(patch_width + patch_gap_width)
-            nxt = pos + 4 + base_bytes + (cnt * fb + 7) // 8 + (pll * gvp_w + 7) // 8
-        else:  # DELTA
-            fbo = (first >> 1) & 0x1F
-            fb = decode_bit_width(fbo) if fbo != 0 else 0
-            cnt = ((first & 0x1) << 8 | buf[pos + 1]) + 1
-            p = pos + 2
-            _, p = read_vulong(buf, p)
-            _, p = read_vslong(buf, p)
-            if fb != 0:
-                p += ((cnt - 2) * fb + 7) // 8
-            nxt = p
-        while next_boundary < total + cnt:
-            entries.append((total, pos))
-            next_boundary += stride
+            t_add(tag); p_add(pos); c_add(cnt); w_add(fb)
+            pos += 4 + base_bytes + (cnt * fb + 7) // 8 + (pll * gvp_w + 7) // 8
         total += cnt
-        pos = nxt
-    return entries
+    return tuple(np.array(a, dtype=np.int64)
+                 for a in (tags, positions, counts, widths, delta_e1, delta_e2))
 
 
 def _batch_vulongs(raw: np.ndarray, starts: np.ndarray,
@@ -666,110 +591,33 @@ def decode(buf: bytes, signed: bool, n: int | None = None,
     token streams). Stops after ``n`` values when given, else consumes the
     whole buffer.
 
-    Two passes: a cheap sequential header scan collects every run's
-    (tag, position, count, width) — DELTA header varints are skipped via a
-    tight terminator byte scan, not parsed — then DIRECT, DELTA and
-    SHORT_REPEAT runs all decode in vectorized groups (DELTA header varints
-    batch-decode through ``_batch_vulongs``); only the rare PATCHED_BASE
-    runs decode individually."""
-    size = len(buf)
+    One header walk (``_scan_runs``, shared with ``run_index``) collects
+    every run's tag, position, count and width. DIRECT and DELTA runs then
+    decode in groups of equal (width, count), one ``unpack_rows`` call per
+    group, with the DELTA header varints batch-parsed by
+    ``_batch_vulongs``; SHORT_REPEAT runs decode in one batch per value
+    width; only the rare PATCHED_BASE runs decode one by one."""
     raw = np.frombuffer(buf, dtype=np.uint8)
-    # pass 1: header scan into flat per-field lists (cheap scalar appends;
-    # np.array over an int list is far faster than over a tuple list)
-    tags = []
-    positions_l = []
-    counts = []
-    widths = []
-    t_add = tags.append; p_add = positions_l.append
-    c_add = counts.append; w_add = widths.append
-    dbw = _DBW_LIST
-    delta_i_l = []; delta_e1 = []; delta_e2 = []
-    di_add = delta_i_l.append; d1_add = delta_e1.append; d2_add = delta_e2.append
-    nrun = 0
-    pos = 0
-    total = 0
-    while pos < size and (n is None or total < n):
-        first = buf[pos]
-        tag = first >> 6
-        if tag == DELTA:
-            fbo = (first >> 1) & 0x1F
-            fb = dbw[fbo] if fbo != 0 else 0
-            cnt = ((first & 0x1) << 8 | buf[pos + 1]) + 1
-            # varints are <=10 bytes: a tight byte scan for the two
-            # terminators beats any precomputed index on large streams
-            e1 = pos + 2
-            while buf[e1] >= 0x80:
-                e1 += 1
-            e2 = e1 + 1
-            while buf[e2] >= 0x80:
-                e2 += 1
-            p = e2 + 1
-            if fb != 0:
-                p += ((cnt - 2) * fb + 7) // 8
-            di_add(nrun); d1_add(e1); d2_add(e2)
-            t_add(tag); p_add(pos); c_add(cnt); w_add(fb)
-            pos = p
-        elif tag == DIRECT:
-            fb = dbw[(first >> 1) & 0x1F]
-            cnt = ((first & 0x1) << 8 | buf[pos + 1]) + 1
-            t_add(tag); p_add(pos); c_add(cnt); w_add(fb)
-            pos += 2 + (cnt * fb + 7) // 8
-        elif tag == SHORT_REPEAT:
-            sz = ((first >> 3) & 0x7) + 1
-            cnt = (first & 0x7) + MIN_REPEAT
-            t_add(tag); p_add(pos); c_add(cnt); w_add(sz)
-            pos += 1 + sz
-        else:  # PATCHED_BASE
-            fb = dbw[(first >> 1) & 0x1F]
-            cnt = ((first & 0x1) << 8 | buf[pos + 1]) + 1
-            third = buf[pos + 2]
-            base_bytes = ((third >> 5) & 0x7) + 1
-            patch_width = dbw[third & 0x1F]
-            fourth = buf[pos + 3]
-            patch_gap_width = ((fourth >> 5) & 0x7) + 1
-            pll = fourth & 0x1F
-            gvp_w = get_closest_fixed_bits(patch_width + patch_gap_width)
-            t_add(tag); p_add(pos); c_add(cnt); w_add(fb)
-            pos += 4 + base_bytes + (cnt * fb + 7) // 8 + (pll * gvp_w + 7) // 8
-        nrun += 1
-        total += cnt
-
-    tags_a = np.array(tags, dtype=np.int64) if tags else np.empty(0, np.int64)
-    pos_a = np.array(positions_l, dtype=np.int64)
-    cnt_a = np.array(counts, dtype=np.int64)
-    w_a = np.array(widths, dtype=np.int64)
-    positions = positions_l  # pass 2d indexes per run
-    delta_i = np.array(delta_i_l, dtype=np.int64)
-
-    out = np.empty(total, dtype=out_dtype)
-    starts = np.zeros(nrun + 1, dtype=np.int64)
+    tags, pos_a, cnt_a, w_a, e1, e2 = _scan_runs(buf, n)
+    starts = np.zeros(len(tags) + 1, dtype=np.int64)
     np.cumsum(cnt_a, out=starts[1:])
-    # pass 2a: grouped DIRECT decode
-    direct_idx = np.flatnonzero(tags_a == DIRECT)
+    total = int(starts[-1])
+    out = np.empty(total, dtype=out_dtype)
+    # DIRECT: one unpack per (width, count) group
+    direct_idx = np.flatnonzero(tags == DIRECT)
     if len(direct_idx):
         for key in np.unique(w_a[direct_idx] * 1024 + cnt_a[direct_idx]):
             w, c = int(key) // 1024, int(key) % 1024
             grp = direct_idx[(w_a[direct_idx] == w) & (cnt_a[direct_idx] == c)]
-            if len(grp) == 1:
-                g = int(grp[0])
-                vals, _ = unpack_bits(buf, w, c, int(pos_a[g]) + 2)
-                dec = zigzag_decode(vals) if signed else vals.view(_I64)
-                out[starts[g]: starts[g] + c] = dec
-                continue
             nb = (c * w + 7) // 8
-            gather = pos_a[grp][:, None] + 2 + np.arange(nb)
-            data = raw[gather]  # (k, nb)
-            vals = _unpack_matrix(data, w, c)
-            dec = zigzag_decode(vals.ravel()).reshape(len(grp), c) if signed \
-                else vals.view(_I64)
+            vals = unpack_rows(raw[pos_a[grp][:, None] + 2 + np.arange(nb)], w, c)
+            dec = zigzag_decode(vals) if signed else vals.view(_I64)
             scatter = starts[grp][:, None] + np.arange(c)
             out[scatter.ravel()] = dec.ravel()
-    # pass 2b: grouped DELTA decode — batch the header varints, then one
-    # unpack + row-cumsum per (width, count) group
-    if len(delta_i):
-        di = delta_i
-        e1 = np.array(delta_e1, dtype=np.int64)
-        e2 = np.array(delta_e2, dtype=np.int64)
+    # DELTA: batch the header varints, then one unpack + row-cumsum per
+    # (width, count) group
+    di = np.flatnonzero(tags == DELTA)
+    if len(di):
         u1 = _batch_vulongs(raw, pos_a[di] + 2, e1)
         first_vals = zigzag_decode(u1) if signed else u1.view(_I64)
         delta_bases = zigzag_decode(_batch_vulongs(raw, e1 + 1, e2))
@@ -780,38 +628,16 @@ def decode(buf: bytes, signed: bool, n: int | None = None,
             w, c = int(key) // 1024, int(key) % 1024
             sel = (dfb == w) & (dcnt == c)
             grp = di[sel]
-            k = len(grp)
             fv = first_vals[sel]
             db = delta_bases[sel]
             if w == 0:
                 # fixed-delta runs: value_i = first + i * delta
                 vals2d = fv[:, None] + db[:, None] * np.arange(c, dtype=_I64)
-            elif k < 4:
-                # small groups: per-run unpack_bits beats the matrix setup
-                for j in range(k):
-                    g = int(grp[j])
-                    if c > 2:
-                        absd, _ = unpack_bits(
-                            buf, w, c - 2, int(data_start[sel][j]))
-                        absd = absd.view(_I64)
-                    else:
-                        absd = np.empty(0, dtype=_I64)
-                    step = np.empty(c, dtype=_I64)
-                    step[0] = fv[j]
-                    step[1] = db[j]
-                    step[2:] = absd if db[j] >= 0 else -absd
-                    out[starts[g]: starts[g] + c] = np.cumsum(step)
-                continue
             else:
                 nb = ((c - 2) * w + 7) // 8
-                if c > 2 and nb > 0:
-                    gather = data_start[sel][:, None] + np.arange(nb)
-                    mat = raw[np.minimum(gather, size - 1)] \
-                        if gather.max() >= size else raw[gather]
-                    absd = _unpack_matrix(mat, w, c - 2).view(_I64)
-                else:
-                    absd = np.zeros((k, 0), dtype=_I64)
-                steps = np.empty((k, c), dtype=_I64)
+                gather = data_start[sel][:, None] + np.arange(nb)
+                absd = unpack_rows(raw[gather], w, c - 2).view(_I64)
+                steps = np.empty((len(grp), c), dtype=_I64)
                 steps[:, 0] = fv
                 steps[:, 1] = db
                 sign = np.where(db >= 0, _I64(1), _I64(-1))
@@ -819,9 +645,9 @@ def decode(buf: bytes, signed: bool, n: int | None = None,
                 vals2d = np.cumsum(steps, axis=1)
             scatter = starts[grp][:, None] + np.arange(c)
             out[scatter.ravel()] = vals2d.ravel()
-    # pass 2c: grouped SHORT_REPEAT decode — batch big-endian value gather
-    # per byte-width, then one ragged repeat/scatter for all runs
-    sr_idx = np.flatnonzero(tags_a == SHORT_REPEAT)
+    # SHORT_REPEAT: batch big-endian value gather per byte-width, then one
+    # ragged repeat/scatter for all runs
+    sr_idx = np.flatnonzero(tags == SHORT_REPEAT)
     if len(sr_idx):
         vals_u = np.zeros(len(sr_idx), dtype=_U64)
         srw = w_a[sr_idx]
@@ -840,33 +666,13 @@ def decode(buf: bytes, signed: bool, n: int | None = None,
         pos0 = np.repeat(starts[sr_idx], cnts)
         intra = np.arange(tot) - np.repeat(np.cumsum(cnts) - cnts, cnts)
         out[pos0 + intra] = np.repeat(dec, cnts)
-    # pass 2d: PATCHED_BASE (rare), per run
-    for i in np.flatnonzero(tags_a == PATCHED_BASE):
+    # PATCHED_BASE (rare), per run
+    for i in np.flatnonzero(tags == PATCHED_BASE):
         s = starts[i]
-        arr, _ = _read_patched_base(buf, positions[i])
+        arr, _ = _read_patched_base(buf, int(pos_a[i]))
         out[s: s + len(arr)] = arr
     if n is not None and total > n:
         out = out[:n]
-    return out
-
-
-def _unpack_matrix(data: np.ndarray, width: int, count: int) -> np.ndarray:
-    """Unpack a (k, nbytes) uint8 matrix of bit-packed runs to (k, count)
-    uint64."""
-    k = len(data)
-    if width == 8:
-        return data[:, :count].astype(_U64)
-    if width % 8 == 0 and width <= 64:
-        nbytes = width // 8
-        m = data[:, : count * nbytes].reshape(k, count, nbytes).astype(_U64)
-        out = np.zeros((k, count), dtype=_U64)
-        for j in range(nbytes):
-            out = (out << _U64(8)) | m[:, :, j]
-        return out
-    bits = np.unpackbits(data, axis=1)[:, : count * width].reshape(k, count, width)
-    out = np.zeros((k, count), dtype=_U64)
-    for j in range(width):
-        out = (out << _U64(1)) | bits[:, :, j].astype(_U64)
     return out
 
 

@@ -333,10 +333,11 @@ def test_encoding_and_run_index_pinned(shape):
     0 to several hundred variable scopes per stream, signed and unsigned,
     int32 and int64 input.
 
-    Streams with 1-3 variable scopes take the scalar ``_emit_variable``
-    path and streams with 4 or more take ``_encode_var_ragged``; both are
-    pinned here. Three of the five reference byte vectors above hold a
-    single variable scope, so they check only the scalar path."""
+    The digests were taken when streams with 1-3 variable scopes went
+    through a scalar encoder and streams with 4 or more through
+    ``_encode_var_ragged``, which now encodes both. Three of the five
+    reference byte vectors above hold a single variable scope, so they
+    now check the grouped encoder too."""
     got = [_pin_digest(shape, n) for n in PIN_COUNTS]
     assert got == PINNED_RLE2[shape]
 
