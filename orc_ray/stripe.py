@@ -10,7 +10,7 @@ directory, per-column encoding + statistics).
 
 Column mappings (SURVEY.md §2.2):
 - int / date / timestamp -> DATA int stream, codec auto-selected
-  (rle2 | rle2_delta | for)                                (C17/C18/C19)
+  (rle2 | rle2_delta | for | planar)                       (C17/C18/C19)
 - bool -> boolean bitstream over byte RLE                  (C10/C11)
 - float32/64 -> raw IEEE-754 little-endian                 (C16)
 - string/binary -> dictionary (sorted, distinct/total <= 0.49) or direct;
