@@ -18,7 +18,7 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001: read documents ->
-    tokenize (map_batches) -> stripe-encode to blobs+manifests (actor pool)
+    tokenize (map_batches) -> stripe-encode to blobs+manifests (Ray tasks)
     -> decode from manifests -> verify token-array equality -> return the
     decoded Dataset."""
     from orc_ray.pipelines.decode import decode_dataset
@@ -29,7 +29,7 @@ def entry() -> Any:
     out = encoded_dir(sf_dir, fresh=True)
     res = verify_encoded(tokens_dataset(sf_dir), out)
     assert res["match"], f"round-trip mismatch: {res}"
-    return decode_dataset(out, concurrency=4)
+    return decode_dataset(out)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

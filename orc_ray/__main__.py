@@ -60,14 +60,14 @@ def cmd_decode(args) -> int:
         # seek-point path: reads only the byte ranges covering the range
         import pyarrow as pa
 
-        from .pipelines.decode import StripeRangeDecoder, plan_row_ranges
+        from .pipelines.decode import decode_row_ranges, plan_row_ranges
         from .state import manifest as mf
 
         start_s, count_s = args.rows.split(":")
         picked = plan_row_ranges(mf.read_manifest(args.dir), int(start_s),
                                  int(count_s))
-        table = pa.concat_tables(StripeRangeDecoder(args.dir, columns)(
-            pa.Table.from_pylist(picked))) if picked else None
+        table = pa.concat_tables(decode_row_ranges(
+            pa.Table.from_pylist(picked), args.dir, columns)) if picked else None
     else:
         table = decode_table(args.dir, columns=columns)
     if table is None:

@@ -17,14 +17,15 @@ directory is never mutated.
 from __future__ import annotations
 
 import json
+import uuid
 
 import pyarrow as pa
 
 from ..config import EncoderConfig
-from ..selector import SelectorState
 from ..state import manifest as mf
-from .decode import StripeDecoder, clamp_concurrency
-from .encode import _default_concurrency, _encode_stripes
+from ..state import storage
+from .decode import _one_block_each, decode_stripes
+from .encode import _encode_stripes, job_selector
 
 
 def plan_compaction(man: pa.Table, target_tokens: int) -> list[dict]:
@@ -51,50 +52,40 @@ def plan_compaction(man: pa.Table, target_tokens: int) -> list[dict]:
     return bins
 
 
-class CompactionWorker:
-    """Actor-pool stage: one output partition per input row. Selector
-    state persists across partitions like the encode pool's."""
-
-    def __init__(self, src_dir: str, dst_dir: str, config: EncoderConfig):
-        self.src_dir = src_dir
-        self.dst_dir = dst_dir
-        self.config = config
-        self.selector = SelectorState(self.config)
+def compact_bins(bins: pa.Table, src_dir: str, dst_dir: str,
+                 config: EncoderConfig, job: str) -> pa.Table:
+    """compact_job's task function: one output partition per input row.
+    Selector state carries across one job's tasks like encode_job's."""
+    selector = job_selector(job, config)
+    all_rows: list[dict] = []
+    for row in bins.to_pylist():
+        pid = int(row["pid"])
+        mpath = mf.manifest_path(dst_dir, pid)
+        if storage.exists(mpath):  # resume / retried task
+            # route through the storage backend — a raw pq.read_table
+            # cannot resolve subtree+local:// / object-store URIs
+            all_rows.extend(mf.read_manifest_file(mpath).to_pylist())
+            continue
+        stripes = json.loads(row["stripes_json"])
+        man = pa.table({
+            "blob_path": pa.array([s["blob_path"] for s in stripes]),
+            "meta_json": pa.array([s["meta_json"] for s in stripes]),
+        })
         # validate=True: compaction rewrites blobs, so a corrupt source
         # stripe must fail the task loudly here — silently re-encoding it
         # would launder bit-rot into a fresh checksum
-        self.dec = StripeDecoder(src_dir, validate=True)
-
-    def __call__(self, bins: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        all_rows: list[dict] = []
-        for row in bins.to_pylist():
-            pid = int(row["pid"])
-            mpath = mf.manifest_path(self.dst_dir, pid)
-            from ..state import storage
-
-            if storage.exists(mpath):  # resume / retried task
-                # route through the storage backend — a raw pq.read_table
-                # cannot resolve subtree+local:// / object-store URIs
-                all_rows.extend(mf.read_manifest_file(mpath).to_pylist())
-                continue
-            stripes = json.loads(row["stripes_json"])
-            man = pa.table({
-                "blob_path": pa.array([s["blob_path"] for s in stripes]),
-                "meta_json": pa.array([s["meta_json"] for s in stripes]),
-            })
-            table = pa.concat_tables(list(self.dec(man))).combine_chunks()
-            rows = _encode_stripes(
-                table, pid, self.dst_dir, self.config, self.selector,
-                {"file": f"compact:{self.src_dir}", "row_start": -1,
-                 "row_count": table.num_rows},
-            )
-            mf.commit_partition(self.dst_dir, pid, rows)
-            all_rows.extend(rows)
-        if not all_rows:
-            return mf.MANIFEST_SCHEMA.empty_table()
-        return pa.Table.from_pylist(all_rows, schema=mf.MANIFEST_SCHEMA)
+        table = pa.concat_tables(
+            list(decode_stripes(man, src_dir, validate=True))).combine_chunks()
+        rows = _encode_stripes(
+            table, pid, dst_dir, config, selector,
+            {"file": f"compact:{src_dir}", "row_start": -1,
+             "row_count": table.num_rows},
+        )
+        mf.commit_partition(dst_dir, pid, rows)
+        all_rows.extend(rows)
+    if not all_rows:
+        return mf.MANIFEST_SCHEMA.empty_table()
+    return pa.Table.from_pylist(all_rows, schema=mf.MANIFEST_SCHEMA)
 
 
 def compact_job(
@@ -102,17 +93,12 @@ def compact_job(
     dst_dir: str,
     config: EncoderConfig | None = None,
     target_tokens: int | None = None,
-    concurrency: int | tuple[int, int] | None = None,
 ) -> dict:
     """Compact an encoded directory into ``dst_dir``. Returns a summary
     {stripes_before, stripes_after, bytes_before, bytes_after}."""
-    import ray.data
-
     config = config or EncoderConfig()
     if target_tokens is None:
         target_tokens = config.stripe_target_tokens
-    if concurrency is None:
-        concurrency = _default_concurrency()
     man = mf.read_manifest(src_dir)
     bins = plan_compaction(man, target_tokens)
     mf.ensure_dirs(dst_dir)
@@ -122,14 +108,12 @@ def compact_job(
     items = [{"pid": b["pid"],
               "stripes_json": json.dumps(b["stripes"], separators=(",", ":"))}
              for b in bins]
-    ds = ray.data.from_items(items, override_num_blocks=len(items))
-    out_man = ds.map_batches(
-        CompactionWorker,
-        fn_constructor_kwargs={"src_dir": src_dir, "dst_dir": dst_dir,
-                               "config": config},
+    out_man = _one_block_each(items).map_batches(
+        compact_bins,
+        fn_kwargs={"src_dir": src_dir, "dst_dir": dst_dir, "config": config,
+                   "job": uuid.uuid4().hex},
         batch_size=None,
         batch_format="pyarrow",
-        concurrency=clamp_concurrency(concurrency, len(items)),
         num_cpus=1,
     ).materialize()
     enc_after = sum(r["encoded_bytes"] for r in out_man.take_all())

@@ -2,13 +2,13 @@
 
 The analogue of Reader/Cursor (reader.go:335-338, cursor.go:29-176): the
 manifest parquet directory is the footer; ``decode_dataset`` fans the
-per-partition manifest FILES out to an actor pool (each task reads its own
-tiny manifest parquet, then decodes the stripes it lists). Feeding file
-paths instead of ``ray.data.read_parquet`` rows matters at scale: a run
-with thousands of partitions would otherwise spend seconds fanning out
-sub-megabyte ReadParquet tasks whose block layout (one coarse block per
-read task) also fixes the decode task granularity — paths let the block
-count be chosen for pool balance (~8 blocks per actor) instead.
+per-partition manifest FILES out to task-compute ``map_batches``, one
+block per file (each task reads its own tiny manifest parquet, then
+decodes the stripes it lists). Feeding file paths instead of
+``ray.data.read_parquet`` rows matters at scale: a run with thousands of
+partitions would otherwise spend seconds fanning out sub-megabyte
+ReadParquet tasks whose block layout (one coarse block per read task) also
+fixes the decode task granularity.
 Column projection decodes only the selected columns' streams (Select,
 cursor.go:38-41). Each stripe yields one output block, so block sizes
 track stripe sizes and the stream stays bounded.
@@ -24,44 +24,37 @@ from ..state import manifest as mf
 from ..stripe import decode_blob
 
 
-class StripeDecoder:
-    def __init__(self, out_dir: str, columns: list[str] | None = None,
-                 postprocess=None, validate: bool = False):
-        self.blobs_dir = mf.blobs_dir(out_dir)
-        self.columns = columns
-        # applied to each decoded stripe table INSIDE the decode task —
-        # lets callers flatten types Ray cannot re-serialize as slice views
-        # (dense unions) before the block ever leaves the worker
-        self.postprocess = postprocess
-        # crc-check each blob before decoding (BlobIntegrityError names the
-        # blob); off by default — fsck is the bulk integrity scan
-        self.validate = validate
+def decode_stripes(batch: pa.Table, out_dir: str,
+                   columns: list[str] | None = None, postprocess=None,
+                   validate: bool = False):
+    """Decode task: yields one table per stripe. ``batch`` holds manifest
+    rows (``blob_path``, ``meta_json``) or a ``path`` column naming
+    manifest files, each of which is read here and its stripes decoded —
+    so no driver-side manifest scan happens at all.
 
-    def __call__(self, man: pa.Table):
-        from ..state import storage
+    ``postprocess`` is applied to each decoded stripe table INSIDE the
+    task — it lets callers flatten types Ray cannot re-serialize as slice
+    views (dense unions) before the block ever leaves the worker.
+    ``validate`` crc-checks each blob before decoding (BlobIntegrityError
+    names the blob); off by default — fsck is the bulk integrity scan."""
+    from ..state import storage
 
-        for row in man.select(["blob_path", "meta_json"]).to_pylist():
-            blob = storage.read_file(
-                storage.join(self.blobs_dir, row["blob_path"]))
-            meta = json.loads(row["meta_json"])
-            try:
-                t = decode_blob(blob, meta, columns=self.columns,
-                                validate=self.validate)
-            except Exception as e:
-                e.add_note(f"while decoding blob {row['blob_path']}")
-                raise
-            yield self.postprocess(t) if self.postprocess is not None else t
-
-
-class ManifestShardDecoder(StripeDecoder):
-    """StripeDecoder fed manifest-file PATHS: each call reads its own
-    (tiny, single-partition) manifest parquet and decodes the stripes it
-    lists, so no driver-side manifest scan happens at all."""
-
-    def __call__(self, batch: pa.Table):
+    if "path" in batch.column_names:
         for path in batch.column("path").to_pylist():
             man = mf.read_manifest_file(path, columns=["blob_path", "meta_json"])
-            yield from super().__call__(man)
+            yield from decode_stripes(man, out_dir, columns, postprocess,
+                                      validate)
+        return
+    blobs_dir = mf.blobs_dir(out_dir)
+    for row in batch.select(["blob_path", "meta_json"]).to_pylist():
+        blob = storage.read_file(storage.join(blobs_dir, row["blob_path"]))
+        meta = json.loads(row["meta_json"])
+        try:
+            t = decode_blob(blob, meta, columns=columns, validate=validate)
+        except Exception as e:
+            e.add_note(f"while decoding blob {row['blob_path']}")
+            raise
+        yield postprocess(t) if postprocess is not None else t
 
 
 def manifest_file_items(out_dir: str) -> list[dict]:
@@ -74,47 +67,31 @@ def manifest_file_items(out_dir: str) -> list[dict]:
             for f in sorted(storage.listdir(mdir)) if f.endswith(".parquet")]
 
 
-def _pool_blocks(n_items: int, concurrency) -> int:
-    """~8 blocks per actor bounds both the driver-side from_items block
-    cost and the straggler tail (see encode_job)."""
-    hi = max(concurrency) if isinstance(concurrency, tuple) else concurrency
-    return max(1, min(n_items, hi * 8))
-
-
-def clamp_concurrency(concurrency, n_units: int):
-    """A pool larger than its work-unit count just spins idle actors."""
-    n = max(1, n_units)
-    if isinstance(concurrency, tuple):
-        return (min(concurrency[0], n), min(concurrency[1], n))
-    return min(concurrency, n)
-
-
-def manifest_feed(out_dir: str, concurrency):
-    """(dataset, decoder_cls, n_units) feeding a decode pool. Big
-    directories fan out manifest-file paths (no driver-side manifest
-    scan); directories with fewer manifest files than pool actors fall
-    back to per-stripe manifest ROWS (each file lists several stripes) so
-    every actor still gets work — the driver read of a handful of tiny
-    files is free."""
+def _one_block_each(rows: list[dict]):
+    """from_items Dataset with one block (so one task) per row."""
     import ray.data
 
+    return ray.data.from_items(rows, override_num_blocks=max(1, len(rows)))
+
+
+def manifest_feed(out_dir: str):
+    """Dataset of decode work units, one block each. Big directories fan
+    out manifest-file paths (no driver-side manifest scan); directories
+    with fewer manifest files than cluster CPUs fall back to per-stripe
+    manifest ROWS (each file lists several stripes) so every CPU still
+    gets work — the driver read of a handful of tiny files is free."""
+    import ray
+
     items = manifest_file_items(out_dir)
-    hi = max(concurrency) if isinstance(concurrency, tuple) else concurrency
-    if len(items) >= hi:
-        ds = ray.data.from_items(
-            items, override_num_blocks=_pool_blocks(len(items), concurrency))
-        return ds, ManifestShardDecoder, len(items)
+    if len(items) >= ray.cluster_resources().get("CPU", 1):
+        return _one_block_each(items)
     man = mf.read_manifest(out_dir).select(["blob_path", "meta_json"])
-    ds = ray.data.from_arrow(man)
-    if man.num_rows > 1:
-        ds = ds.repartition(_pool_blocks(man.num_rows, concurrency))
-    return ds, StripeDecoder, man.num_rows
+    return _one_block_each(man.to_pylist())
 
 
 def decode_dataset(
     out_dir: str,
     columns: list[str] | None = None,
-    concurrency: int | tuple[int, int] | None = None,
     postprocess=None,
     validate: bool = False,
 ):
@@ -123,19 +100,12 @@ def decode_dataset(
     stripe table before the block is emitted — required when the decoded
     schema contains dense unions, whose slice views Ray cannot serialize.
     ``validate=True`` crc-checks each blob before decoding it."""
-    from .encode import _default_concurrency
-
-    if concurrency is None:
-        concurrency = _default_concurrency()
-    ds, cls, n_units = manifest_feed(out_dir, concurrency)
-    return ds.map_batches(
-        cls,
-        fn_constructor_kwargs={"out_dir": out_dir, "columns": columns,
-                               "postprocess": postprocess,
-                               "validate": validate},
+    return manifest_feed(out_dir).map_batches(
+        decode_stripes,
+        fn_kwargs={"out_dir": out_dir, "columns": columns,
+                   "postprocess": postprocess, "validate": validate},
         batch_size=None,
         batch_format="pyarrow",
-        concurrency=clamp_concurrency(concurrency, n_units),
         num_cpus=1,
     )
 
@@ -158,7 +128,6 @@ def decode_dataset_filtered(
     lo,
     hi,
     columns: list[str] | None = None,
-    concurrency: int | tuple[int, int] | None = None,
 ):
     """Predicate-pushdown decode: rows with lo <= column <= hi. Stripes
     whose manifest [min, max] range cannot intersect the predicate are
@@ -166,9 +135,6 @@ def decode_dataset_filtered(
     ORC's predicate pushdown over file/stripe statistics); surviving
     stripes decode and filter exactly, vectorized."""
     import pyarrow.compute as pc
-    import ray.data
-
-    from .encode import _default_concurrency
 
     man = mf.read_manifest(out_dir)
     keep = []
@@ -177,34 +143,38 @@ def decode_dataset_filtered(
         if rng is None or (rng[1] >= lo and rng[0] <= hi):
             keep.append(i)
     pruned = man.take(pa.array(keep, type=pa.int64()))
-    if concurrency is None:
-        concurrency = _default_concurrency()
     want = None
     if columns is not None:
         want = list(dict.fromkeys(list(columns) + [column]))
-    # from_arrow yields ONE block; split the (metadata-sized) surviving
-    # manifest rows so every pool actor gets work
-    ds = ray.data.from_arrow(pruned)
-    if pruned.num_rows > 1:
-        ds = ds.repartition(_pool_blocks(pruned.num_rows, concurrency))
-    concurrency = clamp_concurrency(concurrency, pruned.num_rows)
 
-    class _FilterDecoder(StripeDecoder):
-        def __call__(self, man_b: pa.Table):
-            for t in super().__call__(man_b):
-                mask = pc.and_(pc.greater_equal(t.column(column), lo),
-                               pc.less_equal(t.column(column), hi))
-                ft = t.filter(mask)
-                yield ft.select(columns) if columns is not None else ft
+    def in_range(t: pa.Table) -> pa.Table:
+        mask = pc.and_(pc.greater_equal(t.column(column), lo),
+                       pc.less_equal(t.column(column), hi))
+        ft = t.filter(mask)
+        return ft.select(columns) if columns is not None else ft
 
-    return ds.map_batches(
-        _FilterDecoder,
-        fn_constructor_kwargs={"out_dir": out_dir, "columns": want},
+    return _one_block_each(
+        pruned.select(["blob_path", "meta_json"]).to_pylist()).map_batches(
+        decode_stripes,
+        fn_kwargs={"out_dir": out_dir, "columns": want,
+                   "postprocess": in_range},
         batch_size=None,
         batch_format="pyarrow",
-        concurrency=concurrency,
         num_cpus=1,
     )
+
+
+def _value_hashes(values: list):
+    """Bloom-filter hashes of the lookup values."""
+    import numpy as np
+
+    from ..codecs import bloom
+
+    if not values:
+        raise ValueError("point lookup: values must not be empty")
+    if isinstance(values[0], str):
+        return bloom.hash_strings(pa.array(values, type=pa.string()))
+    return bloom.hash_ints(np.asarray(values, dtype=np.int64))
 
 
 def _lookup_stripe(blobs_dir: str, blob_path: str, meta: dict, column: str,
@@ -238,35 +208,20 @@ def _lookup_stripe(blobs_dir: str, blob_path: str, meta: dict, column: str,
     return (ft if ft.num_rows else None), "decoded"
 
 
-class _PointLookup:
-    """Actor-pool stage: manifest rows in, matching rows out. Pruning
-    happens inside the task (distributed), never on the driver."""
-
-    def __init__(self, out_dir: str, column: str, values: list,
-                 columns: list[str] | None = None):
-        import numpy as np
-
-        from ..codecs import bloom
-
-        self.blobs_dir = mf.blobs_dir(out_dir)
-        self.column = column
-        self.values = values
-        self.columns = columns
-        if isinstance(values[0], str):
-            self.hashes = bloom.hash_strings(pa.array(values, type=pa.string()))
-        else:
-            self.hashes = bloom.hash_ints(np.asarray(values, dtype=np.int64))
-
-    def __call__(self, man: pa.Table):
-        out = []
-        for row in man.select(["blob_path", "meta_json"]).to_pylist():
-            t, _ = _lookup_stripe(self.blobs_dir, row["blob_path"],
-                                  json.loads(row["meta_json"]), self.column,
-                                  self.values, self.hashes, self.columns)
-            if t is not None:
-                out.append(t)
-        if out:
-            yield pa.concat_tables(out)
+def lookup_stripes(man: pa.Table, out_dir: str, column: str, values: list,
+                   hashes, columns: list[str] | None):
+    """point_lookup's task function: manifest rows in, matching rows out.
+    Pruning happens inside the task (distributed), never on the driver."""
+    blobs_dir = mf.blobs_dir(out_dir)
+    out = []
+    for row in man.select(["blob_path", "meta_json"]).to_pylist():
+        t, _ = _lookup_stripe(blobs_dir, row["blob_path"],
+                              json.loads(row["meta_json"]), column, values,
+                              hashes, columns)
+        if t is not None:
+            out.append(t)
+    if out:
+        yield pa.concat_tables(out)
 
 
 def point_lookup(
@@ -274,31 +229,21 @@ def point_lookup(
     column: str,
     values: list,
     columns: list[str] | None = None,
-    concurrency: int | tuple[int, int] | None = None,
 ):
     """Equality point lookup over an encoded directory: every stripe is
     ruled out by stats or its bloom filter's byte range where possible;
     only surviving stripes decode. Returns a Dataset of matching rows."""
-    import ray.data
-
-    from .encode import _default_concurrency
-
-    if concurrency is None:
-        concurrency = _default_concurrency()
+    hashes = _value_hashes(values)
     man = mf.read_manifest(out_dir).select(["blob_path", "meta_json"])
     want = None
     if columns is not None:
         want = list(dict.fromkeys(list(columns) + [column]))
-    ds = ray.data.from_arrow(man)
-    if man.num_rows > 1:
-        ds = ds.repartition(_pool_blocks(man.num_rows, concurrency))
-    return ds.map_batches(
-        _PointLookup,
-        fn_constructor_kwargs={"out_dir": out_dir, "column": column,
-                               "values": values, "columns": want},
+    return _one_block_each(man.to_pylist()).map_batches(
+        lookup_stripes,
+        fn_kwargs={"out_dir": out_dir, "column": column, "values": values,
+                   "hashes": hashes, "columns": want},
         batch_size=None,
         batch_format="pyarrow",
-        concurrency=clamp_concurrency(concurrency, man.num_rows),
         num_cpus=1,
     )
 
@@ -307,14 +252,7 @@ def point_lookup_local(out_dir: str, column: str, values: list,
                        columns: list[str] | None = None):
     """Driver-side point lookup with prune diagnostics (tests/CLI): returns
     (table | None, {"stats": n, "bloom": n, "decoded": n})."""
-    import numpy as np
-
-    from ..codecs import bloom
-
-    if isinstance(values[0], str):
-        hashes = bloom.hash_strings(pa.array(values, type=pa.string()))
-    else:
-        hashes = bloom.hash_ints(np.asarray(values, dtype=np.int64))
+    hashes = _value_hashes(values)
     want = None
     if columns is not None:
         want = list(dict.fromkeys(list(columns) + [column]))
@@ -332,26 +270,22 @@ def point_lookup_local(out_dir: str, column: str, values: list,
     return (pa.concat_tables(out) if out else None), counts
 
 
-class StripeRangeDecoder:
-    """map_batches stage for row-range reads: each manifest row arrives
-    with a per-stripe (row_lo, row_cnt) sub-range; the seek-point indexes
-    mean only the covering byte ranges of each blob file are read."""
+def decode_row_ranges(man: pa.Table, out_dir: str,
+                      columns: list[str] | None = None):
+    """Row-range decode task: each manifest row arrives with a per-stripe
+    (row_lo, row_cnt) sub-range; the seek-point indexes mean only the
+    covering byte ranges of each blob file are read."""
+    from ..state import storage
+    from ..stripe import decode_blob_rows
 
-    def __init__(self, out_dir: str, columns: list[str] | None = None):
-        self.blobs_dir = mf.blobs_dir(out_dir)
-        self.columns = columns
-
-    def __call__(self, man: pa.Table):
-        from ..state import storage
-        from ..stripe import decode_blob_rows
-
-        cols = ["blob_path", "meta_json", "row_lo", "row_cnt"]
-        for row in man.select(cols).to_pylist():
-            meta = json.loads(row["meta_json"])
-            path = storage.join(self.blobs_dir, row["blob_path"])
-            table, _ = decode_blob_rows(path, meta, row["row_lo"],
-                                        row["row_cnt"], columns=self.columns)
-            yield table
+    blobs_dir = mf.blobs_dir(out_dir)
+    cols = ["blob_path", "meta_json", "row_lo", "row_cnt"]
+    for row in man.select(cols).to_pylist():
+        meta = json.loads(row["meta_json"])
+        path = storage.join(blobs_dir, row["blob_path"])
+        table, _ = decode_blob_rows(path, meta, row["row_lo"], row["row_cnt"],
+                                    columns=columns)
+        yield table
 
 
 def plan_row_ranges(man: pa.Table, row_start: int, row_count: int) -> list[dict]:
@@ -385,30 +319,21 @@ def read_rows(
     row_start: int,
     row_count: int,
     columns: list[str] | None = None,
-    concurrency: int | tuple[int, int] | None = None,
 ):
     """Decode only global rows [row_start, row_start+row_count) of an
     encoded dataset. The manifest maps the range to (stripe, intra-stripe
     range) pairs and the seek-point indexes (T5) keep reads to the
     covering byte ranges — the cursor.go:179-198 partial-stripe read,
     distributed."""
-    import ray.data
-
-    from .encode import _default_concurrency
-
     man = mf.read_manifest(out_dir)
     picked = plan_row_ranges(man, row_start, row_count)
     if not picked:
         return None
-    if concurrency is None:
-        concurrency = _default_concurrency()
-    ds = ray.data.from_items(picked, override_num_blocks=len(picked))
-    return ds.map_batches(
-        StripeRangeDecoder,
-        fn_constructor_kwargs={"out_dir": out_dir, "columns": columns},
+    return _one_block_each(picked).map_batches(
+        decode_row_ranges,
+        fn_kwargs={"out_dir": out_dir, "columns": columns},
         batch_size=None,
         batch_format="pyarrow",
-        concurrency=clamp_concurrency(concurrency, len(picked)),
         num_cpus=1,
     )
 
@@ -416,7 +341,5 @@ def read_rows(
 def decode_table(out_dir: str, columns: list[str] | None = None) -> pa.Table:
     """Driver-side decode of a (small) encoded directory without Ray — used
     by tests and tools (the orc2csv analogue)."""
-    man = mf.read_manifest(out_dir)
-    dec = StripeDecoder(out_dir, columns)
-    tables = [t for t in dec(man)]
+    tables = list(decode_stripes(mf.read_manifest(out_dir), out_dir, columns))
     return pa.concat_tables(tables) if tables else None

@@ -4,16 +4,18 @@ Two paths share the stripe encoder core (stripe.py):
 
 1. ``encode_job`` — the flagship checkpointable path. A deterministic
    size-aware plan (sources/planner.py, reads only ``n_tok``) yields
-   partition specs; ``ray.data.from_items(specs)`` fans them out to an
-   actor pool (``map_batches(PartitionEncoder, concurrency=N)``) whose
-   actors hold codec-selector state (SURVEY.md §2.3 T4). Each task reads
-   its row range (only overlapping row groups), cuts stripes by token
-   budget, writes blobs then commits a per-partition manifest atomically.
-   Resume skips partitions whose manifest exists; retried tasks are
-   idempotent (deterministic partition ids + atomic rename).
+   partition specs; ``ray.data.from_items(specs)`` fans them out, one
+   block per spec, to task-compute ``map_batches``. Codec-selector state
+   (SURVEY.md §2.3 T4) lives in a per-process slot keyed by a job id, so
+   it carries across one job's tasks on a worker and never into the next
+   job. Each task reads its row range (only overlapping row groups), cuts
+   stripes by token budget, writes blobs then commits a per-partition
+   manifest atomically. Resume skips partitions whose manifest exists;
+   retried tasks are idempotent (deterministic partition ids + atomic
+   rename).
 
 2. ``encode_dataset_streaming`` — pure streaming over any token Dataset
-   (``ds.map_batches(StreamingEncoder)``): stripes are cut inside each
+   (``ds.map_batches(encode_stream_batch)``): stripes are cut inside each
    batch; partition ids are content-derived (crc32 of first doc_id + row
    count), giving best-effort skip-if-done semantics. Use when the input
    isn't Parquet or was already transformed mid-pipeline.
@@ -25,6 +27,7 @@ tasks; only manifest rows (metadata-sized) flow back.
 from __future__ import annotations
 
 import json
+import uuid
 import zlib as _zlib
 
 import numpy as np
@@ -50,6 +53,19 @@ def _default_concurrency() -> int:
     except Exception:
         cpus = 8
     return max(1, min(cpus - 2, 32))
+
+
+# (job id, selector) of the job this process last encoded for
+_SELECTOR: tuple[str, SelectorState] | None = None
+
+
+def job_selector(job: str, config: EncoderConfig) -> SelectorState:
+    """The selector state of ``job`` in this process: one job's tasks on a
+    worker share it, and the first task of another job starts afresh."""
+    global _SELECTOR
+    if _SELECTOR is None or _SELECTOR[0] != job:
+        _SELECTOR = (job, SelectorState(config))
+    return _SELECTOR[1]
 
 
 def split_stripes(table: pa.Table, config: EncoderConfig) -> list[pa.Table]:
@@ -132,14 +148,13 @@ def _encode_stripes(
 
 
 class PartitionEncoder:
-    """Actor-pool stage: encodes one partition spec per call. Selector state
-    (per-source codec choices) lives for the actor's lifetime — setup in
-    __init__ once, work per batch (the stateful-stage pattern)."""
+    """Body of one encode task: encodes the partition specs of a batch
+    with the job's selector state (see ``job_selector``)."""
 
-    def __init__(self, out_dir: str, config: EncoderConfig):
+    def __init__(self, out_dir: str, config: EncoderConfig, job: str):
         self.out_dir = out_dir
         self.config = config
-        self.selector = SelectorState(self.config)
+        self.selector = job_selector(job, config)
 
     def __call__(self, specs: pa.Table) -> pa.Table:
         all_rows: list[dict] = []
@@ -164,11 +179,16 @@ class PartitionEncoder:
         return pa.Table.from_pylist(all_rows, schema=mf.MANIFEST_SCHEMA)
 
 
+def encode_partitions(specs: pa.Table, out_dir: str, config: EncoderConfig,
+                      job: str) -> pa.Table:
+    """encode_job's task function."""
+    return PartitionEncoder(out_dir, config, job)(specs)
+
+
 def encode_job(
     paths: list[str],
     out_dir: str,
     config: EncoderConfig | None = None,
-    concurrency: int | tuple[int, int] | None = None,
     resume: bool = True,
     partition_target_tokens: int | None = None,
 ) -> dict:
@@ -218,29 +238,15 @@ def encode_job(
     todo = [s.to_dict() for s in specs if s.pid not in done]
     result = {"planned_partitions": len(specs), "skipped": len(specs) - len(todo)}
     if todo:
-        if concurrency is None:
-            # from_items has no upstream task operators to starve, so the
-            # pool may take every CPU (unlike streaming map_batches chains)
-            import ray as _ray
-
-            cpus = int(_ray.cluster_resources().get("CPU", 8))
-            concurrency = max(1, min(len(todo), cpus, 32))
-        conc_hi = max(concurrency) if isinstance(concurrency, tuple) \
-            else concurrency
-        # ~8 blocks per actor: driver-side block creation costs ~2-3ms per
-        # block (a pure fixed cost that grows with partition count, not
-        # cluster size), while batch_size=1 still hands the encoder one
-        # spec per call and the per-partition manifest commit keeps resume
-        # granularity; 8x concurrency bounds the straggler tail to ~1/8 of
-        # a round
-        n_blocks = min(len(todo), conc_hi * 8)
-        ds = ray.data.from_items(todo, override_num_blocks=n_blocks)
+        # one block per spec: each task encodes one partition, so the
+        # per-partition manifest commit keeps resume granularity
+        ds = ray.data.from_items(todo, override_num_blocks=len(todo))
         man = ds.map_batches(
-            PartitionEncoder,
-            fn_constructor_kwargs={"out_dir": out_dir, "config": config},
-            batch_size=1,
+            encode_partitions,
+            fn_kwargs={"out_dir": out_dir, "config": config,
+                       "job": uuid.uuid4().hex},
+            batch_size=None,
             batch_format="pyarrow",
-            concurrency=concurrency,
             num_cpus=1,
         )
         mm = man.materialize()  # manifest rows only: metadata-sized
@@ -260,33 +266,26 @@ def encode_job(
     return result
 
 
-class StreamingEncoder:
-    """map_batches callable for the pure-streaming path."""
-
-    def __init__(self, out_dir: str, config: EncoderConfig):
-        self.out_dir = out_dir
-        self.config = config
-        self.selector = SelectorState(self.config)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return mf.MANIFEST_SCHEMA.empty_table()
-        first = str(batch.column(0)[0].as_py())
-        pid = _zlib.crc32(f"{first}:{batch.num_rows}".encode())
-        mpath = mf.manifest_path(self.out_dir, pid)
-        if storage.exists(mpath):
-            return mf.read_manifest_file(mpath)
-        rows = _encode_stripes(batch, pid, self.out_dir, self.config,
-                               self.selector, {})
-        mf.commit_partition(self.out_dir, pid, rows)
-        return pa.Table.from_pylist(rows, schema=mf.MANIFEST_SCHEMA)
+def encode_stream_batch(batch: pa.Table, out_dir: str, config: EncoderConfig,
+                        job: str) -> pa.Table:
+    """encode_dataset_streaming's task function."""
+    if batch.num_rows == 0:
+        return mf.MANIFEST_SCHEMA.empty_table()
+    first = str(batch.column(0)[0].as_py())
+    pid = _zlib.crc32(f"{first}:{batch.num_rows}".encode())
+    mpath = mf.manifest_path(out_dir, pid)
+    if storage.exists(mpath):
+        return mf.read_manifest_file(mpath)
+    rows = _encode_stripes(batch, pid, out_dir, config,
+                           job_selector(job, config), {})
+    mf.commit_partition(out_dir, pid, rows)
+    return pa.Table.from_pylist(rows, schema=mf.MANIFEST_SCHEMA)
 
 
 def encode_dataset_streaming(
     ds,
     out_dir: str,
     config: EncoderConfig | None = None,
-    concurrency: int | tuple[int, int] | None = None,
     batch_rows: int = 65_536,
 ):
     """Streaming encode of any token Dataset; returns the manifest Dataset
@@ -295,13 +294,11 @@ def encode_dataset_streaming(
     mf.ensure_dirs(out_dir)
     if config.user_metadata:
         mf.write_user_metadata(out_dir, config.user_metadata)
-    if concurrency is None:
-        concurrency = _default_concurrency()
     return ds.map_batches(
-        StreamingEncoder,
-        fn_constructor_kwargs={"out_dir": out_dir, "config": config},
+        encode_stream_batch,
+        fn_kwargs={"out_dir": out_dir, "config": config,
+                   "job": uuid.uuid4().hex},
         batch_size=batch_rows,
         batch_format="pyarrow",
-        concurrency=concurrency,
         num_cpus=1,
     )

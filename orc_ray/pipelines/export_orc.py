@@ -54,8 +54,7 @@ def _write_part(batch: pa.Table, out_dir: str, compression: str) -> pa.Table:
 
 
 def export_orc_dataset(ds, out_dir: str, *, compression: str = "zlib",
-                       batch_rows: int | None = 128 * 1024,
-                       concurrency: int | None = None):
+                       batch_rows: int | None = 128 * 1024):
     """Stream ``ds`` into ``out_dir`` as ORC part files; returns the part
     manifest as a Dataset (path, num_rows, bytes, stripes) — consume it to
     drive the export.  ``batch_rows`` sizes one output file (one stripe
@@ -71,4 +70,4 @@ def export_orc_dataset(ds, out_dir: str, *, compression: str = "zlib",
         return _write_part(batch, out_dir, compression)
 
     return ds.map_batches(write, batch_format="pyarrow",
-                          batch_size=batch_rows, concurrency=concurrency)
+                          batch_size=batch_rows)

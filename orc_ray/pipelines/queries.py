@@ -52,10 +52,8 @@ def encoded_dir(sf_dir: str, fresh: bool = True) -> str:
     if fresh and os.path.isdir(out):
         shutil.rmtree(out)
     cfg = EncoderConfig(stripe_target_tokens=500_000)
-    # correctness-scale runs: small pools spin up much faster and the data
-    # is tiny; production encode_job sizes pools to the cluster instead
     man = encode_dataset_streaming(tokens_dataset(sf_dir), out, cfg,
-                                   batch_rows=4096, concurrency=4)
+                                   batch_rows=4096)
     man.materialize()
     return out
 
@@ -146,7 +144,7 @@ def q_roundtrip_tokens(sf_dir: str):
     """Full encode -> decode round-trip; rows summarized from the DECODED
     table, so any decode corruption breaks the oracle compare."""
     out = encoded_dir(sf_dir, fresh=True)
-    return decode_dataset(out, concurrency=4).map_batches(
+    return decode_dataset(out).map_batches(
         _row_summaries, batch_format="pyarrow")
 
 
@@ -174,7 +172,7 @@ def q_export_roundtrip(sf_dir: str):
         encoded_dir(sf_dir, fresh=True)
     out = _work_dir(sf_dir, "exported_parquet")
     shutil.rmtree(out, ignore_errors=True)
-    decode_dataset(enc, concurrency=4).write_parquet(out)
+    decode_dataset(enc).write_parquet(out)
     return ray.data.read_parquet(out).map_batches(
         _row_summaries, batch_format="pyarrow")
 
@@ -246,8 +244,7 @@ def q_bool_stats(sf_dir: str) -> pa.Table:
                                columns=["doc_id", "n_chars"])
     src = ds.map_batches(derive, batch_format="pyarrow")
     cfg = EncoderConfig(stripe_target_tokens=500_000)
-    encode_dataset_streaming(src, out, cfg, batch_rows=4096,
-                             concurrency=4).materialize()
+    encode_dataset_streaming(src, out, cfg, batch_rows=4096).materialize()
     st = mf.column_stats(out)
     return pa.table({
         "num_docs": pa.array([st["is_long"]["num_values"]], type=pa.int64()),
@@ -284,7 +281,7 @@ def q_decode_projection(sf_dir: str):
             "n_tok": b.column("n_tok").cast(pa.int64()),
         })
 
-    return decode_dataset(out, columns=["source", "n_tok"], concurrency=4).map_batches(
+    return decode_dataset(out, columns=["source", "n_tok"]).map_batches(
         cast_ntok, batch_format="pyarrow"
     )
 
@@ -313,7 +310,6 @@ def q_decode_filter(sf_dir: str):
 
     return decode_dataset_filtered(
         out, "n_tok", 40, 70, columns=["doc_id", "source", "n_tok"],
-        concurrency=4,
     ).map_batches(shape, batch_format="pyarrow")
 
 
@@ -341,7 +337,7 @@ def q_point_lookup(sf_dir: str):
     cfg = EncoderConfig(stripe_target_tokens=500_000,
                         bloom_columns=("doc_id",))
     encode_dataset_streaming(tokens_dataset(sf_dir), out, cfg,
-                             batch_rows=4096, concurrency=4).materialize()
+                             batch_rows=4096).materialize()
     raw = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                         columns=["doc_id", "source"],
                         filters=[("doc_id", "in", [3, 120, 333])])
@@ -356,8 +352,7 @@ def q_point_lookup(sf_dir: str):
         })
 
     return point_lookup(out, "doc_id", sorted(vals),
-                        columns=["doc_id", "source", "n_tok"],
-                        concurrency=4).map_batches(shape, batch_format="pyarrow")
+                        columns=["doc_id", "source", "n_tok"]).map_batches(shape, batch_format="pyarrow")
 
 
 SQL_POINT_LOOKUP = (
@@ -381,9 +376,8 @@ def q_events_roundtrip(sf_dir: str):
         shutil.rmtree(out)
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"))
     cfg = EncoderConfig(stripe_target_tokens=500_000)
-    encode_dataset_streaming(ds, out, cfg, batch_rows=4096,
-                             concurrency=4).materialize()
-    return decode_dataset(out, concurrency=4)
+    encode_dataset_streaming(ds, out, cfg, batch_rows=4096).materialize()
+    return decode_dataset(out)
 
 
 SQL_EVENTS_ROUNDTRIP = ("SELECT event_id, ts, user_id, event_type, value, props "
@@ -413,8 +407,7 @@ def q_words_roundtrip(sf_dir: str):
                                columns=["doc_id", "text"])
     src = ds.map_batches(add_words, batch_format="pyarrow")
     cfg = EncoderConfig(stripe_target_tokens=500_000)
-    encode_dataset_streaming(src, out, cfg, batch_rows=4096,
-                             concurrency=4).materialize()
+    encode_dataset_streaming(src, out, cfg, batch_rows=4096).materialize()
 
     def summarize(b: pa.Table) -> pa.Table:
         words = b.column("words")
@@ -434,7 +427,7 @@ def q_words_roundtrip(sf_dir: str):
             "last_word": last,
         })
 
-    return decode_dataset(out, concurrency=4).map_batches(
+    return decode_dataset(out).map_batches(
         summarize, batch_format="pyarrow")
 
 
@@ -479,8 +472,7 @@ def q_map_roundtrip(sf_dir: str):
                                columns=["event_id", "event_type", "value"])
     src = ds.map_batches(add_map, batch_format="pyarrow")
     cfg = EncoderConfig(stripe_target_tokens=500_000)
-    encode_dataset_streaming(src, out, cfg, batch_rows=4096,
-                             concurrency=4).materialize()
+    encode_dataset_streaming(src, out, cfg, batch_rows=4096).materialize()
 
     def extract(b: pa.Table) -> pa.Table:
         kv = b.column("kv")
@@ -492,7 +484,7 @@ def q_map_roundtrip(sf_dir: str):
             "v": kv.items.cast(pa.int64()),
         })
 
-    return decode_dataset(out, concurrency=4).map_batches(
+    return decode_dataset(out).map_batches(
         extract, batch_format="pyarrow")
 
 
@@ -545,8 +537,7 @@ def q_union_roundtrip(sf_dir: str):
                                columns=["event_id", "event_type", "value"])
     src = ds.map_batches(add_union, batch_format="pyarrow")
     cfg = EncoderConfig(stripe_target_tokens=500_000)
-    encode_dataset_streaming(src, out, cfg, batch_rows=4096,
-                             concurrency=4).materialize()
+    encode_dataset_streaming(src, out, cfg, batch_rows=4096).materialize()
 
     def extract(b: pa.Table) -> pa.Table:
         u = b.column("u")
@@ -570,7 +561,7 @@ def q_union_roundtrip(sf_dir: str):
     # extract runs INSIDE the decode task (postprocess): Ray cannot
     # serialize slice views of dense-union arrays, so the union column
     # must be flattened before the block leaves the decode worker
-    return decode_dataset(out, concurrency=4, postprocess=extract)
+    return decode_dataset(out, postprocess=extract)
 
 
 SQL_UNION_ROUNDTRIP = (

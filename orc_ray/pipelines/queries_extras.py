@@ -335,13 +335,8 @@ def q_prepare_corpus(sf_dir: str):
             "source": t.column("source"),
         })
 
-    # join aggregator actors + the encoder pool must together stay under
-    # the CPU count or the streaming pipeline deadlocks (each pool pins
-    # its actors for the pipeline's lifetime)
     cpus = int(ray.cluster_resources().get("CPU", 8))
     nparts = max(2, min(8, cpus // 4))
-    # the join emits nparts blocks, so a larger encoder pool would idle
-    enc_conc = max(1, min(4, cpus - nparts - 1, nparts))
     filtered = docs.map_batches(filt, batch_format="pyarrow")
     keys = filtered.map_batches(
         lambda b: fingerprint_batch(b).select(["doc_id", "md5"]),
@@ -355,8 +350,7 @@ def q_prepare_corpus(sf_dir: str):
                               on=("doc_id",))
     tokens = surviving.map_batches(tokenize_documents, batch_format="pyarrow")
     cfg = EncoderConfig(stripe_target_tokens=500_000)
-    encode_dataset_streaming(tokens, out, cfg, batch_rows=4096,
-                             concurrency=enc_conc).materialize()
+    encode_dataset_streaming(tokens, out, cfg, batch_rows=4096).materialize()
     st = mf.column_stats(out)["n_tok"]
     return pa.table({
         "num_docs": pa.array([st["num_values"]], type=pa.int64()),

@@ -6,9 +6,9 @@ so verification is order-insensitive: every row gets a 64-bit content hash
 (position-sensitive polynomial over its tokens, mixed with doc_id bytes,
 n_tok and source), and the multiset of row hashes is compared through
 commutative reductions (count / sum mod 2^64 / xor). Both sides stream
-through ``map_batches``; only (count, sum, xor) triples reach the driver —
-no materialization, no shuffle (cf. SURVEY.md §2.7: verification keyed on
-content, not a distributed join).
+through task-compute ``map_batches``; only (count, sum, xor) triples reach
+the driver — no materialization, no shuffle (cf. SURVEY.md §2.7:
+verification keyed on content, not a distributed join).
 
 Small-scale tests additionally do exact row-by-row comparison after a sort.
 """
@@ -206,45 +206,42 @@ def verify_roundtrip(original_ds, decoded_ds) -> dict:
 
 
 class _DecodeChecksum:
-    """Fused decode+checksum stage: decoded stripes are hashed inside the
-    same actor, so the full decoded data never crosses the object store
-    (only (count, sum, xor) triples do). Fed manifest-file paths — each
-    call reads its own tiny manifest parquet, then its stripes."""
+    """Fused decode+checksum task body: decoded stripes are hashed inside
+    the same task, so the full decoded data never crosses the object store
+    (only (count, sum, xor) triples do)."""
 
-    def __init__(self, out_dir: str, use_paths: bool = True):
-        from .decode import ManifestShardDecoder, StripeDecoder
-
-        cls = ManifestShardDecoder if use_paths else StripeDecoder
-        self.dec = cls(out_dir)
+    def __init__(self, out_dir: str):
+        self.out_dir = out_dir
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        outs = [_partial(t) for t in self.dec(batch)]
+        from .decode import decode_stripes
+
+        outs = [_partial(t) for t in decode_stripes(batch, self.out_dir)]
         if not outs:
             return _partial(pa.table({"count": pa.array([], type=pa.int64())})).slice(0, 0)
         return pa.concat_tables(outs)
 
 
-def checksum_encoded(out_dir: str, concurrency=None) -> dict:
+def decode_checksum(batch: pa.Table, out_dir: str) -> pa.Table:
+    """checksum_encoded's task function."""
+    return _DecodeChecksum(out_dir)(batch)
+
+
+def checksum_encoded(out_dir: str) -> dict:
     """Streaming checksum of an encoded directory (decode fused in).
 
-    The work units are per-partition manifest FILES packed ~8 blocks per
-    actor: reading thousands of sub-megabyte manifests through
+    The work units are per-partition manifest FILES, one block each:
+    reading thousands of sub-megabyte manifests through
     ``ray.data.read_parquet`` cost seconds of fan-out AND fixed the task
     granularity at one coarse block per read task (ragged multi-round
     tail); path items make both the fan-out and the tail quantum cheap."""
-    from .decode import ManifestShardDecoder, clamp_concurrency, manifest_feed
-    from .encode import _default_concurrency
+    from .decode import manifest_feed
 
-    if concurrency is None:
-        concurrency = _default_concurrency()
-    ds, cls, n_units = manifest_feed(out_dir, concurrency)
-    parts = ds.map_batches(
-        _DecodeChecksum,
-        fn_constructor_kwargs={"out_dir": out_dir,
-                               "use_paths": cls is ManifestShardDecoder},
+    parts = manifest_feed(out_dir).map_batches(
+        decode_checksum,
+        fn_kwargs={"out_dir": out_dir},
         batch_size=None,
         batch_format="pyarrow",
-        concurrency=clamp_concurrency(concurrency, n_units),
         num_cpus=1,
     ).take_all()
     count = sum(p["count"] for p in parts)
@@ -272,92 +269,76 @@ _FSCK_SCHEMA = pa.schema([
 ])
 
 
-class _FsckShard:
-    """fsck work unit: crc-scan the blobs listed by one manifest shard.
-    Reads blob BYTES only (no decode) — the lake health check is pure
-    sequential I/O + crc32 (~2 GB/s/core), an order of magnitude cheaper
-    than a decode pass."""
+def _check_blobs(man: pa.Table, blobs_dir: str):
+    """fsck rows for the blobs one manifest lists. Reads blob BYTES only
+    (no decode) — the lake health check is pure sequential I/O + crc32
+    (~2 GB/s/core), an order of magnitude cheaper than a decode pass."""
+    import json
+    import zlib
 
-    def __init__(self, out_dir: str):
-        import json as _json
+    from ..state import storage
 
-        from ..state import manifest as mf
-        from ..state import storage
-
-        self._json = _json
-        self._mf = mf
-        self._storage = storage
-        self.out_dir = out_dir
-        self.blobs_dir = mf.blobs_dir(out_dir)
-
-    def _check_rows(self, man: pa.Table):
-        import zlib as _z
-
-        cols = ["partition_id", "stripe_id", "blob_path", "encoded_bytes",
-                "meta_json"]
-        for row in man.select(cols).to_pylist():
-            path = self._storage.join(self.blobs_dir, row["blob_path"])
-            base = {"partition_id": row["partition_id"],
-                    "stripe_id": row["stripe_id"],
-                    "blob_path": row["blob_path"]}
-            try:
-                blob = self._storage.read_file(path)
-            except (FileNotFoundError, OSError) as e:
-                yield {**base, "status": "missing", "detail": str(e)}
-                continue
-            if len(blob) != row["encoded_bytes"]:
-                yield {**base, "status": "size_mismatch",
-                       "detail": f"manifest says {row['encoded_bytes']} "
-                                 f"bytes, file has {len(blob)}"}
-                continue
-            expect = self._json.loads(row["meta_json"]).get("crc32")
-            if expect is None:
-                yield {**base, "status": "no_crc",
-                       "detail": "legacy manifest predates blob checksums"}
-                continue
-            got = _z.crc32(blob)
-            if got != expect:
-                yield {**base, "status": "crc_mismatch",
-                       "detail": f"expected {expect:#010x}, got {got:#010x}"}
-            else:
-                yield {**base, "status": "ok", "detail": ""}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for path in batch.column("path").to_pylist():
-            man = self._mf.read_manifest_file(path)
-            rows.extend(self._check_rows(man))
-        if not rows:
-            return _FSCK_SCHEMA.empty_table()
-        return pa.Table.from_pylist(rows, schema=_FSCK_SCHEMA)
+    cols = ["partition_id", "stripe_id", "blob_path", "encoded_bytes",
+            "meta_json"]
+    for row in man.select(cols).to_pylist():
+        path = storage.join(blobs_dir, row["blob_path"])
+        base = {"partition_id": row["partition_id"],
+                "stripe_id": row["stripe_id"],
+                "blob_path": row["blob_path"]}
+        try:
+            blob = storage.read_file(path)
+        except (FileNotFoundError, OSError) as e:
+            yield {**base, "status": "missing", "detail": str(e)}
+            continue
+        if len(blob) != row["encoded_bytes"]:
+            yield {**base, "status": "size_mismatch",
+                   "detail": f"manifest says {row['encoded_bytes']} "
+                             f"bytes, file has {len(blob)}"}
+            continue
+        expect = json.loads(row["meta_json"]).get("crc32")
+        if expect is None:
+            yield {**base, "status": "no_crc",
+                   "detail": "legacy manifest predates blob checksums"}
+            continue
+        got = zlib.crc32(blob)
+        if got != expect:
+            yield {**base, "status": "crc_mismatch",
+                   "detail": f"expected {expect:#010x}, got {got:#010x}"}
+        else:
+            yield {**base, "status": "ok", "detail": ""}
 
 
-def fsck_encoded(out_dir: str, concurrency=None, max_bad: int = 100) -> dict:
+def fsck_shards(batch: pa.Table, out_dir: str) -> pa.Table:
+    """fsck task: crc-scan the blobs listed by the manifest files of
+    ``batch``'s ``path`` column."""
+    from ..state import manifest as mf
+
+    blobs_dir = mf.blobs_dir(out_dir)
+    rows = []
+    for path in batch.column("path").to_pylist():
+        rows.extend(_check_blobs(mf.read_manifest_file(path), blobs_dir))
+    if not rows:
+        return _FSCK_SCHEMA.empty_table()
+    return pa.Table.from_pylist(rows, schema=_FSCK_SCHEMA)
+
+
+def fsck_encoded(out_dir: str, max_bad: int = 100) -> dict:
     """Streaming integrity scan of an encoded directory: every blob is
     checked for existence, manifest-recorded size, and crc32 (when the
     manifest carries one). Returns ``{"blobs", "ok", "no_crc", "bad",
     "bad_rows"}`` where ``bad_rows`` holds up to ``max_bad`` offending
     (partition, stripe, path, status, detail) rows — metadata-sized, so a
     100k-stripe lake returns a summary, not a blob list."""
-    import ray.data
+    from .decode import _one_block_each, manifest_file_items
 
-    from .decode import _pool_blocks, clamp_concurrency, manifest_file_items
-    from .encode import _default_concurrency
-
-    if concurrency is None:
-        concurrency = _default_concurrency()
     items = manifest_file_items(out_dir)
-    n_units = len(items)
     if not items:
         return {"blobs": 0, "ok": 0, "no_crc": 0, "bad": 0, "bad_rows": []}
-    ds = ray.data.from_items(
-        items, override_num_blocks=_pool_blocks(n_units, concurrency))
-    checked = ds.map_batches(
-        _FsckShard,
-        fn_constructor_kwargs={"out_dir": out_dir},
+    checked = _one_block_each(items).map_batches(
+        fsck_shards,
+        fn_kwargs={"out_dir": out_dir},
         batch_size=None,
         batch_format="pyarrow",
-        concurrency=clamp_concurrency(concurrency, n_units),
         num_cpus=1,
     )
 

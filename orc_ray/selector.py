@@ -10,13 +10,14 @@ deterministic selector:
   (/root/reference/treewriter.go:694-707) extended with measured-size
   tie-breaks.
 
-Choices are pure functions of chunk-local statistics (sampled for large
-chunks), so a retried/resumed task re-encodes a partition identically.
-``SelectorState`` adds an optional warm-start cache per (source, stream):
-a stateful map_batches actor keeps it across batches and only re-measures
-every ``recheck_every`` chunks, matching ORC's stripe-granular stability
-without making the output depend on actor history (the cached choice is
-itself recorded in the manifest).
+``choose_int_codec`` is a pure function of chunk-local statistics
+(sampled for large chunks). ``SelectorState`` adds a warm-start cache per
+(source, stream): an encode job's tasks on one worker share it and only
+re-measure every ``recheck_every`` chunks, matching ORC's stripe-granular
+stability. Decode is always correct, because the chosen codec is recorded
+in the stream meta. But a partition's bytes can depend on which partitions
+the same worker encoded earlier in the job, so a retried or resumed
+partition may re-encode to different (equally valid) bytes.
 """
 
 from __future__ import annotations
@@ -207,8 +208,10 @@ class CardinalitySketch:
 
 
 class SelectorState:
-    """Warm-start cache for a stateful encoder actor: remembers the winning
-    codec per (group, stream) and only re-measures every Nth chunk."""
+    """Warm-start cache of one encode job on one worker: remembers the
+    winning codec per (group, stream) and only re-measures every Nth chunk.
+    Cached choices make a stripe's bytes depend on the stripes encoded
+    before it with the same state."""
 
     def __init__(self, config: EncoderConfig):
         self.config = config

@@ -1407,7 +1407,6 @@ def _read_stripe_pruned(fl: ORCFile, i: int, want, predicate) -> pa.Table:
 
 
 def read_orc(paths: str | list[str], columns: list[str] | None = None,
-             concurrency: int | None = None,
              predicate: tuple | None = None):
     """Read Apache ORC file(s) as a ``ray.data.Dataset``, one decode task
     per stripe.  Tail parse (metadata only) runs on the driver for small
@@ -1554,5 +1553,4 @@ def read_orc(paths: str | list[str], columns: list[str] | None = None,
             work = [ORCFile(paths[0]).stripe_spec(-1)]
         items = ray.data.from_arrow(_spec_table(work))
 
-    return items.map_batches(_decode, batch_format="pyarrow", batch_size=1,
-                             concurrency=concurrency)
+    return items.map_batches(_decode, batch_format="pyarrow", batch_size=1)

@@ -48,7 +48,7 @@ def test_point_lookup_prunes_stripes(ray_session, tmp_path):
     cfg = EncoderConfig(stripe_target_tokens=30_000,
                         bloom_columns=("doc_id", "n_tok"))
     encode_dataset_streaming(ray.data.from_arrow(t), out, cfg,
-                             batch_rows=256, concurrency=2).materialize()
+                             batch_rows=256).materialize()
     man = mf.read_manifest(out)
     n_stripes = man.num_rows
     assert n_stripes > 10
@@ -83,10 +83,9 @@ def test_point_lookup_distributed_matches_local(ray_session, tmp_path):
     out = str(tmp_path / "enc_bloom_ray")
     cfg = EncoderConfig(stripe_target_tokens=30_000, bloom_columns=("doc_id",))
     encode_dataset_streaming(ray.data.from_arrow(t), out, cfg,
-                             batch_rows=256, concurrency=2).materialize()
+                             batch_rows=256).materialize()
     want = [t.column("doc_id")[i].as_py() for i in (0, 600, 1199)]
-    ds = point_lookup(out, "doc_id", want, columns=["doc_id", "source"],
-                      concurrency=2)
+    ds = point_lookup(out, "doc_id", want, columns=["doc_id", "source"])
     rows = ds.take_all()
     assert sorted(r["doc_id"] for r in rows) == sorted(want)
 
@@ -101,3 +100,21 @@ def test_bloom_absent_without_config(tmp_path):
     _, meta2 = encode_table(t, EncoderConfig(bloom_columns=("doc_id",)))
     kinds2 = {(s["column"], s["kind"]) for s in meta2["streams"]}
     assert ("doc_id", "BLOOM_FILTER") in kinds2
+
+
+def test_point_lookup_rejects_empty_values(tmp_path):
+    """An empty ``values`` list is a caller error, raised by both lookup
+    entry points in the calling process before any Ray work."""
+    from orc_ray.pipelines.decode import point_lookup
+    from orc_ray.pipelines.encode import _encode_stripes
+    from orc_ray.selector import SelectorState
+
+    out = str(tmp_path / "enc")
+    cfg = EncoderConfig(bloom_columns=("doc_id",))
+    mf.ensure_dirs(out)
+    rows = _encode_stripes(synthesize_tokens(200, seed=24), 0, out, cfg,
+                           SelectorState(cfg), {})
+    mf.commit_partition(out, 0, rows)
+    for lookup in (point_lookup, point_lookup_local):
+        with pytest.raises(ValueError, match="values"):
+            lookup(out, "doc_id", [])

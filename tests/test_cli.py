@@ -75,7 +75,7 @@ def test_cli_compact_and_lookup(ray_session, tmp_path, capsys):
     src = str(tmp_path / "src")
     cfg = EncoderConfig(stripe_target_tokens=20_000, bloom_columns=("doc_id",))
     encode_dataset_streaming(ray.data.from_arrow(t), src, cfg,
-                             batch_rows=128, concurrency=2).materialize()
+                             batch_rows=128).materialize()
 
     dst = str(tmp_path / "dst")
     assert main(["compact", "--dir", src, "--out", dst,

@@ -23,19 +23,18 @@ def small_stripe_dir(ray_session, tmp_path):
     cfg = EncoderConfig(stripe_target_tokens=20_000,
                         user_metadata={"origin": "test"})
     encode_dataset_streaming(ray.data.from_arrow(t), src, cfg,
-                             batch_rows=128, concurrency=2).materialize()
+                             batch_rows=128).materialize()
     return t, src
 
 
 def test_compact_merges_and_preserves_content(small_stripe_dir, tmp_path):
     t, src = small_stripe_dir
     dst = str(tmp_path / "dst")
-    res = compact_job(src, dst, EncoderConfig(stripe_target_tokens=400_000),
-                      concurrency=2)
+    res = compact_job(src, dst, EncoderConfig(stripe_target_tokens=400_000))
     assert res["stripes_after"] < res["stripes_before"] / 4
     assert res["stripes_after"] == mf.read_manifest(dst).num_rows
     # bit-identical content through the multiset checksum
-    assert checksum_encoded(dst, concurrency=2) == checksum_table(t)
+    assert checksum_encoded(dst) == checksum_table(t)
     # larger stripes compress no worse
     assert res["bytes_after"] <= res["bytes_before"] * 1.02
     # user metadata carried over
@@ -46,7 +45,7 @@ def test_compact_resume_skips_committed(small_stripe_dir, tmp_path):
     t, src = small_stripe_dir
     dst = str(tmp_path / "dst2")
     cfg = EncoderConfig(stripe_target_tokens=100_000)
-    res1 = compact_job(src, dst, cfg, concurrency=2)
+    res1 = compact_job(src, dst, cfg)
     assert res1["partitions"] > 1
     # delete ONE partition manifest; re-run must restore only that one and
     # leave the rest untouched (mtime unchanged)
@@ -54,11 +53,11 @@ def test_compact_resume_skips_committed(small_stripe_dir, tmp_path):
     keep = mf.manifest_path(dst, 1)
     mtime_keep = os.path.getmtime(keep)
     os.remove(victim)
-    res2 = compact_job(src, dst, cfg, concurrency=2)
+    res2 = compact_job(src, dst, cfg)
     assert os.path.exists(victim)
     assert os.path.getmtime(keep) == mtime_keep
     assert res2["stripes_after"] == res1["stripes_after"]
-    assert checksum_encoded(dst, concurrency=2) == checksum_table(t)
+    assert checksum_encoded(dst) == checksum_table(t)
 
 
 def test_plan_compaction_bins_by_tokens():

@@ -25,8 +25,7 @@ def encoded_dir(tmp_path_factory, ray_session):
     paths = write_synthetic_shards(str(d / "in"), num_rows=1200,
                                    num_shards=2, seed=11)
     out = str(d / "enc")
-    encode_job(paths, out, EncoderConfig(stripe_target_tokens=60_000),
-               concurrency=2)
+    encode_job(paths, out, EncoderConfig(stripe_target_tokens=60_000))
     return out
 
 
@@ -118,8 +117,7 @@ def test_fsck_truncation_uses_original_bytes(tmp_path, ray_session):
     paths = write_synthetic_shards(str(tmp_path / "in"), num_rows=300,
                                    num_shards=1, seed=3)
     out = str(tmp_path / "enc")
-    encode_job(paths, out, EncoderConfig(stripe_target_tokens=1_000_000),
-               concurrency=1)
+    encode_job(paths, out, EncoderConfig(stripe_target_tokens=1_000_000))
     blob = _blob_paths(out)[0]
     raw = open(blob, "rb").read()
     open(blob, "wb").write(raw[:-1])
@@ -132,8 +130,7 @@ def test_fsck_legacy_manifest_counts_no_crc(tmp_path, ray_session):
                                    num_shards=1, seed=5)
     out = str(tmp_path / "enc")
     encode_job(paths, out, EncoderConfig(stripe_target_tokens=1_000_000,
-                                         blob_checksum=False),
-               concurrency=1)
+                                         blob_checksum=False))
     rep = fsck_encoded(out)
     assert rep["blobs"] > 0
     assert rep["no_crc"] == rep["blobs"] and rep["bad"] == 0
@@ -149,13 +146,11 @@ def test_compaction_refuses_corrupt_source(tmp_path, ray_session):
     paths = write_synthetic_shards(str(tmp_path / "in"), num_rows=600,
                                    num_shards=1, seed=9)
     src = str(tmp_path / "enc")
-    encode_job(paths, src, EncoderConfig(stripe_target_tokens=20_000),
-               concurrency=1)
+    encode_job(paths, src, EncoderConfig(stripe_target_tokens=20_000))
     blob = _blob_paths(src)[0]
     data = bytearray(open(blob, "rb").read())
     data[len(data) // 2] ^= 0x02
     open(blob, "wb").write(bytes(data))
     with pytest.raises(ray.exceptions.RayTaskError):
         compact_job(src, str(tmp_path / "compacted"),
-                    EncoderConfig(stripe_target_tokens=1_000_000),
-                    concurrency=1)
+                    EncoderConfig(stripe_target_tokens=1_000_000))

@@ -2,6 +2,7 @@
 decode -> verify (token-array equality), resume semantics (FIXTURES.md F5),
 streaming encode path, and the size-aware planner under skew."""
 
+import json
 import os
 import shutil
 
@@ -75,11 +76,9 @@ def test_size_priority_mode(ray_session, token_shards, tmp_path):
     out_bal = str(tmp_path / "bal")
     out_sz = str(tmp_path / "sz")
     bal = encode_job(token_shards, out_bal,
-                     EncoderConfig(stripe_target_tokens=100_000),
-                     concurrency=2)
+                     EncoderConfig(stripe_target_tokens=100_000))
     sz = encode_job(token_shards, out_sz,
-                    EncoderConfig.size_priority(stripe_target_tokens=100_000),
-                    concurrency=2)
+                    EncoderConfig.size_priority(stripe_target_tokens=100_000))
     assert sz["encoded_bytes"] <= bal["encoded_bytes"]
     a = decode_table(out_sz).sort_by("doc_id")
     b = decode_table(out_bal).sort_by("doc_id")
@@ -91,13 +90,13 @@ def test_encode_decode_verify_e2e(ray_session, token_shards, tmp_path):
 
     out = str(tmp_path / "enc")
     cfg = EncoderConfig(stripe_target_tokens=100_000)
-    summary = encode_job(token_shards, out, cfg, concurrency=2)
+    summary = encode_job(token_shards, out, cfg)
     assert summary["num_rows"] == 4000
     assert summary["encoded_bytes"] < summary["raw_bytes"]
     assert summary["bytes_per_token"] < 2.5  # int32 tokens: must beat 4 B/token
 
     original = ray.data.read_parquet(token_shards)
-    decoded = decode_dataset(out, concurrency=2)
+    decoded = decode_dataset(out)
     res = verify_roundtrip(original, decoded)
     assert res["match"], res
 
@@ -113,8 +112,7 @@ def test_encode_decode_verify_e2e(ray_session, token_shards, tmp_path):
 
 def test_column_projection_pipeline(ray_session, token_shards, tmp_path):
     out = str(tmp_path / "enc")
-    encode_job(token_shards, out, EncoderConfig(stripe_target_tokens=100_000),
-               concurrency=2)
+    encode_job(token_shards, out, EncoderConfig(stripe_target_tokens=100_000))
     t = decode_table(out, columns=["source", "n_tok"])
     assert t.column_names == ["source", "n_tok"]
     assert t.num_rows == 4000
@@ -123,7 +121,7 @@ def test_column_projection_pipeline(ray_session, token_shards, tmp_path):
 def test_resume_skips_completed(ray_session, token_shards, tmp_path):
     out = str(tmp_path / "enc")
     cfg = EncoderConfig(stripe_target_tokens=100_000)
-    s1 = encode_job(token_shards, out, cfg, concurrency=2)
+    s1 = encode_job(token_shards, out, cfg)
     assert s1["skipped"] == 0
 
     # simulate partial failure: drop 3 partitions' manifests + blobs
@@ -141,7 +139,7 @@ def test_resume_skips_completed(ray_session, token_shards, tmp_path):
         f: os.path.getmtime(os.path.join(mf.blobs_dir(out), f))
         for f in os.listdir(mf.blobs_dir(out))
     }
-    s2 = encode_job(token_shards, out, cfg, concurrency=2)
+    s2 = encode_job(token_shards, out, cfg)
     assert s2["skipped"] == s1["planned_partitions"] - 3
     # untouched partitions were not re-encoded
     after = {
@@ -160,19 +158,17 @@ def test_streaming_encode_path(ray_session, token_shards, tmp_path):
     out = str(tmp_path / "enc_stream")
     ds = ray.data.read_parquet(token_shards)
     man = encode_dataset_streaming(
-        ds, out, EncoderConfig(stripe_target_tokens=150_000),
-        concurrency=2, batch_rows=512,
+        ds, out, EncoderConfig(stripe_target_tokens=150_000), batch_rows=512,
     )
     man.materialize()
     original = ray.data.read_parquet(token_shards)
-    decoded = decode_dataset(out, concurrency=2)
+    decoded = decode_dataset(out)
     assert verify_roundtrip(original, decoded)["match"]
 
 
 def test_manifest_summary_reports_codecs(ray_session, token_shards, tmp_path):
     out = str(tmp_path / "enc")
-    encode_job(token_shards, out, EncoderConfig(stripe_target_tokens=100_000),
-               concurrency=2)
+    encode_job(token_shards, out, EncoderConfig(stripe_target_tokens=100_000))
     summary = mf.manifest_summary(out)
     hist = summary["stream_bytes_by_codec"]
     assert any(k.startswith("tokens:DATA:") for k in hist)
@@ -207,7 +203,7 @@ def test_predicate_pushdown_prunes_stripes(ray_session, tmp_path):
     out = str(tmp_path / "enc")
     cfg = EncoderConfig(stripe_target_tokens=100_000)
     encode_dataset_streaming(ray.data.from_arrow(t), out, cfg,
-                             batch_rows=5_000, concurrency=2).materialize()
+                             batch_rows=5_000).materialize()
     man = mf.read_manifest(out)
     lo, hi = 150, 180
     kept = sum(
@@ -217,7 +213,7 @@ def test_predicate_pushdown_prunes_stripes(ray_session, tmp_path):
     )
     assert kept < man.num_rows, "sorted input must allow stripe pruning"
     ds = decode_dataset_filtered(out, "n_tok", lo, hi,
-                                 columns=["doc_id", "n_tok"], concurrency=2)
+                                 columns=["doc_id", "n_tok"])
     got = pa.concat_tables(
         list(ds.iter_batches(batch_format="pyarrow", batch_size=None)))
     exp_mask = (lens >= lo) & (lens <= hi)
@@ -232,7 +228,7 @@ def test_user_metadata_roundtrip(ray_session, token_shards, tmp_path):
     out = str(tmp_path / "enc_meta")
     cfg = EncoderConfig(stripe_target_tokens=100_000,
                         user_metadata={"pipeline": "unit-test", "v": "3"})
-    encode_job(token_shards, out, cfg, concurrency=2)
+    encode_job(token_shards, out, cfg)
     assert mf.read_user_metadata(out) == {"pipeline": "unit-test", "v": "3"}
     summary = mf.manifest_summary(out, codec_histogram=False)
     assert summary["user_metadata"] == {"pipeline": "unit-test", "v": "3"}
@@ -302,12 +298,12 @@ def test_resume_append_new_shard(ray_session, tmp_path):
     paths = sorted(str(p) for p in d.glob("*.parquet"))
     out = str(tmp_path / "enc")
     cfg = EncoderConfig(stripe_target_tokens=100_000)
-    s1 = encode_job(paths, out, cfg, concurrency=2)
+    s1 = encode_job(paths, out, cfg)
 
     extra = synthesize_tokens(300, seed=62)
     new_path = str(d / "zz-appended.parquet")
     pq.write_table(extra, new_path)
-    s2 = encode_job(paths + [new_path], out, cfg, concurrency=2)
+    s2 = encode_job(paths + [new_path], out, cfg)
     assert s2["skipped"] == s1["planned_partitions"]
     assert s2["planned_partitions"] > s1["planned_partitions"]
     got = decode_table(out)
@@ -322,15 +318,15 @@ def test_resume_detects_plan_change(ray_session, tmp_path):
     paths = sorted(str(p) for p in d.glob("*.parquet"))
     out = str(tmp_path / "enc")
     cfg = EncoderConfig(stripe_target_tokens=100_000)
-    encode_job(paths, out, cfg, concurrency=2)
+    encode_job(paths, out, cfg)
 
     first = synthesize_tokens(200, seed=64)
     new_path = str(d / "aa-prepended.parquet")
     pq.write_table(first, new_path)
     with pytest.raises(ValueError, match="no longer match"):
-        encode_job([new_path] + paths, out, cfg, concurrency=2)
+        encode_job([new_path] + paths, out, cfg)
     # resume=False rebuilds the changed plan from scratch
-    s = encode_job([new_path] + paths, out, cfg, concurrency=2, resume=False)
+    s = encode_job([new_path] + paths, out, cfg, resume=False)
     assert s["skipped"] == 0
     assert decode_table(out).num_rows == 1200
 
@@ -353,5 +349,67 @@ def test_resume_rejects_untagged_manifest(ray_session, tmp_path):
     mf.commit_partition(out, 0, rows)
     assert os.listdir(mf.manifest_dir(out)) == ["part-000000.parquet"]
     with pytest.raises(ValueError, match="no longer match"):
-        encode_job(paths, out, cfg, concurrency=1, resume=True)
+        encode_job(paths, out, cfg, resume=True)
     assert os.listdir(mf.manifest_dir(out)) == ["part-000000.parquet"]
+
+
+def _one_source_table(tokens: np.ndarray, name: str) -> pa.Table:
+    """100-token rows, every row from source 'web'."""
+    n = len(tokens) // 100
+    return pa.table({
+        "doc_id": pa.array([f"{name}-{i:06d}" for i in range(n)]),
+        "tokens": pa.ListArray.from_arrays(
+            pa.array(np.arange(n + 1, dtype=np.int32) * 100),
+            pa.array(tokens[: n * 100].astype(np.int32))),
+        "n_tok": pa.array(np.full(n, 100, dtype=np.int32)),
+        "source": pa.array(["web"] * n),
+    })
+
+
+def test_selector_state_does_not_leak_across_jobs(tmp_path):
+    """Two encode jobs in one worker process: the second job's codec
+    choices must not start from the first job's cached ones. Job A's
+    sorted tokens pick rle2_delta for tokens:DATA, job B's pick planar;
+    B's blobs must equal an encode of B with a fresh SelectorState."""
+    import hashlib
+
+    from orc_ray.pipelines.encode import _encode_stripes, encode_partitions
+    from orc_ray.selector import SelectorState
+
+    rng = np.random.default_rng(0)
+    a = _one_source_table(np.sort(rng.integers(0, 50_000, 20_000)), "a")
+    b = _one_source_table(synthesize_tokens(400, seed=5).column("tokens")
+                          .combine_chunks().values.to_numpy()[:60_000], "b")
+    cfg = EncoderConfig(stripe_target_tokens=20_000)
+
+    def encode(t: pa.Table, name: str, job: str):
+        path = str(tmp_path / f"{name}.parquet")
+        pq.write_table(t, path)
+        spec = plan_partitions([path], 10**9)[0].to_dict()
+        out = str(tmp_path / f"enc-{name}")
+        mf.ensure_dirs(out)
+        man = encode_partitions(pa.Table.from_pylist([spec]), out, cfg, job)
+        return spec, out, man
+
+    def token_codecs(man: pa.Table) -> list[str]:
+        return [s["codec"] for mj in man.column("meta_json").to_pylist()
+                for s in json.loads(mj)["streams"]
+                if (s["column"], s["kind"]) == ("tokens", "DATA")]
+
+    def digests(out: str, man: pa.Table) -> list[str]:
+        return [hashlib.sha256(open(os.path.join(mf.blobs_dir(out), p),
+                                    "rb").read()).hexdigest()
+                for p in man.column("blob_path").to_pylist()]
+
+    _, _, man_a = encode(a, "a", "job-a")
+    spec_b, out_b, man_b = encode(b, "b", "job-b")
+    assert token_codecs(man_a) == ["rle2_delta"]
+    out_f = str(tmp_path / "enc-fresh")
+    mf.ensure_dirs(out_f)
+    man_f = pa.Table.from_pylist(
+        _encode_stripes(read_partition(spec_b), 0, out_f, cfg,
+                        SelectorState(cfg), {}),
+        schema=mf.MANIFEST_SCHEMA)
+    assert token_codecs(man_f) == ["planar"] * 3
+    assert token_codecs(man_b) == token_codecs(man_f)
+    assert digests(out_b, man_b) == digests(out_f, man_f)

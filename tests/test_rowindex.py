@@ -99,8 +99,8 @@ def test_pipeline_read_rows(ray_session, tmp_path):
     out = str(tmp_path / "enc")
     cfg = EncoderConfig(stripe_target_tokens=100_000, row_index_stride=1000)
     encode_dataset_streaming(ray.data.from_arrow(t), out, cfg,
-                             batch_rows=10_000, concurrency=2).materialize()
-    ds = read_rows(out, 12_345, 4_321, concurrency=2)
+                             batch_rows=10_000).materialize()
+    ds = read_rows(out, 12_345, 4_321)
     got = pa.concat_tables(
         list(ds.iter_batches(batch_format="pyarrow", batch_size=None)))
     assert got.num_rows == 4_321

@@ -64,7 +64,7 @@ def test_encode_decode_resume_through_fs_backend(ray_session, tmp_path):
                                     rows_per_row_group=256)
     out = _uri(str(tmp_path))
     cfg = EncoderConfig(stripe_target_tokens=100_000)
-    s1 = encode_job(shards, out, cfg, concurrency=2)
+    s1 = encode_job(shards, out, cfg)
     assert s1["num_rows"] == 2000 and s1["skipped"] == 0
     # physical layout exists under the subtree base
     assert os.path.isdir(tmp_path / "enc" / "blobs")
@@ -79,7 +79,7 @@ def test_encode_decode_resume_through_fs_backend(ray_session, tmp_path):
     assert t_fs.column("tokens").combine_chunks().equals(
         src.sort_by("doc_id").column("tokens").combine_chunks())
     # resume: a second run skips every partition
-    s2 = encode_job(shards, out, cfg, concurrency=2)
+    s2 = encode_job(shards, out, cfg)
     assert s2["skipped"] == s2["planned_partitions"]
     # summary/stats surfaces work over the URI too
     summ = mf.manifest_summary(out, codec_histogram=False)
@@ -94,8 +94,7 @@ def test_point_lookup_through_fs_backend(ray_session, tmp_path):
                                     num_shards=1, seed=3,
                                     rows_per_row_group=256)
     out = _uri(str(tmp_path))
-    encode_job(shards, out, EncoderConfig(stripe_target_tokens=50_000),
-               concurrency=2)
+    encode_job(shards, out, EncoderConfig(stripe_target_tokens=50_000))
     src = pq.read_table(shards[0])
     want = src.column("doc_id")[5].as_py()
     got = pa.concat_tables(point_lookup(out, "doc_id", [want]).iter_batches(
@@ -115,12 +114,11 @@ def test_read_rows_through_fs_backend(ray_session, tmp_path):
                                     num_shards=1, seed=7,
                                     rows_per_row_group=256)
     out = _uri(str(tmp_path))
-    encode_job(shards, out, EncoderConfig(stripe_target_tokens=20_000),
-               concurrency=2)
+    encode_job(shards, out, EncoderConfig(stripe_target_tokens=20_000))
     assert len(mf.read_manifest(out)) > 1  # the range spans stripes
     full = decode_table(out)
     exp = full.slice(100, 700).sort_by("doc_id")
-    got = pa.concat_tables(read_rows(out, 100, 700, concurrency=2)
+    got = pa.concat_tables(read_rows(out, 100, 700)
                            .iter_batches(batch_format="pyarrow",
                                          batch_size=None))
     assert got.sort_by("doc_id").equals(exp)
