@@ -24,8 +24,8 @@ import pyarrow as pa
 from ..config import EncoderConfig
 from ..state import manifest as mf
 from ..state import storage
-from .decode import _one_block_each, decode_stripes
-from .encode import _encode_stripes, job_selector
+from .decode import decode_stripes
+from .encode import _encode_stripes, job_selector, work_units
 
 
 def plan_compaction(man: pa.Table, target_tokens: int) -> list[dict]:
@@ -108,7 +108,7 @@ def compact_job(
     items = [{"pid": b["pid"],
               "stripes_json": json.dumps(b["stripes"], separators=(",", ":"))}
              for b in bins]
-    out_man = _one_block_each(items).map_batches(
+    out_man = work_units(items).map_batches(
         compact_bins,
         fn_kwargs={"src_dir": src_dir, "dst_dir": dst_dir, "config": config,
                    "job": uuid.uuid4().hex},

@@ -2,9 +2,10 @@
 
 The analogue of Reader/Cursor (reader.go:335-338, cursor.go:29-176): the
 manifest parquet directory is the footer; ``decode_dataset`` fans the
-per-partition manifest FILES out to task-compute ``map_batches``, one
-block per file (each task reads its own tiny manifest parquet, then
-decodes the stripes it lists). Feeding file paths instead of
+per-partition manifest FILES out to task-compute ``map_batches`` (each
+task reads its tiny manifest parquets, then decodes the stripes they
+list; ``encode.work_units`` gives each file its own block up to 8 blocks
+per CPU). Feeding file paths instead of
 ``ray.data.read_parquet`` rows matters at scale: a run with thousands of
 partitions would otherwise spend seconds fanning out sub-megabyte
 ReadParquet tasks whose block layout (one coarse block per read task) also
@@ -22,6 +23,7 @@ import pyarrow as pa
 
 from ..state import manifest as mf
 from ..stripe import decode_blob
+from .encode import cluster_cpus, work_units
 
 
 def decode_stripes(batch: pa.Table, out_dir: str,
@@ -67,26 +69,17 @@ def manifest_file_items(out_dir: str) -> list[dict]:
             for f in sorted(storage.listdir(mdir)) if f.endswith(".parquet")]
 
 
-def _one_block_each(rows: list[dict]):
-    """from_items Dataset with one block (so one task) per row."""
-    import ray.data
-
-    return ray.data.from_items(rows, override_num_blocks=max(1, len(rows)))
-
-
 def manifest_feed(out_dir: str):
-    """Dataset of decode work units, one block each. Big directories fan
-    out manifest-file paths (no driver-side manifest scan); directories
-    with fewer manifest files than cluster CPUs fall back to per-stripe
-    manifest ROWS (each file lists several stripes) so every CPU still
-    gets work — the driver read of a handful of tiny files is free."""
-    import ray
-
+    """Dataset of decode work units. Big directories fan out manifest-file
+    paths (no driver-side manifest scan); directories with fewer manifest
+    files than cluster CPUs fall back to per-stripe manifest ROWS (each
+    file lists several stripes) so every CPU still gets work — the driver
+    read of a handful of tiny files is free."""
     items = manifest_file_items(out_dir)
-    if len(items) >= ray.cluster_resources().get("CPU", 1):
-        return _one_block_each(items)
+    if len(items) >= cluster_cpus():
+        return work_units(items)
     man = mf.read_manifest(out_dir).select(["blob_path", "meta_json"])
-    return _one_block_each(man.to_pylist())
+    return work_units(man.to_pylist())
 
 
 def decode_dataset(
@@ -153,7 +146,7 @@ def decode_dataset_filtered(
         ft = t.filter(mask)
         return ft.select(columns) if columns is not None else ft
 
-    return _one_block_each(
+    return work_units(
         pruned.select(["blob_path", "meta_json"]).to_pylist()).map_batches(
         decode_stripes,
         fn_kwargs={"out_dir": out_dir, "columns": want,
@@ -238,7 +231,7 @@ def point_lookup(
     want = None
     if columns is not None:
         want = list(dict.fromkeys(list(columns) + [column]))
-    return _one_block_each(man.to_pylist()).map_batches(
+    return work_units(man.to_pylist()).map_batches(
         lookup_stripes,
         fn_kwargs={"out_dir": out_dir, "column": column, "values": values,
                    "hashes": hashes, "columns": want},
@@ -329,7 +322,7 @@ def read_rows(
     picked = plan_row_ranges(man, row_start, row_count)
     if not picked:
         return None
-    return _one_block_each(picked).map_batches(
+    return work_units(picked).map_batches(
         decode_row_ranges,
         fn_kwargs={"out_dir": out_dir, "columns": columns},
         batch_size=None,

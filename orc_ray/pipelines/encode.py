@@ -4,15 +4,15 @@ Two paths share the stripe encoder core (stripe.py):
 
 1. ``encode_job`` — the flagship checkpointable path. A deterministic
    size-aware plan (sources/planner.py, reads only ``n_tok``) yields
-   partition specs; ``ray.data.from_items(specs)`` fans them out, one
-   block per spec, to task-compute ``map_batches``. Codec-selector state
-   (SURVEY.md §2.3 T4) lives in a per-process slot keyed by a job id, so
-   it carries across one job's tasks on a worker and never into the next
-   job. Each task reads its row range (only overlapping row groups), cuts
-   stripes by token budget, writes blobs then commits a per-partition
-   manifest atomically. Resume skips partitions whose manifest exists;
-   retried tasks are idempotent (deterministic partition ids + atomic
-   rename).
+   partition specs; ``work_units(specs)`` fans them out to task-compute
+   ``map_batches`` (one block per spec, up to 8 blocks per CPU).
+   Codec-selector state (SURVEY.md §2.3 T4) lives in a per-process slot
+   keyed by a job id, so it carries across one job's tasks on a worker
+   and never into the next job. Each task reads its row range (only
+   overlapping row groups), cuts stripes by token budget, writes blobs
+   then commits a per-partition manifest atomically. Resume skips
+   partitions whose manifest exists; retried tasks are idempotent
+   (deterministic partition ids + atomic rename).
 
 2. ``encode_dataset_streaming`` — pure streaming over any token Dataset
    (``ds.map_batches(encode_stream_batch)``): stripes are cut inside each
@@ -42,17 +42,34 @@ from ..state import storage
 from ..stripe import encode_table
 
 
+def cluster_cpus() -> int:
+    """CPUs in the Ray cluster; 8 when Ray is not initialized yet (the
+    first Dataset a stage builds starts it)."""
+    import ray
+
+    try:
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        return 8
+
+
+def work_units(items: list[dict]):
+    """``from_items`` Dataset of a stage's work units: one block, so one
+    task, per unit, up to 8 blocks per cluster CPU; past that a block
+    carries several units. Launching a task costs a few ms, so one task
+    per unit would make a many-unit job on a small cluster mostly launch
+    overhead; 8 per CPU still keeps the tail short."""
+    import ray.data
+
+    blocks = max(1, min(len(items), 8 * cluster_cpus()))
+    return ray.data.from_items(items, override_num_blocks=blocks)
+
+
 def _default_concurrency() -> int:
     """Actor-pool size with headroom: reserving every CPU for the pool
     starves upstream task operators (e.g. ReadParquet) and deadlocks the
     streaming executor — always leave >=2 CPUs free."""
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(1, min(cpus - 2, 32))
+    return max(1, min(cluster_cpus() - 2, 32))
 
 
 # (job id, selector) of the job this process last encoded for
@@ -61,7 +78,13 @@ _SELECTOR: tuple[str, SelectorState] | None = None
 
 def job_selector(job: str, config: EncoderConfig) -> SelectorState:
     """The selector state of ``job`` in this process: one job's tasks on a
-    worker share it, and the first task of another job starts afresh."""
+    worker share it, and the first task of another job starts afresh.
+
+    There is one slot, so only one job per worker keeps its warm start.
+    When two jobs interleave tasks on a worker (two lazy streaming encodes
+    in one pipeline, or a compaction beside an encode), each switch starts
+    a fresh selector: the bytes still decode, but codec choices and sizes
+    then depend on how the tasks were scheduled."""
     global _SELECTOR
     if _SELECTOR is None or _SELECTOR[0] != job:
         _SELECTOR = (job, SelectorState(config))
@@ -199,7 +222,7 @@ def encode_job(
     existing ones is safe; any other input change fails loudly).
     resume=False rebuilds: committed manifests are removed first so the
     whole plan re-encodes (blobs are overwritten atomically by name)."""
-    import ray.data
+    import ray
 
     config = config or EncoderConfig()
     mf.ensure_dirs(out_dir)
@@ -238,10 +261,9 @@ def encode_job(
     todo = [s.to_dict() for s in specs if s.pid not in done]
     result = {"planned_partitions": len(specs), "skipped": len(specs) - len(todo)}
     if todo:
-        # one block per spec: each task encodes one partition, so the
-        # per-partition manifest commit keeps resume granularity
-        ds = ray.data.from_items(todo, override_num_blocks=len(todo))
-        man = ds.map_batches(
+        # a task may encode several specs; each partition still commits
+        # its own manifest, so resume granularity stays one partition
+        man = work_units(todo).map_batches(
             encode_partitions,
             fn_kwargs={"out_dir": out_dir, "config": config,
                        "job": uuid.uuid4().hex},

@@ -230,7 +230,7 @@ def decode_checksum(batch: pa.Table, out_dir: str) -> pa.Table:
 def checksum_encoded(out_dir: str) -> dict:
     """Streaming checksum of an encoded directory (decode fused in).
 
-    The work units are per-partition manifest FILES, one block each:
+    The work units are per-partition manifest FILES (decode.manifest_feed):
     reading thousands of sub-megabyte manifests through
     ``ray.data.read_parquet`` cost seconds of fan-out AND fixed the task
     granularity at one coarse block per read task (ragged multi-round
@@ -329,12 +329,13 @@ def fsck_encoded(out_dir: str, max_bad: int = 100) -> dict:
     "bad_rows"}`` where ``bad_rows`` holds up to ``max_bad`` offending
     (partition, stripe, path, status, detail) rows — metadata-sized, so a
     100k-stripe lake returns a summary, not a blob list."""
-    from .decode import _one_block_each, manifest_file_items
+    from .decode import manifest_file_items
+    from .encode import work_units
 
     items = manifest_file_items(out_dir)
     if not items:
         return {"blobs": 0, "ok": 0, "no_crc": 0, "bad": 0, "bad_rows": []}
-    checked = _one_block_each(items).map_batches(
+    checked = work_units(items).map_batches(
         fsck_shards,
         fn_kwargs={"out_dir": out_dir},
         batch_size=None,

@@ -413,3 +413,50 @@ def test_selector_state_does_not_leak_across_jobs(tmp_path):
     assert token_codecs(man_f) == ["planar"] * 3
     assert token_codecs(man_b) == token_codecs(man_f)
     assert digests(out_b, man_b) == digests(out_f, man_f)
+
+
+def test_decode_starts_ray_when_not_initialized(tmp_path):
+    """decode_dataset and checksum_encoded work as the first Ray call in a
+    process: choosing the decode feed must not need a running cluster."""
+    import subprocess
+    import sys
+
+    from orc_ray.pipelines.encode import _encode_stripes
+    from orc_ray.selector import SelectorState
+
+    out = str(tmp_path / "enc")
+    cfg = EncoderConfig(stripe_target_tokens=5_000)
+    table = synthesize_tokens(300, seed=9)
+    mf.ensure_dirs(out)
+    mf.commit_partition(out, 0, _encode_stripes(table, 0, out, cfg,
+                                                SelectorState(cfg), {}))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys, ray\n"
+        "from orc_ray.pipelines.decode import decode_dataset\n"
+        "from orc_ray.pipelines.verify import checksum_encoded\n"
+        "assert not ray.is_initialized()\n"
+        "n = decode_dataset(sys.argv[1]).count()\n"
+        "print(n, checksum_encoded(sys.argv[1])['count'])\n"
+        "ray.shutdown()\n"
+    )
+    env = dict(os.environ, RAY_ADDRESS="local", PYTHONPATH=os.pathsep.join(
+        [root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                  if p]))
+    res = subprocess.run([sys.executable, "-c", code, out], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[-2:] == [str(table.num_rows)] * 2
+
+
+def test_work_units_block_per_unit_up_to_cap(ray_session):
+    """Each work unit gets its own block (one task) until the cap of 8
+    blocks per cluster CPU; past it blocks carry several units."""
+    from orc_ray.pipelines.encode import cluster_cpus, work_units
+
+    cap = 8 * cluster_cpus()
+    items = [{"i": i} for i in range(cap + 50)]
+    assert work_units(items[:5]).num_blocks() == 5
+    ds = work_units(items)
+    assert ds.num_blocks() == cap
+    assert sorted(r["i"] for r in ds.take_all()) == list(range(cap + 50))
