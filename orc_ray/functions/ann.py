@@ -1,10 +1,11 @@
 """Similarity search over an embedding column (list<float>).
 
-- ``brute_force_topk``: exact top-k cosine. The query matrix is broadcast
-  once (``ray.put`` -> captured ref read in every task), each batch does one
-  float64 matmul and emits its local top-k; the driver merges partial
-  top-ks (k x queries rows — metadata-sized). This is the baseline and the
-  oracle-checkable path.
+- ``brute_force_topk``: exact top-k cosine. The query matrix rides the
+  stage's ``fn_kwargs`` (Ray Data stores a stage's function and arguments
+  in the object store once per operator; numpy arrays come back zero-copy
+  in each task), each batch does one float64 matmul and emits its local
+  top-k; the driver merges partial top-ks (k x queries rows —
+  metadata-sized). This is the baseline and the oracle-checkable path.
 - ``ivf_topk``: scale path — a kmeans-lite coarse quantizer trained on a
   sample (stateful setup, once), vectors bucketed by nearest centroid, and
   queries probe only ``nprobe`` buckets. Approximate -> rows-only check.
@@ -39,32 +40,23 @@ def _unit(m: np.ndarray) -> np.ndarray:
     return m / n[:, None]
 
 
-class PartialTopK:
-    """map_batches stage: queries captured once per actor (broadcast),
-    emits the batch-local top-k per query."""
+def _topk_rows(q_ids, cand_ids, sims) -> pa.Table:
+    return pa.table({
+        "query_id": pa.array(q_ids, type=pa.int64()),
+        "vec_id": pa.array(cand_ids, type=pa.int64()),
+        "cosine": pa.array(sims, type=pa.float64()),
+    })
 
-    def __init__(self, queries_ref, k: int):
-        import ray
 
-        q = ray.get(queries_ref) if not isinstance(queries_ref, tuple) else queries_ref
-        self.q_ids, self.q_unit = q
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        emb, ids = _emb_matrix(batch)
-        sims = self.q_unit @ _unit(emb).T  # (nq, batch)
-        k = min(self.k, sims.shape[1])
-        part = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-        rows_q, rows_n, rows_s = [], [], []
-        for qi in range(sims.shape[0]):
-            rows_q.extend([int(self.q_ids[qi])] * k)
-            rows_n.extend(ids[part[qi]].tolist())
-            rows_s.extend(sims[qi, part[qi]].tolist())
-        return pa.table({
-            "query_id": pa.array(rows_q, type=pa.int64()),
-            "vec_id": pa.array(rows_n, type=pa.int64()),
-            "cosine": pa.array(rows_s, type=pa.float64()),
-        })
+def partial_topk(batch: pa.Table, q_ids: np.ndarray, q_unit: np.ndarray,
+                 k: int) -> pa.Table:
+    """map_batches task: the batch-local top-k of every query."""
+    emb, ids = _emb_matrix(batch)
+    sims = q_unit @ _unit(emb).T  # (nq, batch)
+    k = min(k, sims.shape[1])
+    part = np.argpartition(-sims, k - 1, axis=1)[:, :k]
+    return _topk_rows(np.repeat(q_ids, k), ids[part].ravel(),
+                      np.take_along_axis(sims, part, axis=1).ravel())
 
 
 def train_sample(ds, id_col: str = "vec_id", target: int = 4096) -> pa.Table:
@@ -88,43 +80,41 @@ def train_sample(ds, id_col: str = "vec_id", target: int = 4096) -> pa.Table:
     return pa.Table.from_pylist(rows)
 
 
-def brute_force_topk(ds, query_table: pa.Table, k: int = 10) -> pa.Table:
-    """Exact top-k (excluding self-matches) as (query_id, vec_id, rank,
-    cosine_x1e4)."""
-    import ray
-
-    from ..pipelines.encode import _default_concurrency
-
-    q_emb, q_ids = _emb_matrix(query_table)
-    queries_ref = ray.put((q_ids, _unit(q_emb)))
-    parts = ds.map_batches(
-        PartialTopK,
-        fn_constructor_kwargs={"queries_ref": queries_ref, "k": k + 1},
-        batch_format="pyarrow",
-        concurrency=min(4, _default_concurrency()),
-        num_cpus=1,
-    ).take_all()
-    if not parts:
-        return pa.table({"query_id": [], "vec_id": [], "rank": [], "cosine_x1e4": []})
-    t = pa.Table.from_pylist(parts)
-    qs = t.column("query_id").to_numpy(zero_copy_only=False)
-    vs = t.column("vec_id").to_numpy(zero_copy_only=False)
-    cs = t.column("cosine").to_numpy(zero_copy_only=False)
+def _merge_topk(parts: list[dict], k: int) -> pa.Table:
+    """Driver merge of the partial top-ks (k x queries rows per task):
+    drop self matches, order by (cosine desc, vec_id), keep k."""
     rows = []
-    for q in np.unique(qs):
-        m = (qs == q) & (vs != q)  # exclude self
-        order = np.lexsort((vs[m], -cs[m]))[:k]
-        for rank, idx in enumerate(order, 1):
-            rows.append({
-                "query_id": int(q),
-                "vec_id": int(vs[m][idx]),
-                "rank": rank,
-                "cosine_x1e4": _round_half_away(cs[m][idx] * 1e4),
-            })
+    if parts:
+        t = pa.Table.from_pylist(parts)
+        qs = t.column("query_id").to_numpy(zero_copy_only=False)
+        vs = t.column("vec_id").to_numpy(zero_copy_only=False)
+        cs = t.column("cosine").to_numpy(zero_copy_only=False)
+        for q in np.unique(qs):
+            m = (qs == q) & (vs != q)
+            order = np.lexsort((vs[m], -cs[m]))[:k]
+            for rank, idx in enumerate(order, 1):
+                rows.append({
+                    "query_id": int(q),
+                    "vec_id": int(vs[m][idx]),
+                    "rank": rank,
+                    "cosine_x1e4": _round_half_away(cs[m][idx] * 1e4),
+                })
     return pa.Table.from_pylist(rows, schema=pa.schema([
         ("query_id", pa.int64()), ("vec_id", pa.int64()),
         ("rank", pa.int64()), ("cosine_x1e4", pa.int64()),
     ]))
+
+
+def brute_force_topk(ds, query_table: pa.Table, k: int = 10) -> pa.Table:
+    """Exact top-k (excluding self-matches) as (query_id, vec_id, rank,
+    cosine_x1e4)."""
+    q_emb, q_ids = _emb_matrix(query_table)
+    parts = ds.map_batches(
+        partial_topk,
+        fn_kwargs={"q_ids": q_ids, "q_unit": _unit(q_emb), "k": k + 1},
+        batch_format="pyarrow",
+    ).take_all()
+    return _merge_topk(parts, k)
 
 
 # --- IVF (approximate, scale path) ----------------------------------------
@@ -160,54 +150,39 @@ class IVFIndex:
         return np.argmax(_unit(emb) @ self.centroids.T, axis=1)
 
 
-class IVFPartialTopK:
-    """Actor stage for the distributed IVF search: centroids + per-query
-    probe sets broadcast once (__init__), every batch assigns its vectors
-    to buckets and scores ONLY the rows inside each query's probed buckets —
-    the data-skipping that makes IVF the scale path."""
-
-    def __init__(self, state_ref, k: int):
-        import ray
-
-        self.q_ids, self.q_unit, self.centroids, self.probe = ray.get(state_ref)
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        emb, ids = _emb_matrix(batch)
-        unit = _unit(emb)
-        assign = np.argmax(unit @ self.centroids.T, axis=1)
-        rows_q, rows_n, rows_s = [], [], []
-        for qi in range(len(self.q_ids)):
-            m = np.isin(assign, self.probe[qi])
-            if not m.any():
-                continue
-            cand_ids = ids[m]
-            sims = self.q_unit[qi] @ unit[m].T
-            kk = min(self.k, len(cand_ids))
-            part = np.argpartition(-sims, kk - 1)[:kk] if len(sims) > kk else \
-                np.arange(len(sims))
-            rows_q.extend([int(self.q_ids[qi])] * len(part))
-            rows_n.extend(cand_ids[part].tolist())
-            rows_s.extend(sims[part].tolist())
-        return pa.table({
-            "query_id": pa.array(rows_q, type=pa.int64()),
-            "vec_id": pa.array(rows_n, type=pa.int64()),
-            "cosine": pa.array(rows_s, type=pa.float64()),
-        })
+def ivf_partial_topk(batch: pa.Table, q_ids: np.ndarray,
+                     q_unit: np.ndarray, centroids: np.ndarray,
+                     probe: np.ndarray, k: int) -> pa.Table:
+    """map_batches task of the distributed IVF search: assign the batch's
+    vectors to buckets and score ONLY the rows inside each query's probed
+    buckets — the data-skipping that makes IVF the scale path."""
+    emb, ids = _emb_matrix(batch)
+    unit = _unit(emb)
+    assign = np.argmax(unit @ centroids.T, axis=1)
+    rows_q, rows_n, rows_s = [], [], []
+    for qi in range(len(q_ids)):
+        m = np.isin(assign, probe[qi])
+        if not m.any():
+            continue
+        cand_ids = ids[m]
+        sims = q_unit[qi] @ unit[m].T
+        kk = min(k, len(cand_ids))
+        part = np.argpartition(-sims, kk - 1)[:kk] if len(sims) > kk else \
+            np.arange(len(sims))
+        rows_q.extend([int(q_ids[qi])] * len(part))
+        rows_n.extend(cand_ids[part].tolist())
+        rows_s.extend(sims[part].tolist())
+    return _topk_rows(rows_q, rows_n, rows_s)
 
 
 def ivf_topk(ds, query_table: pa.Table, k: int = 10, ncentroids: int = 16,
              nprobe: int = 4) -> pa.Table:
     """Approximate top-k, distributed: a kmeans-lite coarse quantizer is
-    trained on a sample (driver, tiny), centroids + probe sets broadcast
-    via ray.put, and every batch scores only the rows falling in probed
-    buckets (IVFPartialTopK map_batches); partial top-ks merge on the
-    driver (k x queries rows — metadata-sized). The full embedding table is
-    never materialized."""
-    import ray
-
-    from ..pipelines.encode import _default_concurrency
-
+    trained on a sample (driver, tiny), centroids + probe sets ride the
+    stage's arguments (stored once per Dataset operator), and every batch
+    scores only the rows falling in probed buckets (ivf_partial_topk);
+    partial top-ks merge on the driver (k x queries rows — metadata-sized).
+    The full embedding table is never materialized."""
     sample = train_sample(ds)
     s_emb, _ = _emb_matrix(sample)
     index = IVFIndex(ncentroids=ncentroids)
@@ -216,33 +191,10 @@ def ivf_topk(ds, query_table: pa.Table, k: int = 10, ncentroids: int = 16,
     q_emb, q_ids = _emb_matrix(query_table)
     q_unit = _unit(q_emb)
     probe = np.argsort(-(q_unit @ index.centroids.T), axis=1)[:, :nprobe]
-    state_ref = ray.put((q_ids, q_unit, index.centroids, probe))
-
     parts = ds.map_batches(
-        IVFPartialTopK,
-        fn_constructor_kwargs={"state_ref": state_ref, "k": k + 1},
+        ivf_partial_topk,
+        fn_kwargs={"q_ids": q_ids, "q_unit": q_unit,
+                   "centroids": index.centroids, "probe": probe, "k": k + 1},
         batch_format="pyarrow",
-        concurrency=min(4, _default_concurrency()),
-        num_cpus=1,
     ).take_all()
-
-    rows = []
-    if parts:
-        t = pa.Table.from_pylist(parts)
-        qs = t.column("query_id").to_numpy(zero_copy_only=False)
-        vs = t.column("vec_id").to_numpy(zero_copy_only=False)
-        cs = t.column("cosine").to_numpy(zero_copy_only=False)
-        for q in np.unique(qs):
-            m = (qs == q) & (vs != q)
-            order = np.lexsort((vs[m], -cs[m]))[:k]
-            for rank, idx in enumerate(order, 1):
-                rows.append({
-                    "query_id": int(q),
-                    "vec_id": int(vs[m][idx]),
-                    "rank": rank,
-                    "cosine_x1e4": _round_half_away(cs[m][idx] * 1e4),
-                })
-    return pa.Table.from_pylist(rows, schema=pa.schema([
-        ("query_id", pa.int64()), ("vec_id", pa.int64()),
-        ("rank", pa.int64()), ("cosine_x1e4", pa.int64()),
-    ]))
+    return _merge_topk(parts, k)

@@ -36,6 +36,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..pipelines.encode import cluster_cpus, work_units
 from .texthash import (
     mix64,
     popcount64,
@@ -313,51 +314,35 @@ def verify_pairs_batch(batch: pa.Table, threshold: float = 0.8) -> pa.Table:
     return _pairs_table(da[keep], db[keep], jac[keep])
 
 
-class _VerifyWithStore:
-    """map_batches stage: the candidates-only sketch store (sorted doc ids
-    + one ragged flat/offset array pair) is broadcast once (ray.put ->
-    read per actor in __init__); pairs verify fully vectorized via
+def _verify_with_store(batch: pa.Table, ids: np.ndarray, off: np.ndarray,
+                       flat: np.ndarray, threshold: float) -> pa.Table:
+    """map_batches task: verify candidate pairs against the candidates-only
+    sketch store (sorted doc ids + one ragged flat/offset array pair) —
     searchsorted + segment gather + the batched intersection kernel."""
-
-    def __init__(self, store_ref, threshold: float):
-        import ray
-
-        self.ids, self.off, self.flat = ray.get(store_ref)
-        self.thr_x1000 = int(round(threshold * 1000))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _pairs_table([], [], [])
-        da = batch.column("doc_a").to_numpy(zero_copy_only=False)
-        db = batch.column("doc_b").to_numpy(zero_copy_only=False)
-        ia = np.searchsorted(self.ids, da)
-        ib = np.searchsorted(self.ids, db)
-        sv_a, off_a = _gather_segments(self.flat, self.off, ia)
-        sv_b, off_b = _gather_segments(self.flat, self.off, ib)
-        inter, union, jac = _pair_intersections(sv_a, off_a, sv_b, off_b)
-        keep = (union > 0) & (inter * 1000 >= self.thr_x1000 * union)
-        return _pairs_table(da[keep], db[keep], jac[keep])
+    if batch.num_rows == 0:
+        return _pairs_table([], [], [])
+    thr_x1000 = int(round(threshold * 1000))
+    da = batch.column("doc_a").to_numpy(zero_copy_only=False)
+    db = batch.column("doc_b").to_numpy(zero_copy_only=False)
+    sv_a, off_a = _gather_segments(flat, off, np.searchsorted(ids, da))
+    sv_b, off_b = _gather_segments(flat, off, np.searchsorted(ids, db))
+    inter, union, jac = _pair_intersections(sv_a, off_a, sv_b, off_b)
+    keep = (union > 0) & (inter * 1000 >= thr_x1000 * union)
+    return _pairs_table(da[keep], db[keep], jac[keep])
 
 
-class _SketchCandidates:
-    """Filter a documents batch down to the candidate ids (broadcast once)
-    and sketch JUST those docs — the candidate set is metadata-sized, so
-    this recompute is far cheaper than materializing a full-corpus sketch
-    table just to look up a handful of rows."""
-
-    def __init__(self, ids_ref):
-        import ray
-
-        self.wanted = ray.get(ids_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        mask = np.isin(ids, self.wanted)
-        if not mask.any():
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "shingles": pa.array([], pa.binary())})
-        return shingle_sketch_batch(batch.filter(pa.array(mask)))
+def _sketch_candidates(batch: pa.Table, wanted: np.ndarray) -> pa.Table:
+    """Filter a documents batch down to the candidate ids and sketch JUST
+    those docs — the candidate set is metadata-sized, so this recompute is
+    far cheaper than materializing a full-corpus sketch table just to look
+    up a handful of rows."""
+    ids = batch.column("doc_id").cast(pa.int64()).to_numpy(
+        zero_copy_only=False)
+    mask = np.isin(ids, wanted)
+    if not mask.any():
+        return pa.table({"doc_id": pa.array([], pa.int64()),
+                         "shingles": pa.array([], pa.binary())})
+    return shingle_sketch_batch(batch.filter(pa.array(mask)))
 
 
 def _with_pair_part(b: pa.Table, col_a: str = "doc_a",
@@ -389,12 +374,11 @@ def minhash_dedup_pairs(ds, threshold: float = 0.8,
     documents (no full-corpus sketch table, no materialize barrier); the
     candidate pair set (metadata-sized: O(near-dup docs)) is deduped on
     the driver, the candidates' sketches are recomputed for just those
-    docs and broadcast once via ray.put, and verification is a plain
-    vectorized map_batches. verify="join": two Ray Data hash joins
-    against the full sketch table instead — no broadcast at all; use when
+    docs and broadcast once (the verify stage's ``fn_kwargs``), and
+    verification is a plain vectorized map_batches. verify="join": two
+    Ray Data hash joins against the full sketch table instead — no broadcast at all; use when
     the dup rate is so extreme the candidate store itself would be
     large."""
-    import ray
     import ray.data as rd
 
     if verify == "join":
@@ -402,8 +386,7 @@ def minhash_dedup_pairs(ds, threshold: float = 0.8,
             # each hash-join partition pins an aggregator actor; two joins
             # run in the same streaming pipeline, so stay well under the
             # CPU count
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            num_partitions = max(2, min(16, cpus // 4))
+            num_partitions = max(2, min(16, cluster_cpus() // 4))
         # sketches are consumed by bands AND both joins: compute once,
         # keep in the (spillable) object store
         sketches = ds.map_batches(shingle_sketch_batch,
@@ -462,11 +445,9 @@ def minhash_dedup_pairs(ds, threshold: float = 0.8,
     pairs = np.unique(np.stack([
         ct.column("doc_a").to_numpy(zero_copy_only=False),
         ct.column("doc_b").to_numpy(zero_copy_only=False)], axis=1), axis=0)
-    wanted = np.unique(pairs)
-    ids_ref = ray.put(wanted)
-    matched = ds.map_batches(
-        _SketchCandidates, fn_constructor_kwargs={"ids_ref": ids_ref},
-        batch_format="pyarrow", concurrency=2, num_cpus=1)
+    matched = ds.map_batches(_sketch_candidates,
+                             fn_kwargs={"wanted": np.unique(pairs)},
+                             batch_format="pyarrow")
     # broadcast store: sorted ids + one ragged (flat, offsets) array pair
     id_chunks, flat_chunks, len_chunks = [], [], []
     for b in matched.iter_batches(batch_format="pyarrow", batch_size=None):
@@ -482,17 +463,17 @@ def minhash_dedup_pairs(ds, threshold: float = 0.8,
     np.cumsum(lens, out=off[1:])
     order = np.argsort(ids)
     flat_s, off_s = _gather_segments(np.concatenate(flat_chunks), off, order)
-    store_ref = ray.put((ids[order], off_s, flat_s))
     cand_ds = rd.from_arrow(pa.table({
         "doc_a": pa.array(pairs[:, 0], type=pa.int64()),
         "doc_b": pa.array(pairs[:, 1], type=pa.int64())}))
-    # from_arrow yields ONE block; split it so the pool gets >= 1 task per
-    # actor (pairs are metadata-sized, the repartition is trivial)
+    # from_arrow yields ONE block; split it so verify runs as several
+    # tasks (pairs are metadata-sized, the repartition is trivial)
     n_blocks = max(2, min(8, (len(pairs) + 511) // 512))
     return cand_ds.repartition(n_blocks).map_batches(
-        _VerifyWithStore,
-        fn_constructor_kwargs={"store_ref": store_ref, "threshold": threshold},
-        batch_format="pyarrow", concurrency=2, num_cpus=1)
+        _verify_with_store,
+        fn_kwargs={"ids": ids[order], "off": off_s, "flat": flat_s,
+                   "threshold": threshold},
+        batch_format="pyarrow")
 
 
 def exact_jaccard(a: np.ndarray, b: np.ndarray) -> float:
@@ -542,33 +523,25 @@ def _component_reps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return ids, reps[roots]
 
 
-class _AttachRep:
-    """Actor-pool stage: broadcast (member ids, reps) once per actor, then
-    map each doc_id batch to its cluster representative (itself when it is
-    in no near-dup pair)."""
-
-    def __init__(self, store_ref):
-        import ray
-
-        self.ids, self.reps = ray.get(store_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch.column("doc_id")
-        if col.null_count:
-            # a null would come back as float64 NaN and silently astype to
-            # a garbage id — fail loudly instead
-            raise ValueError("dedup_cluster_reps: doc_id column contains nulls")
-        d = col.to_numpy(zero_copy_only=False).astype(np.int64)
-        rep = d.copy()
-        if len(self.ids):
-            pos = np.searchsorted(self.ids, d)
-            pos = np.minimum(pos, len(self.ids) - 1)
-            hit = self.ids[pos] == d
-            rep[hit] = self.reps[pos[hit]]
-        return pa.table({
-            "doc_id": pa.array(d, type=pa.int64()),
-            "rep_doc_id": pa.array(rep, type=pa.int64()),
-        })
+def _attach_rep(batch: pa.Table, ids: np.ndarray,
+                reps: np.ndarray) -> pa.Table:
+    """map_batches task: map each doc_id to its cluster representative
+    (itself when it is in no near-dup pair)."""
+    col = batch.column("doc_id")
+    if col.null_count:
+        # a null would come back as float64 NaN and silently astype to
+        # a garbage id — fail loudly instead
+        raise ValueError("dedup_cluster_reps: doc_id column contains nulls")
+    d = col.to_numpy(zero_copy_only=False).astype(np.int64)
+    rep = d.copy()
+    if len(ids):
+        pos = np.minimum(np.searchsorted(ids, d), len(ids) - 1)
+        hit = ids[pos] == d
+        rep[hit] = reps[pos[hit]]
+    return pa.table({
+        "doc_id": pa.array(d, type=pa.int64()),
+        "rep_doc_id": pa.array(rep, type=pa.int64()),
+    })
 
 
 def component_labels_ds(pairs_ds, num_partitions: int | None = None,
@@ -586,12 +559,10 @@ def component_labels_ds(pairs_ds, num_partitions: int | None = None,
     This is the open-ended-scale path for ``dedup_cluster_reps``: a
     pathologically dup-heavy corpus makes the pair set proportional to
     the corpus, where a driver-side union-find would OOM."""
-    import ray
     from ray.data.aggregate import Min, Sum
 
     if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = max(2, min(16, cpus // 4))
+        num_partitions = max(2, min(16, cluster_cpus() // 4))
 
     def symmetrize(b: pa.Table) -> pa.Table:
         a = b.column("doc_a").cast(pa.int64())
@@ -644,7 +615,7 @@ def component_labels_ds(pairs_ds, num_partitions: int | None = None,
 DRIVER_CLOSURE_MAX_PAIRS = 2_000_000
 
 
-def dedup_cluster_reps(docs_ds, pairs_ds, concurrency: int = 2,
+def dedup_cluster_reps(docs_ds, pairs_ds,
                        max_driver_pairs: int = DRIVER_CLOSURE_MAX_PAIRS):
     """Keep-one-representative near-dup dedup: transitive closure over a
     near-dup pair Dataset (e.g. minhash_dedup_pairs), assigning every doc
@@ -655,13 +626,10 @@ def dedup_cluster_reps(docs_ds, pairs_ds, concurrency: int = 2,
 
     Scale shape: the pair graph is metadata-sized (near-dup docs only), so
     closure runs driver-side in one union-find pass and the (ids, reps)
-    arrays are broadcast once via ``ray.put``; the corpus streams through an
-    actor-pool lookup stage and never materializes.
+    arrays ride the lookup stage's ``fn_kwargs``; the corpus streams
+    through that stage as Ray tasks and never materializes.
     """
     import logging
-
-    import ray
-    import ray.data as rd  # noqa: F401  (docs_ds is already a Dataset)
 
     pairs = pairs_ds.select_columns(["doc_a", "doc_b"]).materialize()
     n_pairs = pairs.count()
@@ -672,10 +640,9 @@ def dedup_cluster_reps(docs_ds, pairs_ds, concurrency: int = 2,
             "dedup_cluster_reps: %d pairs > %d, using distributed "
             "connected components", n_pairs, max_driver_pairs)
         labels = component_labels_ds(pairs)
-        cpus = int(ray.cluster_resources().get("CPU", 8))
         joined = docs_ds.select_columns(["doc_id"]).join(
             labels, "left_outer",
-            num_partitions=max(2, min(16, cpus // 4)),
+            num_partitions=max(2, min(16, cluster_cpus() // 4)),
             on=("doc_id",), right_on=("node",))
 
         def finish(b: pa.Table) -> pa.Table:
@@ -696,10 +663,9 @@ def dedup_cluster_reps(docs_ds, pairs_ds, concurrency: int = 2,
         a = b = np.empty(0, dtype=np.int64)
     ids, reps = _component_reps(a, b) if len(a) else (
         np.empty(0, np.int64), np.empty(0, np.int64))
-    store_ref = ray.put((ids, reps))
     return docs_ds.select_columns(["doc_id"]).map_batches(
-        _AttachRep, fn_constructor_kwargs={"store_ref": store_ref},
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=1)
+        _attach_rep, fn_kwargs={"ids": ids, "reps": reps},
+        batch_format="pyarrow")
 
 
 # --- simhash ---------------------------------------------------------------
@@ -880,120 +846,101 @@ def _unit_matrix(table: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     return emb / norms[:, None], ids
 
 
-class BlockPairScorer:
-    """Actor stage for the distributed exact all-pairs: each task scores
-    one (block_i x block_j) tile of the similarity matrix. Blocks are
-    fetched from the object store and unit-normalized once per actor
-    (cached), so an actor handling several tiles reuses them."""
+def _score_tiles(batch: pa.Table, refs: list, threshold: float) -> pa.Table:
+    """map_batches task of the distributed exact all-pairs: score each
+    (block_i x block_j) tile of the similarity matrix in the batch. Blocks
+    are fetched from the object store and unit-normalized once per call,
+    so a task holding several tiles of one block reuses it."""
+    import ray
 
-    def __init__(self, refs, threshold: float):
-        self.refs = refs
-        self.threshold = threshold
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _block(self, i: int):
-        if i not in self._cache:
-            import ray
+    def block(i: int):
+        if i not in blocks:
+            if len(blocks) > 6:  # bound task memory
+                blocks.pop(next(iter(blocks)))
+            blocks[i] = _unit_matrix(ray.get(refs[i]))
+        return blocks[i]
 
-            if len(self._cache) > 6:  # bound actor memory
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[i] = _unit_matrix(ray.get(self.refs[i]))
-        return self._cache[i]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        aa, bb = [], []
-        for bi, bj in zip(batch.column("bi").to_pylist(),
-                          batch.column("bj").to_pylist()):
-            ui, ii = self._block(bi)
-            uj, jj = self._block(bj)
-            if len(ii) == 0 or len(jj) == 0:
-                continue
-            sims = ui @ uj.T
-            li, rj = np.nonzero(sims >= self.threshold)
-            a = ii[li]
-            b = jj[rj]
-            if bi == bj:
-                # both orders present in the square tile: keep one
-                keep = a < b
-                aa.append(a[keep])
-                bb.append(b[keep])
-            else:
-                # a cross tile sees each unordered pair exactly once;
-                # normalize (ids need not be ascending in block order)
-                lo_ = np.minimum(a, b)
-                hi_ = np.maximum(a, b)
-                keep = lo_ != hi_
-                aa.append(lo_[keep])
-                bb.append(hi_[keep])
-        if not aa:
-            return pa.table({"vec_a": pa.array([], type=pa.int64()),
-                             "vec_b": pa.array([], type=pa.int64())})
-        # pair membership only: float similarity values are not emitted
-        # because SQL engines accumulate float32 cosines in a different
-        # order (not bit-stable across engines)
-        return pa.table({"vec_a": pa.array(np.concatenate(aa), type=pa.int64()),
-                         "vec_b": pa.array(np.concatenate(bb), type=pa.int64())})
+    aa, bb = [], []
+    for bi, bj in zip(batch.column("bi").to_pylist(),
+                      batch.column("bj").to_pylist()):
+        ui, ii = block(bi)
+        uj, jj = block(bj)
+        if len(ii) == 0 or len(jj) == 0:
+            continue
+        sims = ui @ uj.T
+        li, rj = np.nonzero(sims >= threshold)
+        a = ii[li]
+        b = jj[rj]
+        if bi == bj:
+            # both orders present in the square tile: keep one
+            keep = a < b
+            aa.append(a[keep])
+            bb.append(b[keep])
+        else:
+            # a cross tile sees each unordered pair exactly once;
+            # normalize (ids need not be ascending in block order)
+            lo_ = np.minimum(a, b)
+            hi_ = np.maximum(a, b)
+            keep = lo_ != hi_
+            aa.append(lo_[keep])
+            bb.append(hi_[keep])
+    if not aa:
+        return pa.table({"vec_a": pa.array([], type=pa.int64()),
+                         "vec_b": pa.array([], type=pa.int64())})
+    # pair membership only: float similarity values are not emitted
+    # because SQL engines accumulate float32 cosines in a different
+    # order (not bit-stable across engines)
+    return pa.table({"vec_a": pa.array(np.concatenate(aa), type=pa.int64()),
+                     "vec_b": pa.array(np.concatenate(bb), type=pa.int64())})
 
 
-def embedding_near_pairs_ds(ds, threshold: float = 0.95, nblocks: int = 8,
-                            concurrency: int = 4):
+def embedding_near_pairs_ds(ds, threshold: float = 0.95, nblocks: int = 8):
     """Distributed EXACT cosine near-dup: repartition the embeddings into
     nblocks, materialize block refs in the object store, and score every
     (i<=j) block tile in parallel. O(n^2/nblocks) memory per task; the
     quadratic compute is inherent to the exact operator (the approximate
     scale path is embedding_near_pairs_ivf). Returns a sorted Dataset of
     (vec_a, vec_b)."""
-    import ray
-    import ray.data
-
     refs = ds.repartition(nblocks).to_arrow_refs()
     n = len(refs)
     tiles = [{"bi": i, "bj": j} for i in range(n) for j in range(i, n)]
-    return ray.data.from_items(tiles).map_batches(
-        BlockPairScorer,
-        fn_constructor_kwargs={"refs": refs, "threshold": threshold},
-        batch_format="pyarrow",
-        batch_size=max(1, len(tiles) // max(concurrency, 1)),
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    return work_units(tiles).map_batches(
+        _score_tiles, fn_kwargs={"refs": refs, "threshold": threshold},
+        batch_size=None, batch_format="pyarrow")
+
+
+def _assign_buckets(batch: pa.Table, centroids: np.ndarray,
+                    nassign: int) -> pa.Table:
+    """map_batches task: (bucket, vec_id, embedding) rows, one per vector
+    and each of its nassign nearest IVF centroids."""
+    unit, ids = _unit_matrix(batch)
+    top = np.argsort(-(unit @ centroids.T), axis=1)[:, :nassign]
+    n, a = top.shape
+    emb_col = batch.column("embedding")
+    if isinstance(emb_col, pa.ChunkedArray):
+        emb_col = emb_col.combine_chunks()
+    idx = np.repeat(np.arange(n), a)
+    return pa.table({
+        "bucket": pa.array(top.reshape(-1), type=pa.int64()),
+        "vec_id": pa.array(np.repeat(ids, a), type=pa.int64()),
+        "embedding": emb_col.take(pa.array(idx)),
+    })
 
 
 def embedding_near_pairs_ivf(ds, threshold: float = 0.95, ncentroids: int = 16,
-                             nassign: int = 2, concurrency: int = 4):
+                             nassign: int = 2):
     """Approximate scale path: assign every vector to its nassign nearest
-    IVF centroids (broadcast once), group by bucket, exact-verify within
-    buckets, distributed pair dedup. Near pairs co-locate with high
-    probability; recall is asserted in pytest (rows-only driver check)."""
-    import ray
-
+    IVF centroids, group by bucket, exact-verify within buckets,
+    distributed pair dedup. Near pairs co-locate with high probability;
+    recall is asserted in pytest (rows-only driver check)."""
     from .ann import IVFIndex, _emb_matrix, train_sample
 
     sample = train_sample(ds)
     s_emb, _ = _emb_matrix(sample)
     index = IVFIndex(ncentroids=ncentroids)
     index.train(s_emb)
-    cents_ref = ray.put(index.centroids)
-
-    class Assign:
-        def __init__(self, cents_ref, nassign):
-            self.cents = ray.get(cents_ref)
-            self.nassign = nassign
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            unit, ids = _unit_matrix(batch)
-            sims = unit @ self.cents.T
-            top = np.argsort(-sims, axis=1)[:, : self.nassign]
-            n, a = top.shape
-            emb_col = batch.column("embedding")
-            if isinstance(emb_col, pa.ChunkedArray):
-                emb_col = emb_col.combine_chunks()
-            idx = np.repeat(np.arange(n), a)
-            return pa.table({
-                "bucket": pa.array(top.reshape(-1), type=pa.int64()),
-                "vec_id": pa.array(np.repeat(ids, a), type=pa.int64()),
-                "embedding": emb_col.take(pa.array(idx)),
-            })
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
         unit, ids = _unit_matrix(group)
@@ -1007,9 +954,9 @@ def embedding_near_pairs_ivf(ds, threshold: float = 0.95, ncentroids: int = 16,
                          "vec_b": pa.array(key[:, 1], type=pa.int64())})
 
     assigned = ds.map_batches(
-        Assign, fn_constructor_kwargs={"cents_ref": cents_ref,
-                                       "nassign": nassign},
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=1)
+        _assign_buckets,
+        fn_kwargs={"centroids": index.centroids, "nassign": nassign},
+        batch_format="pyarrow")
 
     pairs = assigned.groupby("bucket").map_groups(
         bucket_pairs, batch_format="pyarrow")

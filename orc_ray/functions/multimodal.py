@@ -7,13 +7,13 @@ RIFF/PCM WAV audio via the dependency-free numpy codecs in
 ``DETERMINISTIC_FAKE`` produces a seeded fake "decoded" tensor from the
 payload digest; ``STRICT`` raises NotImplementedError.  All the
 Ray-side plumbing is identical and tested across modes: typed schema
-(binary payload + metadata struct columns), actor-pool map_batches
-stages with per-actor setup, small batch sizes for large payloads, and
-a stable output layout (fixed-size feature vectors).
+(binary payload + metadata struct columns), plain batch functions run as
+Ray tasks, small batch sizes for large payloads, and a stable output
+layout (fixed-size feature vectors).
 
-At 100 TB these stages are the canonical actor-pool pattern: model/codec
-loaded once per actor in __init__, ``batch_size`` sized so
-payload x batch x concurrency fits worker heaps.
+At 100 TB ``batch_size`` is sized so payload x batch fits a worker's
+heap; a heavier decoder (libpng / ffmpeg / soundfile) plugs into
+``decode_one``.
 """
 
 from __future__ import annotations
@@ -104,115 +104,94 @@ def synthesize_real_media(n: int = 64, seed: int = 42) -> pa.Table:
     }).cast(MEDIA_SCHEMA)
 
 
-class MediaDecoder:
-    """Actor-pool stage: decode payload -> fixed-size feature vector.
+FEATURE_DIM = 32
+
+
+def decode_one(kind: str, payload: bytes,
+               mode: str = DETERMINISTIC_FAKE) -> np.ndarray:
+    """Decode one payload -> fixed-size feature vector.
 
     ``mode=REAL`` decodes real payloads — PNG via ``pngcodec.decode_png``
     (features: 4x8 nearest-resized greyscale grid, /255) and WAV via
     ``pngcodec.decode_wav`` (features: RMS over 32 equal segments,
     /32768); video raises (no container codec in this environment).
     ``mode=DETERMINISTIC_FAKE`` derives a seeded feature vector from the
-    payload digest (stable across runs/workers). ``mode=STRICT`` raises —
-    the ``__init__`` hook is where a heavier decoder (libpng / ffmpeg /
-    soundfile) would be constructed once per actor.
+    payload digest (stable across runs/workers). ``mode=STRICT`` raises.
     """
+    if mode == REAL:
+        from . import pngcodec
 
-    FEATURE_DIM = 32
-
-    def __init__(self, mode: str = DETERMINISTIC_FAKE):
-        self.mode = mode
-        if mode == REAL:
-            # codec bound once per actor (the real-decoder analogue of
-            # loading libpng/ffmpeg handles here)
-            from . import pngcodec
-            self._codec = pngcodec
-        elif mode not in (DETERMINISTIC_FAKE, STRICT):
-            raise ValueError(mode)
-
-    def _decode_one(self, kind: str, payload: bytes) -> np.ndarray:
-        if self.mode == REAL:
-            if kind == "image":
-                img = self._codec.decode_png(payload)
-                if img.ndim == 2:
-                    grey = img.astype(np.float32)
-                elif img.shape[2] == 2:
-                    # grey+alpha: luminance is channel 0 — averaging in
-                    # the alpha plane would corrupt the features
-                    grey = img[..., 0].astype(np.float32)
-                else:
-                    grey = img[..., :3].astype(np.float32).mean(axis=2)
-                grid = self._codec.resize_nearest(grey, 4, 8)
-                return (grid / 255.0).astype(np.float32).ravel()
-            if kind == "audio":
-                s, _rate = self._codec.decode_wav(payload)
-                x = (s.astype(np.float64) if s.ndim == 1
-                     else s.astype(np.float64).mean(axis=1))
-                segs = np.array_split(x, self.FEATURE_DIM)
-                rms = [np.sqrt((g * g).mean()) if len(g) else 0.0
-                       for g in segs]
-                return (np.asarray(rms, np.float32) / 32768.0)
-            raise NotImplementedError(
-                f"no {kind} container codec in this environment; plug "
-                "ffmpeg/pyav into MediaDecoder.__init__")
-        if self.mode == STRICT:
-            raise NotImplementedError(
-                f"no {kind} codec in this environment; install PIL/ffmpeg "
-                "and implement _decode_one"
-            )
-        digest = hashlib.sha256(payload).digest()
-        seed = int.from_bytes(digest[:8], "little")
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal(self.FEATURE_DIM).astype(np.float32)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        kinds = batch.column("kind").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        feats = np.vstack([
-            self._decode_one(k, p) for k, p in zip(kinds, payloads)
-        ]) if batch.num_rows else np.empty((0, self.FEATURE_DIM), np.float32)
-        flat = pa.array(feats.ravel(), type=pa.float32())
-        offsets = pa.array(
-            np.arange(0, (batch.num_rows + 1) * self.FEATURE_DIM,
-                      self.FEATURE_DIM, dtype=np.int32))
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "kind": batch.column("kind"),
-            "payload_bytes": pa.array(
-                [len(p) for p in payloads], type=pa.int64()),
-            "features": pa.ListArray.from_arrays(offsets, flat),
-        })
+        if kind == "image":
+            img = pngcodec.decode_png(payload)
+            if img.ndim == 2:
+                grey = img.astype(np.float32)
+            elif img.shape[2] == 2:
+                # grey+alpha: luminance is channel 0 — averaging in
+                # the alpha plane would corrupt the features
+                grey = img[..., 0].astype(np.float32)
+            else:
+                grey = img[..., :3].astype(np.float32).mean(axis=2)
+            grid = pngcodec.resize_nearest(grey, 4, 8)
+            return (grid / 255.0).astype(np.float32).ravel()
+        if kind == "audio":
+            s, _rate = pngcodec.decode_wav(payload)
+            x = (s.astype(np.float64) if s.ndim == 1
+                 else s.astype(np.float64).mean(axis=1))
+            segs = np.array_split(x, FEATURE_DIM)
+            rms = [np.sqrt((g * g).mean()) if len(g) else 0.0
+                   for g in segs]
+            return (np.asarray(rms, np.float32) / 32768.0)
+        raise NotImplementedError(
+            f"no {kind} container codec in this environment; plug "
+            "ffmpeg/pyav into decode_one")
+    if mode == STRICT:
+        raise NotImplementedError(
+            f"no {kind} codec in this environment; install PIL/ffmpeg "
+            "and implement decode_one"
+        )
+    if mode != DETERMINISTIC_FAKE:
+        raise ValueError(mode)
+    digest = hashlib.sha256(payload).digest()
+    seed = int.from_bytes(digest[:8], "little")
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(FEATURE_DIM).astype(np.float32)
 
 
-class FrameSampler:
+def decode_media(batch: pa.Table, mode: str = DETERMINISTIC_FAKE) -> pa.Table:
+    """Media batch -> (media_id, kind, payload_bytes, features)."""
+    kinds = batch.column("kind").to_pylist()
+    payloads = batch.column("payload").to_pylist()
+    feats = np.vstack([
+        decode_one(k, p, mode) for k, p in zip(kinds, payloads)
+    ]) if batch.num_rows else np.empty((0, FEATURE_DIM), np.float32)
+    flat = pa.array(feats.ravel(), type=pa.float32())
+    offsets = pa.array(
+        np.arange(0, (batch.num_rows + 1) * FEATURE_DIM, FEATURE_DIM,
+                  dtype=np.int32))
+    return pa.table({
+        "media_id": batch.column("media_id"),
+        "kind": batch.column("kind"),
+        "payload_bytes": pa.array(
+            [len(p) for p in payloads], type=pa.int64()),
+        "features": pa.ListArray.from_arrays(offsets, flat),
+    })
+
+
+def sample_frames(batch: pa.Table, stride: int = 30) -> pa.Table:
     """Video stage: pick every ``stride``-th frame index (metadata-only here;
     a real implementation would pyav-decode just those frames)."""
-
-    def __init__(self, stride: int = 30):
-        self.stride = stride
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n_frames = batch.column("n_frames").to_numpy(zero_copy_only=False)
-        idx_lists = [list(range(0, int(n), self.stride)) for n in n_frames]
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "sampled_frames": pa.array(idx_lists, type=pa.list_(pa.int32())),
-            "n_sampled": pa.array([len(x) for x in idx_lists], type=pa.int64()),
-        })
+    n_frames = batch.column("n_frames").to_numpy(zero_copy_only=False)
+    idx_lists = [list(range(0, int(n), stride)) for n in n_frames]
+    return pa.table({
+        "media_id": batch.column("media_id"),
+        "sampled_frames": pa.array(idx_lists, type=pa.list_(pa.int32())),
+        "n_sampled": pa.array([len(x) for x in idx_lists], type=pa.int64()),
+    })
 
 
-def decode_media_dataset(ds, mode: str = DETERMINISTIC_FAKE, batch_size: int = 16,
-                         concurrency: int | None = None):
-    """The canonical actor-pool wiring: small batches (large payloads),
-    decoder constructed once per actor."""
-    if concurrency is None:
-        from ..pipelines.encode import _default_concurrency
-
-        concurrency = min(4, _default_concurrency())
-    return ds.map_batches(
-        MediaDecoder,
-        fn_constructor_kwargs={"mode": mode},
-        batch_size=batch_size,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+def decode_media_dataset(ds, mode: str = DETERMINISTIC_FAKE,
+                         batch_size: int = 16):
+    """Media decode as Ray tasks: small batches, because payloads are
+    large."""
+    return ds.map_batches(decode_media, fn_kwargs={"mode": mode},
+                          batch_size=batch_size, batch_format="pyarrow")

@@ -5,12 +5,12 @@ palette, non-interlaced, all five scanline filters — enough to decode
 any PNG this engine's own ``encode_png`` (or common writers with
 default settings) produce.  WAV: RIFF PCM 8/16/32-bit integer mono or
 multi-channel.  Both are pure numpy + stdlib zlib/struct, so the
-``MediaDecoder`` actor stage can run a *real* decode in this container
-instead of the deterministic stub (VERDICT r4 #7).
+media decode stage (``multimodal.decode_one``) can run a *real* decode
+in this container instead of the deterministic stub (VERDICT r4 #7).
 
 These codecs exist for the Ray-side plumbing to be end-to-end real at
-test scale; at 100 TB you'd swap in libpng/ffmpeg via the same
-``MediaDecoder.__init__`` hook (one construction per actor).
+test scale; at 100 TB you'd swap in libpng/ffmpeg behind the same
+``decode_one`` call.
 """
 
 from __future__ import annotations

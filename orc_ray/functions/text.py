@@ -23,34 +23,21 @@ TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[^A-Za-z0-9_\s]")
 TOKEN_RE_SQL = "[A-Za-z0-9_]+|[^A-Za-z0-9_ \\t\\n]"
 
 
-class TokenCounter:
-    """Actor-pool stage. The BPE-ish count (word-char runs + punctuation
-    chars) is computed vectorized over the batch's concatenated byte
+def token_count_batch(batch: pa.Table) -> pa.Table:
+    """Words (space-separated) and BPE-ish tokens (TOKEN_RE) per doc. The
+    token count is computed vectorized over the batch's concatenated byte
     buffer (texthash.bpe_token_counts) — equivalent to len(findall) of
     TOKEN_RE but with no per-row Python; the regex remains only as the
     non-ASCII fallback inside the kernel."""
+    from .texthash import bpe_token_counts
 
-    def __init__(self, pattern: str = TOKEN_RE.pattern):
-        self.custom = pattern != TOKEN_RE.pattern
-        self.re = re.compile(pattern)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .texthash import bpe_token_counts
-
-        if self.custom:
-            # arbitrary pattern: the byte-class kernel only models the
-            # default tokenizer, so honor the contract with the regex
-            texts = batch.column("text").to_pylist()
-            counts = np.array([len(self.re.findall(t)) for t in texts],
-                              dtype=np.int64)
-        else:
-            counts = bpe_token_counts(batch.column("text"))
-        ws = pc.count_substring(batch.column("text"), " ")
-        return pa.table({
-            "doc_id": batch.column("doc_id").cast(pa.int64()),
-            "n_words": pc.add(ws, 1).cast(pa.int64()),
-            "n_bpe_tokens": pa.array(counts, type=pa.int64()),
-        })
+    ws = pc.count_substring(batch.column("text"), " ")
+    return pa.table({
+        "doc_id": batch.column("doc_id").cast(pa.int64()),
+        "n_words": pc.add(ws, 1).cast(pa.int64()),
+        "n_bpe_tokens": pa.array(bpe_token_counts(batch.column("text")),
+                                 type=pa.int64()),
+    })
 
 
 SQL_TOKEN_COUNT = (
@@ -125,30 +112,24 @@ _LANG_MARKERS = {
 }
 
 
-class LangId:
+def langid_batch(batch: pa.Table) -> pa.Table:
     """Marker-frequency heuristic; scores computed vectorized per batch."""
-
-    def __init__(self, markers: dict | None = None):
-        self.markers = markers or _LANG_MARKERS
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        text = batch.column("text")
-        n = batch.num_rows
-        scores = np.zeros((len(self.markers), n), dtype=np.int64)
-        langs = list(self.markers)
-        for i, lang in enumerate(langs):
-            for m in self.markers[lang]:
-                scores[i] += pc.count_substring(text, m).to_numpy(
-                    zero_copy_only=False
-                ).astype(np.int64)
-        best = np.argmax(scores, axis=0)
-        none = scores.sum(axis=0) == 0
-        pred = np.array(langs, dtype=object)[best]
-        pred[none] = "unknown"
-        return pa.table({
-            "doc_id": batch.column("doc_id").cast(pa.int64()),
-            "pred_lang": pa.array(pred.tolist(), type=pa.string()),
-        })
+    text = batch.column("text")
+    langs = list(_LANG_MARKERS)
+    scores = np.zeros((len(langs), batch.num_rows), dtype=np.int64)
+    for i, lang in enumerate(langs):
+        for m in _LANG_MARKERS[lang]:
+            scores[i] += pc.count_substring(text, m).to_numpy(
+                zero_copy_only=False
+            ).astype(np.int64)
+    best = np.argmax(scores, axis=0)
+    none = scores.sum(axis=0) == 0
+    pred = np.array(langs, dtype=object)[best]
+    pred[none] = "unknown"
+    return pa.table({
+        "doc_id": batch.column("doc_id").cast(pa.int64()),
+        "pred_lang": pa.array(pred.tolist(), type=pa.string()),
+    })
 
 
 def _sql_marker_count(marker: str) -> str:
@@ -160,8 +141,8 @@ def _sql_marker_count(marker: str) -> str:
 
 
 def _build_langid_sql() -> str:
-    """Exact mirror of LangId: per-language marker-count sums, argmax with
-    first-in-dict tie order, 'unknown' when every score is zero."""
+    """Exact mirror of langid_batch: per-language marker-count sums, argmax
+    with first-in-dict tie order, 'unknown' when every score is zero."""
     langs = list(_LANG_MARKERS)
     score_exprs = ", ".join(
         "(" + " + ".join(_sql_marker_count(m) for m in _LANG_MARKERS[lang])

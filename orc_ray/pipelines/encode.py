@@ -65,13 +65,6 @@ def work_units(items: list[dict]):
     return ray.data.from_items(items, override_num_blocks=blocks)
 
 
-def _default_concurrency() -> int:
-    """Actor-pool size with headroom: reserving every CPU for the pool
-    starves upstream task operators (e.g. ReadParquet) and deadlocks the
-    streaming executor — always leave >=2 CPUs free."""
-    return max(1, min(cluster_cpus() - 2, 32))
-
-
 # (job id, selector) of the job this process last encoded for
 _SELECTOR: tuple[str, SelectorState] | None = None
 

@@ -16,11 +16,12 @@ from ..functions.text import (
     SQL_LANGID,
     SQL_QUALITY,
     SQL_TOKEN_COUNT,
-    LangId,
-    TokenCounter,
     fingerprint_batch,
+    langid_batch,
     quality_batch,
+    token_count_batch,
 )
+from .encode import cluster_cpus
 
 
 def _docs_ds(sf_dir: str, columns: list[str]):
@@ -43,12 +44,8 @@ def _emb_ds(sf_dir: str, columns: list[str]):
 # --- text analysis ---------------------------------------------------------
 
 def q_token_count(sf_dir: str):
-    from .encode import _default_concurrency
-
     return _docs_ds(sf_dir, ["doc_id", "text"]).map_batches(
-        TokenCounter, batch_format="pyarrow",
-        concurrency=min(4, _default_concurrency()), num_cpus=1,
-    )
+        token_count_batch, batch_format="pyarrow")
 
 
 SQL_Q_TOKEN_COUNT = SQL_TOKEN_COUNT
@@ -64,12 +61,8 @@ SQL_Q_QUALITY = SQL_QUALITY
 def q_langid(sf_dir: str):
     """Marker-frequency language ID; the scores are plain substring
     counts + first-max argmax, mirrored exactly in SQL_LANGID."""
-    from .encode import _default_concurrency
-
     return _docs_ds(sf_dir, ["doc_id", "text"]).map_batches(
-        LangId, batch_format="pyarrow",
-        concurrency=min(4, _default_concurrency()), num_cpus=1,
-    )
+        langid_batch, batch_format="pyarrow")
 
 
 SQL_Q_LANGID = SQL_LANGID
@@ -171,9 +164,10 @@ def q_word_df_score(sf_dir: str,
     auto-selected by the (now known) vocabulary cardinality:
 
     * bounded vocab (<= ``max_broadcast_vocab``): the df table is pulled
-      once and broadcast via ``ray.put`` (read per actor in __init__);
-      every token resolves through per-batch ``dictionary_encode`` — the
-      dict is probed once per DISTINCT word per batch.  No shuffle.
+      once and broadcast as a dict in the scoring stage's ``fn_kwargs``
+      (unpickled once per task); every token resolves through per-batch
+      ``dictionary_encode`` — the dict is probed once per DISTINCT word
+      per batch.  No shuffle.
     * open vocab: the df table STAYS distributed and the per-doc distinct
       word-count triples hash-join against it on ``word``; per-doc means
       come from a final groupby(doc_id) over (sum cnt*df, sum cnt)
@@ -182,7 +176,6 @@ def q_word_df_score(sf_dir: str,
     Both paths produce identical (doc_id, mean_df_x1000) rows (same SQL
     oracle; pytest forces the join path and cross-checks)."""
     import pyarrow.compute as pc
-    import ray
     import ray.data
 
     docs = _docs_ds(sf_dir, ["doc_id", "text"])
@@ -206,8 +199,7 @@ def q_word_df_score(sf_dir: str,
 
     if nvocab > max_broadcast_vocab:
         # --- open-vocabulary path: distributed hash-join on word --------
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        nparts = max(2, min(16, cpus // 4))
+        nparts = max(2, min(16, cluster_cpus() // 4))
         wc = docs.map_batches(word_counts, batch_format="pyarrow")
         joined = wc.join(df_ds, "inner", num_partitions=nparts,
                          on=("word",))
@@ -240,36 +232,29 @@ def q_word_df_score(sf_dir: str,
 
     # --- bounded-vocabulary path: broadcast dict, zero shuffle ----------
     df_rows = df_ds.take_all()
-    vocab_ref = ray.put({r["word"]: r["count()"] for r in df_rows})
 
-    class Scorer:
-        def __init__(self, ref):
-            # constructor args may arrive auto-dereferenced (top-level
-            # ObjectRefs are resolved by the actor runtime)
-            self.df = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+    def score(b: pa.Table, df: dict) -> pa.Table:
+        words = pc.split_pattern(b.column("text"), " ")
+        if isinstance(words, pa.ChunkedArray):
+            words = words.combine_chunks()
+        n = pc.list_value_length(words).to_numpy(zero_copy_only=False) \
+            .astype(np.int64)
+        flat = words.flatten().dictionary_encode()
+        uniq_df = np.array([df.get(w, 0)
+                            for w in flat.dictionary.to_pylist()],
+                           dtype=np.int64)
+        tok_df = uniq_df[flat.indices.to_numpy(zero_copy_only=False)]
+        off = np.zeros(len(n) + 1, dtype=np.int64)
+        np.cumsum(n, out=off[1:])
+        sums = np.add.reduceat(tok_df, off[:-1])
+        return pa.table({
+            "doc_id": b.column("doc_id").cast(pa.int64()),
+            "mean_df_x1000": pa.array(sums * 1000 // n, type=pa.int64()),
+        })
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            words = pc.split_pattern(b.column("text"), " ")
-            if isinstance(words, pa.ChunkedArray):
-                words = words.combine_chunks()
-            n = pc.list_value_length(words).to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            flat = words.flatten().dictionary_encode()
-            uniq_df = np.array([self.df.get(w, 0)
-                                for w in flat.dictionary.to_pylist()],
-                               dtype=np.int64)
-            tok_df = uniq_df[flat.indices.to_numpy(zero_copy_only=False)]
-            off = np.zeros(len(n) + 1, dtype=np.int64)
-            np.cumsum(n, out=off[1:])
-            sums = np.add.reduceat(tok_df, off[:-1])
-            return pa.table({
-                "doc_id": b.column("doc_id").cast(pa.int64()),
-                "mean_df_x1000": pa.array(sums * 1000 // n, type=pa.int64()),
-            })
-
-    return docs.map_batches(Scorer, fn_constructor_args=(vocab_ref,),
-                            batch_format="pyarrow", concurrency=2,
-                            num_cpus=1)
+    return docs.map_batches(
+        score, fn_kwargs={"df": {r["word"]: r["count()"] for r in df_rows}},
+        batch_format="pyarrow")
 
 
 SQL_Q_WORD_DF_SCORE = (
@@ -335,8 +320,7 @@ def q_prepare_corpus(sf_dir: str):
             "source": t.column("source"),
         })
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    nparts = max(2, min(8, cpus // 4))
+    nparts = max(2, min(8, cluster_cpus() // 4))
     filtered = docs.map_batches(filt, batch_format="pyarrow")
     keys = filtered.map_batches(
         lambda b: fingerprint_batch(b).select(["doc_id", "md5"]),
@@ -555,8 +539,7 @@ def q_vocab_size(sf_dir: str, num_parts: int | None = None):
         sz = sum(os.path.getsize(p) for p in (_glob.glob(src)
                                               if "*" in src else [src]))
         if sz > _TWO_LEVEL_MERGE_BYTES:
-            import ray
-            num_parts = max(2, int(ray.cluster_resources().get("CPU", 8)))
+            num_parts = max(2, cluster_cpus())
         else:
             num_parts = 1
 
@@ -745,7 +728,7 @@ def q_embedding_neardup(sf_dir: str):
     """Exact cosine near-dup pairs, distributed over block-pair tiles
     (no driver-side table read; see dedup.embedding_near_pairs_ds)."""
     return dedup.embedding_near_pairs_ds(_emb_ds(sf_dir, ["vec_id", "embedding"]), threshold=0.3,
-                                         nblocks=8, concurrency=4)
+                                         nblocks=8)
 
 
 def q_embedding_neardup_ivf(sf_dir: str):
@@ -803,15 +786,15 @@ def q_ann_ivf(sf_dir: str):
 # --- multimodal ------------------------------------------------------------
 
 def q_media_decode(sf_dir: str):
-    """Actor-pool media decode over REAL encoded payloads (PNG images +
-    PCM WAV audio, decoded by the dependency-free numpy codecs) —
-    rows-only driver check; pixel/sample-level content is asserted in
+    """Media decode over REAL encoded payloads (PNG images + PCM WAV
+    audio, decoded by the dependency-free numpy codecs) — rows-only
+    driver check; pixel/sample-level content is asserted in
     tests/test_multimodal_real.py."""
     import ray.data
 
     media = multimodal.synthesize_real_media(64, seed=42)
-    # shard the input so the 4-actor pool actually receives 4+ blocks
-    # (from_arrow yields ONE block otherwise — the pool would run 1 task)
+    # shard the input so decode runs as several tasks (from_arrow yields
+    # ONE block otherwise)
     ds = ray.data.from_arrow(media).repartition(8)
     return multimodal.decode_media_dataset(ds, mode=multimodal.REAL)
 
@@ -848,8 +831,7 @@ def _merge_partials(parts, merge_fn, part_col: str,
     """
     if num_parts is None:
         if input_bytes is not None and input_bytes > _TWO_LEVEL_MERGE_BYTES:
-            import ray
-            num_parts = max(2, int(ray.cluster_resources().get("CPU", 8)))
+            num_parts = max(2, cluster_cpus())
         else:
             num_parts = 1
     if num_parts <= 1:

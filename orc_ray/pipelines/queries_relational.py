@@ -7,8 +7,8 @@ Ray-Data-first with its DuckDB oracle.
 Scale notes baked into each query:
 - fact tables only ever move AFTER a per-batch partial aggregation or a
   pushed-down filter — raw fact rows never enter a shuffle;
-- dimension tables (nation 25 rows, region 5) broadcast via ``ray.put``
-  and resolve inside ``map_batches`` — never a shuffle join;
+- dimension tables (nation 25 rows, region 5) broadcast in a stage's
+  ``fn_kwargs`` and resolve inside ``map_batches`` — never a shuffle join;
 - money sums use per-row integer cents (round half-away, matching DuckDB
   ``round()``) so the SQL mirror is bit-exact, never float accumulation
   whose value depends on reduction order.
@@ -20,6 +20,8 @@ import os
 
 import numpy as np
 import pyarrow as pa
+
+from .encode import cluster_cpus
 
 _JOIN_DATE = "1998-01-01"
 _RECENT_DATE = "2000-01-01"
@@ -44,10 +46,7 @@ def _join_parts() -> int:
     """Hash-join aggregator count: must stay well under the CPU count or
     the streaming pipeline deadlocks (aggregator actors pin CPUs for the
     pipeline's lifetime)."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return max(2, min(8, cpus // 4))
+    return max(2, min(8, cluster_cpus() // 4))
 
 
 # --- pricing summary (TPC-H Q1 shape: wide scan + tiny-group aggregate) ----
@@ -240,13 +239,11 @@ SQL_Q_ORDER_REVENUE = (
 def q_region_rollup(sf_dir: str):
     """Customer balance rolled up to region through the
     customer -> nation -> region snowflake. The two dimension tables are
-    tiny at EVERY scale factor (25 / 5 rows), so they broadcast once via
-    ``ray.put`` and resolve inside ``map_batches`` with a vectorized
-    int-indexed take — the pattern that replaces two shuffle joins with
-    zero exchanges; only the final 5-group partial aggregate moves."""
-    import pyarrow.compute as pc
+    tiny at EVERY scale factor (25 / 5 rows), so they broadcast once in
+    the stage's ``fn_kwargs`` and resolve inside ``map_batches`` with a
+    vectorized int-indexed take — the pattern that replaces two shuffle
+    joins with zero exchanges; only the final 5-group partial aggregate moves."""
     import pyarrow.parquet as pq
-    import ray
 
     nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
                            columns=["n_nationkey", "n_regionkey"])
@@ -262,30 +259,23 @@ def q_region_rollup(sf_dir: str):
     rnames_arr = [""] * (int(rk.max()) + 1)
     for k, nm in zip(rk, region.column("r_name").to_pylist()):
         rnames_arr[int(k)] = nm
-    lut_ref = ray.put((n2r, rnames_arr))
 
     cust = _read(sf_dir, "customer", ["c_nationkey", "c_acctbal"])
 
-    class Rollup:
-        def __init__(self, ref):
-            self.n2r, self.rnames = (
-                ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref)
-            self.rname_arr = pa.array(self.rnames, type=pa.string())
+    def rollup(b: pa.Table, n2r: np.ndarray, rnames: pa.Array) -> pa.Table:
+        nkey = b.column("c_nationkey").to_numpy(zero_copy_only=False) \
+            .astype(np.int64)
+        g = pa.table({
+            "r_name": rnames.take(pa.array(n2r[nkey])),
+            "bal100": _cents(b.column("c_acctbal")),
+        })
+        return g.group_by(["r_name"]).aggregate(
+            [("bal100", "sum"), ("bal100", "count")])
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            nkey = b.column("c_nationkey").to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            rcode = self.n2r[nkey]
-            g = pa.table({
-                "r_name": self.rname_arr.take(pa.array(rcode)),
-                "bal100": _cents(b.column("c_acctbal")),
-            })
-            return g.group_by(["r_name"]).aggregate(
-                [("bal100", "sum"), ("bal100", "count")])
-
-    parts = cust.map_batches(Rollup, fn_constructor_args=(lut_ref,),
-                             batch_format="pyarrow", concurrency=2,
-                             num_cpus=1)
+    parts = cust.map_batches(
+        rollup,
+        fn_kwargs={"n2r": n2r, "rnames": pa.array(rnames_arr, pa.string())},
+        batch_format="pyarrow")
 
     def merge(b: pa.Table) -> pa.Table:
         agg = b.group_by(["r_name"]).aggregate(

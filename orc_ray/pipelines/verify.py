@@ -178,16 +178,20 @@ def _partial(batch: pa.Table) -> pa.Table:
     })
 
 
-def checksum_dataset(ds) -> dict:
-    """Streaming multiset checksum of a token Dataset."""
-    parts = ds.map_batches(_partial, batch_format="pyarrow").take_all()
-    count = sum(p["count"] for p in parts)
+def _fold(parts: list[dict]) -> dict:
+    """Combine (count, hsum, hxor) partials into one checksum."""
     hsum = 0
     hxor = 0
     for p in parts:
         hsum = (hsum + int(p["hsum"])) & 0xFFFFFFFFFFFFFFFF
         hxor ^= int(p["hxor"])
-    return {"count": count, "hsum": hsum, "hxor": hxor}
+    return {"count": sum(p["count"] for p in parts), "hsum": hsum,
+            "hxor": hxor}
+
+
+def checksum_dataset(ds) -> dict:
+    """Streaming multiset checksum of a token Dataset."""
+    return _fold(ds.map_batches(_partial, batch_format="pyarrow").take_all())
 
 
 def checksum_table(t: pa.Table) -> dict:
@@ -237,20 +241,13 @@ def checksum_encoded(out_dir: str) -> dict:
     tail); path items make both the fan-out and the tail quantum cheap."""
     from .decode import manifest_feed
 
-    parts = manifest_feed(out_dir).map_batches(
+    return _fold(manifest_feed(out_dir).map_batches(
         decode_checksum,
         fn_kwargs={"out_dir": out_dir},
         batch_size=None,
         batch_format="pyarrow",
         num_cpus=1,
-    ).take_all()
-    count = sum(p["count"] for p in parts)
-    hsum = 0
-    hxor = 0
-    for p in parts:
-        hsum = (hsum + int(p["hsum"])) & 0xFFFFFFFFFFFFFFFF
-        hxor ^= int(p["hxor"])
-    return {"count": count, "hsum": hsum, "hxor": hxor}
+    ).take_all())
 
 
 def verify_encoded(original_ds, out_dir: str) -> dict:

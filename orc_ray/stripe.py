@@ -194,7 +194,7 @@ def _encode_blob(
 ) -> tuple[str, bytes, np.ndarray]:
     """Choose fsst, a chunked kind or none for a string byte payload by size.
     Returns (codec, payload, lengths_for_stream) — with FSST the LENGTH
-    stream carries compressed lengths. When a selector actor is present the
+    stream carries compressed lengths. When selector state is present the
     trained FSST symbol table is reused across chunks of the same
     (source, column) and retrained every Nth chunk (tables are serialized
     into each stream, so blobs stay self-contained)."""

@@ -7,7 +7,8 @@ import pyarrow.parquet as pq
 import pytest
 
 from orc_ray.functions import ann, dedup, multimodal
-from orc_ray.functions.text import LangId, TokenCounter, fingerprint_batch, quality_batch
+from orc_ray.functions.text import (fingerprint_batch, langid_batch,
+                                    quality_batch, token_count_batch)
 
 SF = "/root/testdata/sf0.01"
 
@@ -23,7 +24,7 @@ def embs():
 
 
 def test_token_counter(docs):
-    out = TokenCounter()(docs.slice(0, 50))
+    out = token_count_batch(docs.slice(0, 50))
     assert out.num_rows == 50
     texts = docs.slice(0, 50).column("text").to_pylist()
     nw = out.column("n_words").to_pylist()
@@ -54,12 +55,12 @@ def test_langid_on_real_markers():
             "我们的朋友是好人，他说了很多话。",
         ]),
     })
-    out = LangId()(t)
+    out = langid_batch(t)
     assert out.column("pred_lang").to_pylist() == ["en", "es", "de", "fr", "zh"]
 
 
 def test_langid_runs_on_documents(docs):
-    out = LangId()(docs)
+    out = langid_batch(docs)
     assert out.num_rows == docs.num_rows
     valid = {"en", "es", "de", "fr", "zh", "unknown"}
     assert set(out.column("pred_lang").to_pylist()) <= valid
@@ -145,14 +146,14 @@ def test_media_decode_deterministic(ray_session):
 
 
 def test_media_decode_strict_raises():
-    dec = multimodal.MediaDecoder(mode=multimodal.STRICT)
     with pytest.raises(NotImplementedError):
-        dec(multimodal.synthesize_media(2))
+        multimodal.decode_media(multimodal.synthesize_media(2),
+                                mode=multimodal.STRICT)
 
 
 def test_frame_sampler():
     media = multimodal.synthesize_media(10, seed=2)
-    out = multimodal.FrameSampler(stride=30)(media)
+    out = multimodal.sample_frames(media, stride=30)
     nf = media.column("n_frames").to_pylist()
     ns = out.column("n_sampled").to_pylist()
     assert ns == [(n + 29) // 30 for n in nf]

@@ -1,8 +1,8 @@
 """Real media codecs (VERDICT r4 #7): the PNG/WAV decode behind
-MediaDecoder's REAL mode is content-checked — decoded dimensions, exact
-pixel round-trips (all filter types, palette), sample round-trips, and
-feature vectors derived from real pixel/sample content through the
-actor-pool Ray stage."""
+the media decoder's REAL mode is content-checked — decoded dimensions,
+exact pixel round-trips (all filter types, palette), sample round-trips,
+and feature vectors derived from real pixel/sample content through the
+Ray task stage."""
 
 import hashlib
 import struct
@@ -149,7 +149,7 @@ def test_wav_rejects_malformed():
 
 
 def test_media_decoder_real_content(ray_session):
-    """End-to-end through the Ray actor-pool stage: REAL-mode features
+    """End-to-end through the Ray task stage: REAL-mode features
     must equal pixel/sample math done directly on the decoded payloads —
     dimensions and a content digest, not just row counts."""
     import ray.data
@@ -198,9 +198,8 @@ EXPECTED_DIGEST = \
 
 
 def test_media_decoder_real_video_raises():
-    dec = multimodal.MediaDecoder(mode=multimodal.REAL)
     with pytest.raises(NotImplementedError):
-        dec._decode_one("video", b"\x00\x01")
+        multimodal.decode_one("video", b"\x00\x01", mode=multimodal.REAL)
 
 
 def test_q_media_decode_runs_real(ray_session):
@@ -217,7 +216,8 @@ def test_media_decoder_grey_alpha_uses_luminance():
     rng = np.random.default_rng(3)
     grey = rng.integers(0, 256, (16, 16), dtype=np.uint8)
     ga = np.dstack([grey, np.full((16, 16), 255, np.uint8)])
-    dec = multimodal.MediaDecoder(mode=multimodal.REAL)
-    f_ga = dec._decode_one("image", encode_png(ga))
-    f_g = dec._decode_one("image", encode_png(grey))
+    f_ga = multimodal.decode_one("image", encode_png(ga),
+                                 mode=multimodal.REAL)
+    f_g = multimodal.decode_one("image", encode_png(grey),
+                                mode=multimodal.REAL)
     np.testing.assert_array_equal(f_ga, f_g)

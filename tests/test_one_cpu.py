@@ -166,7 +166,7 @@ def _check_all(d: str) -> None:
     got = multimodal.decode_media_dataset(
         ray.data.from_arrow(media).repartition(3), mode=multimodal.REAL,
         batch_size=4)
-    local = multimodal.MediaDecoder(mode=multimodal.REAL)(media)
+    local = multimodal.decode_media(media, mode=multimodal.REAL)
     assert _rows(got, ["media_id", "features"]) == _rows(
         local, ["media_id", "features"])
     done("decode_media_dataset")

@@ -125,12 +125,12 @@ def test_simhash_sql_oracle_parity(docs):
 def test_langid_sql_oracle_parity(docs):
     import duckdb
 
-    from orc_ray.functions.text import SQL_LANGID, LangId
+    from orc_ray.functions.text import SQL_LANGID, langid_batch
 
     con = duckdb.connect()
     con.register("documents", docs)
     oracle = con.sql(SQL_LANGID).arrow()
-    mine = LangId()(docs)
+    mine = langid_batch(docs)
     o = dict(zip(oracle.column("doc_id").to_pylist(),
                  oracle.column("pred_lang").to_pylist()))
     m = dict(zip(mine.column("doc_id").to_pylist(),
@@ -225,8 +225,7 @@ def test_embedding_neardup_distributed_matches_local(ray_session):
     embs = pq.read_table(f"{SF}/embeddings.parquet")
     local = dedup.embedding_near_pairs(embs, threshold=0.3)
     ds = ray.data.read_parquet(f"{SF}/embeddings.parquet")
-    res = dedup.embedding_near_pairs_ds(ds, threshold=0.3, nblocks=4,
-                                        concurrency=2)
+    res = dedup.embedding_near_pairs_ds(ds, threshold=0.3, nblocks=4)
     mine = pa.concat_tables(
         list(res.iter_batches(batch_format="pyarrow", batch_size=None)))
     key = lambda r: (r["vec_a"], r["vec_b"])
@@ -241,7 +240,7 @@ def test_embedding_neardup_ivf_recall(ray_session):
                       for c in ("vec_a", "vec_b")]))
     ds = ray.data.read_parquet(f"{SF}/embeddings.parquet")
     res = dedup.embedding_near_pairs_ivf(ds, threshold=0.3, ncentroids=8,
-                                         nassign=2, concurrency=2)
+                                         nassign=2)
     approx = pa.concat_tables(
         list(res.iter_batches(batch_format="pyarrow", batch_size=None)))
     ap = set(zip(approx.column("vec_a").to_pylist(),
@@ -266,8 +265,7 @@ def test_embedding_neardup_ds_descending_ids(ray_session):
     })
     local = dedup.embedding_near_pairs(t, threshold=0.99)
     dist = dedup.embedding_near_pairs_ds(ray.data.from_arrow(t),
-                                         threshold=0.99, nblocks=4,
-                                         concurrency=2)
+                                         threshold=0.99, nblocks=4)
     got = pa.concat_tables(
         list(dist.iter_batches(batch_format="pyarrow", batch_size=None)))
     key = lambda tb: sorted(zip(tb.column("vec_a").to_pylist(),

@@ -2,16 +2,30 @@
 oracle on a given sf dir, comparing row count, sorted-column schema and an
 order-insensitive value hash (mirrors the driver's CORRECTNESS check).
 
-Usage: python tools/check_oracle.py [sf_dir]
+A query that does not finish within QUERY_TIMEOUT_S counts as FAIL.
+
+Usage: python tools/check_oracle.py [sf_dir] [query ...]
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import signal
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+# wall-clock limit per query; a query past it is reported as FAIL
+QUERY_TIMEOUT_S = 300
+
+
+class QueryTimeout(Exception):
+    pass
+
+
+def _raise_timeout(signum, frame):
+    raise QueryTimeout
 
 
 def to_table(result):
@@ -71,8 +85,17 @@ def main():
         qs = {k: v for k, v in qs.items() if k in only}
     oracles = e.oracle_sql()
     failures = 0
+    signal.signal(signal.SIGALRM, _raise_timeout)
     for name, fn in qs.items():
-        mine = to_table(fn(sf_dir))
+        signal.alarm(QUERY_TIMEOUT_S)
+        try:
+            mine = to_table(fn(sf_dir))
+        except QueryTimeout:
+            failures += 1
+            print(f"[FAIL] {name}: not finished in {QUERY_TIMEOUT_S} s")
+            continue
+        finally:
+            signal.alarm(0)
         if name not in oracles:
             print(f"[rows-only] {name}: rows={mine.num_rows}")
             continue
