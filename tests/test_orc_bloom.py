@@ -187,6 +187,42 @@ def test_bloom_utf8_lineage_pinned(tmp_path):
     assert fp_s < 100, fp_s
 
 
+def test_bloom_utf8_no_false_negatives_per_type(tmp_path):
+    """A pyarrow-written bloom file (BLOOM_FILTER_UTF8): every present
+    value of every int8..int64, float, double and string column probes
+    positive in its own stripe through bloom_might_contain."""
+    import pyarrow.orc as paorc
+
+    rng = np.random.default_rng(11)
+    n = 30000
+    t = pa.table({
+        "i8": pa.array(rng.integers(-128, 128, n).astype(np.int8)),
+        "i16": pa.array(rng.integers(-2**15, 2**15, n).astype(np.int16)),
+        "i32": pa.array(rng.integers(-2**31, 2**31, n).astype(np.int32)),
+        "i64": pa.array(rng.integers(-2**62, 2**62, n)),
+        "f32": pa.array((rng.random(n) * 1000 - 500).astype(np.float32)),
+        "f64": pa.array(rng.random(n) * 1e6 - 5e5),
+        "s": pa.array([f"s{j % 4099}-{j % 7}" for j in range(n)]),
+    })
+    dst = str(tmp_path / "types_bloom.orc")
+    paorc.write_table(t, dst, compression="zlib", stripe_size=128 * 1024,
+                      bloom_filter_columns=list(range(1, 8)),
+                      bloom_filter_fpp=0.05)
+    f = ORCFile(dst)
+    assert len(f.stripes) > 1
+    start = 0
+    for i, st in enumerate(f.stripes):
+        part = t.slice(start, st.number_of_rows)
+        start += st.number_of_rows
+        for nm in t.column_names:
+            idx = f.bloom_index(i, nm)
+            assert idx is not None and idx.lineage == "utf8", (nm, i)
+            vals = set(part.column(nm).to_pylist())
+            assert all(f.bloom_might_contain(i, nm, v) for v in vals), \
+                f"false negative in {nm} stripe {i}"
+    assert start == n
+
+
 def test_bloom_utf8_stripe_skip_e2e(ray_session, tmp_path):
     """Point predicate through read_orc on a multi-stripe UTF8-bloom file:
     absent values return zero rows (blooms prove absence stripe by

@@ -41,10 +41,15 @@ def test_pyarrow_orc_crosscheck_all_codecs(tmp_path):
     """The same table written by pyarrow-ORC under every CompressionKind
     it can produce (zstd/lz4/snappy/zlib/none) reads back bit-identical —
     pins the zstd stream-frame path and small compression_block_size
-    chunking."""
-    for comp in ("zstd", "lz4", "snappy", "zlib", "uncompressed"):
+    chunking. The file_version 0.11 passes pin the RLEv1 integer and
+    DICTIONARY (v1) string paths."""
+    for comp, opts in [("zstd", {}), ("lz4", {}), ("snappy", {}),
+                       ("zlib", {}), ("uncompressed", {}),
+                       ("zlib", {"file_version": "0.11"}),
+                       ("lz4", {"file_version": "0.11",
+                                "dictionary_key_size_threshold": 1.0})]:
         t, dst = _write_orc(tmp_path, "events", compression=comp,
-                            compression_block_size=4096)
+                            compression_block_size=4096, **opts)
         mine = ORCFile(dst).read()
         assert mine.num_rows == t.num_rows
         for c in t.column_names:

@@ -56,16 +56,33 @@ WINDOWS = [(10000, 20000), (20000, 25000), (10007, 19993), (24990, 25000),
            (0, 5), (9999, 10001), (20000, 20001)]
 
 
-@pytest.mark.parametrize("nulls,comp", [
-    (False, "zlib"), (True, "zlib"),
-    (False, "uncompressed"), (True, "snappy"),
+# writer options beyond the compression kind: file_version 0.11 writes
+# RLEv1 integers and DICTIONARY (v1) strings; a key-size threshold of 1.0
+# makes every string column a dictionary (DICTIONARY_V2 at 0.12)
+_V11 = {"file_version": "0.11", "dictionary_key_size_threshold": 1.0}
+_DICT = {"dictionary_key_size_threshold": 1.0}
+
+
+@pytest.mark.parametrize("nulls,comp,opts", [
+    pytest.param(False, "zlib", {}, id="False-zlib"),
+    pytest.param(True, "zlib", {}, id="True-zlib"),
+    pytest.param(False, "uncompressed", {}, id="False-uncompressed"),
+    pytest.param(True, "snappy", {}, id="True-snappy"),
+    pytest.param(True, "zlib", {"file_version": "0.11"}, id="True-zlib-v0.11"),
+    pytest.param(True, "zlib", _V11, id="True-zlib-v0.11-dict"),
+    pytest.param(False, "uncompressed", _V11,
+                 id="False-uncompressed-v0.11-dict"),
+    pytest.param(True, "zlib", _DICT, id="True-zlib-dict"),
+    pytest.param(False, "lz4", {}, id="False-lz4"),
+    pytest.param(True, "zstd", _DICT, id="True-zstd-dict"),
 ])
-def test_read_rows_matches_slice(tmp_path, nulls, comp):
+def test_read_rows_matches_slice(tmp_path, nulls, comp, opts):
     tbl = pa.table(_base())
     if nulls:
         tbl = _with_nulls(tbl)
     dst = str(tmp_path / f"seek_{nulls}_{comp}.orc")
-    paorc.write_table(tbl, dst, compression=comp, stripe_size=50_000_000)
+    paorc.write_table(tbl, dst, compression=comp, stripe_size=50_000_000,
+                      **opts)
     f = ORCFile(dst)
     assert f.row_index_stride == 10000 and len(f.stripes) == 1
     full = f.read_stripe(0)
@@ -75,6 +92,42 @@ def test_read_rows_matches_slice(tmp_path, nulls, comp):
     got = f.read_rows(0, 20000, 20010, columns=["i64", "sdirect", "b"])
     cols = sorted(got.column_names)
     assert got.select(cols).equals(full.select(cols).slice(20000, 10))
+
+
+def test_read_rows_nested_falls_back(tmp_path):
+    """Nullable list, struct and map columns have no seek support:
+    read_rows takes the full-decode fallback and still equals the slice
+    (and the whole file equals pyarrow's own read)."""
+    from orc_ray.sources.orcfile import OrcUnsupportedError
+
+    rng = np.random.default_rng(5)
+    n = N
+    nul = rng.random(n) < 0.2
+    tbl = pa.table({
+        "k": pa.array(np.arange(n), pa.int64()),
+        "lst": pa.array([None if nul[j] else list(range(j % 4))
+                         for j in range(n)], pa.list_(pa.int32())),
+        "st": pa.array([None if nul[(j + 7) % n] else
+                        {"a": j, "b": None if j % 3 else f"s{j % 11}"}
+                        for j in range(n)],
+                       pa.struct([("a", pa.int64()), ("b", pa.string())])),
+        "mp": pa.array([None if nul[(j + 13) % n] else
+                        [(f"k{j % 5}", j % 9)] * (j % 3)
+                        for j in range(n)], pa.map_(pa.string(), pa.int32())),
+    })
+    dst = str(tmp_path / "nested.orc")
+    paorc.write_table(tbl, dst, compression="zlib", stripe_size=50_000_000)
+    f = ORCFile(dst)
+    assert f.row_index_stride == 10000 and len(f.stripes) == 1
+    with pytest.raises(OrcUnsupportedError):
+        f._seek_plan(0, None, 1)
+    full = f.read_stripe(0)
+    assert full.equals(paorc.read_table(dst))
+    for lo, hi in WINDOWS:
+        assert f.read_rows(0, lo, hi).equals(full.slice(lo, hi - lo)), \
+            (lo, hi)
+    got = f.read_rows(0, 20000, 20010, columns=["k", "mp"])
+    assert got.equals(full.select(["k", "mp"]).slice(20000, 10))
 
 
 def test_read_rows_seek_plan_used(tmp_path):
