@@ -288,19 +288,15 @@ def cmd_import_orc(args) -> int:
                     "COL:LO..HI")
             col, rng = args.filter.split(":", 1)
             lo, hi = rng.split("..", 1)
-        # timestamp columns: stats use epoch-ms while the exact filter
-        # compares decode-frame ns — prune through the explicit converter
-        from .sources.orcfile import (_read_stripe_pruned, _ts_pred_ns,
-                                      _ts_stat_bounds_ns, _TsMs)
+        from .sources.orcfile import _read_stripe_pruned
 
-        ckind = dict(zip(f.schema.field_names,
-                         (c.kind for c in f.schema.children))).get(col)
+        ctype = f._select([col])[0][1]
 
         def _coerce(v: str):
             # ISO-datetime parsing ONLY for timestamp columns — a string
             # column holding date-shaped strings must keep string bounds
             casts = ((int, float, datetime.datetime.fromisoformat)
-                     if ckind == 9 else (int, float))
+                     if ctype.kind == 9 else (int, float))
             for cast in casts:
                 try:
                     return cast(v)
@@ -309,35 +305,8 @@ def cmd_import_orc(args) -> int:
             return v
 
         lo, hi = _coerce(lo), _coerce(hi)
-        stats = f.stripe_statistics()
-        plo_ns = _ts_pred_ns(lo) if ckind == 9 else None
-        phi_ns = _ts_pred_ns(hi) if ckind == 9 else None
-
-        def _excluded(i: int) -> bool:
-            if i >= len(stats):
-                return False
-            s = stats[i].get(col)
-            if s is None:
-                return False
-            if ckind == 9:
-                if plo_ns is None or phi_ns is None:
-                    return False
-                # fetch the stripe footer's tz only when a stat side is
-                # writer-local; UTC-tagged (ORC-135) stats ignore it
-                tz = None
-                if (isinstance(s[0], _TsMs) and not s[0].utc) or \
-                        (isinstance(s[1], _TsMs) and not s[1].utc):
-                    tz = f.writer_timezone(i)
-                lo_ns, hi_ns = _ts_stat_bounds_ns(s[0], s[1], tz)
-                return (hi_ns is not None and hi_ns < plo_ns) or \
-                       (lo_ns is not None and lo_ns > phi_ns)
-            try:
-                return (s[0] is not None and s[1] is not None
-                        and (s[1] < lo or s[0] > hi))
-            except TypeError:
-                return False
-
-        keep = [i for i in range(len(f.stripes)) if not _excluded(i)]
+        keep = [i for i in range(len(f.stripes))
+                if f._stripe_may_match(i, col, lo, hi)]
         n_stat = len(f.stripes) - len(keep)
         if lo == hi:  # point lookup: bloom streams too (kind 9 converts
             # datetime predicates to UTC-ms inside bloom_might_contain)

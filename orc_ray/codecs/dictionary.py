@@ -8,8 +8,9 @@ UTF-8 bytes + a LENGTH stream, and per-row values become dictionary indexes.
 Vectorized via pyarrow dictionary_encode + an argsort remap instead of the
 reference's per-value hash-map inserts.
 
-The dictionary-vs-direct decision (distinct/total <= 0.49,
-/root/reference/treewriter.go:533-538, 694-707) lives in the codec selector.
+The dictionary-vs-direct decision is ``DICTIONARY_THRESHOLD`` below
+(/root/reference/treewriter.go:533-538, 694-707), applied by both string
+writers: ``stripe._encode_string_column`` and ``sources.orcwriter``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+# dictionary iff distinct/total <= this (treewriter.go:537)
+DICTIONARY_THRESHOLD = 0.49
 
 
 def dictionary_encode(arr: pa.Array) -> tuple[np.ndarray, bytes, np.ndarray]:
@@ -57,14 +61,14 @@ def string_blob(arr: pa.Array) -> tuple[bytes, np.ndarray]:
 
 def strings_from_blob(blob: bytes, lengths: np.ndarray) -> pa.Array:
     """Rebuild an Arrow string array from concatenated bytes + lengths
-    without per-value Python loops."""
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int32)
+    without per-value Python loops. A blob of 2^31 bytes or more needs
+    64-bit offsets, so it becomes a large_string array."""
+    large = len(blob) >= 2**31
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64 if large else np.int32)
     np.cumsum(lengths, out=offsets[1:])
-    return pa.StringArray.from_buffers(
-        len(lengths),
-        pa.py_buffer(offsets.tobytes()),
-        pa.py_buffer(blob),
-    )
+    return pa.Array.from_buffers(
+        pa.large_string() if large else pa.string(), len(lengths),
+        [None, pa.py_buffer(offsets), pa.py_buffer(blob)])
 
 
 def string_hashes64(arr: pa.Array) -> np.ndarray:

@@ -16,10 +16,6 @@ class EncoderConfig:
     # stripe cut: a stripe closes when it holds ~this many token values
     # (200 MiB of int32 tokens ~= 50M; small default keeps test stripes real)
     stripe_target_tokens: int = 4_000_000
-    # also cap rows per stripe (writer.go:21 DefaultStripeTargetRowCount)
-    stripe_target_rows: int = 1_048_576
-    # dictionary iff distinct/total <= threshold (treewriter.go:537)
-    dict_threshold: float = 0.49
     # candidates for integer DATA streams, in preference order on ties
     int_candidates: tuple[str, ...] = ("rle2", "rle2_delta", "for", "planar")
     # string blob handling: measured-size choice between candidates
@@ -39,20 +35,12 @@ class EncoderConfig:
     # stream every this-many values (writer.go:27 DefaultRowIndexStride),
     # enabling partial-stripe row-range decode; 0 disables
     row_index_stride: int = 10_000
-    # selector sampling: streams larger than this are chosen on a sample.
-    # 16k is ample to separate codecs (they differ by >5% when they differ
-    # at all) and keeps the 4-candidate trial encode out of the profile
-    selector_sample_values: int = 16_384
-    # stateful selector re-evaluates a cached per-(source,stream) choice
-    # every N chunks (stripe-granular stability like ORC's writer)
-    selector_recheck_every: int = 8
     # prefer a vectorized codec (for/planar/bytes) over rle2 when its
     # measured size is within this fraction of rle2's: rle2's per-scope
     # loop is ~50x slower, and the streams where rle2 wins narrowly
     # (LENGTH/n_tok) are <0.5% of stripe bytes. 0 restores pure
     # smallest-size selection.
     rle2_speed_tolerance: float = 0.15
-    fsst_iterations: int = 5
     # columns that get a per-stripe BLOOM_FILTER stream (the orc.proto
     # stream kind the reference never implements): point lookups read only
     # the filter's byte range to rule a stripe out. Opt-in — the filter

@@ -41,6 +41,10 @@ from ..state import manifest as mf
 from ..state import storage
 from ..stripe import encode_table
 
+# a stripe also closes at this many rows (writer.go:21
+# DefaultStripeTargetRowCount)
+STRIPE_TARGET_ROWS = 1_048_576
+
 
 def cluster_cpus() -> int:
     """CPUs in the Ray cluster; 8 when Ray is not initialized yet (the
@@ -102,7 +106,7 @@ def split_stripes(table: pa.Table, config: EncoderConfig) -> list[pa.Table]:
     while s < n:
         base = int(cum[s - 1]) if s else 0
         e = int(np.searchsorted(cum, base + budget, side="right"))
-        e = min(max(e, s + 1), n, s + config.stripe_target_rows)
+        e = min(max(e, s + 1), n, s + STRIPE_TARGET_ROWS)
         out.append(table.slice(s, e - s))
         s = e
     return out

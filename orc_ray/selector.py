@@ -13,7 +13,7 @@ deterministic selector:
 ``choose_int_codec`` is a pure function of chunk-local statistics
 (sampled for large chunks). ``SelectorState`` adds a warm-start cache per
 (source, stream): an encode job's tasks on one worker share it and only
-re-measure every ``recheck_every`` chunks, matching ORC's stripe-granular
+re-measure every ``RECHECK_EVERY`` chunks, matching ORC's stripe-granular
 stability. Decode is always correct, because the chosen codec is recorded
 in the stream meta. But a partition's bytes can depend on which partitions
 the same worker encoded earlier in the job, so a retried or resumed
@@ -26,6 +26,14 @@ import numpy as np
 
 from .codecs import CHUNKED_KINDS, forpack, outer_kind, planar, rle2
 from .config import EncoderConfig
+
+# streams larger than this are chosen on a sample: 16k is ample to
+# separate codecs (they differ by >5% when they differ at all) and keeps
+# the 4-candidate trial encode out of the profile
+SAMPLE_VALUES = 16_384
+# SelectorState re-evaluates a cached per-(source, stream) choice every
+# this many chunks (stripe-granular stability like ORC's writer)
+RECHECK_EVERY = 8
 
 
 def _sample(values: np.ndarray, max_n: int) -> np.ndarray:
@@ -139,7 +147,7 @@ def choose_int_codec(
     candidates = candidates or config.int_candidates
     if len(candidates) == 1 or len(values) == 0:
         return candidates[0]
-    s = _sample(values, config.selector_sample_values)
+    s = _sample(values, SAMPLE_VALUES)
     # measure what actually hits disk: the outer block-compression stage
     # keeps the smaller of (raw, compressed) per stream, and codecs differ
     # sharply in how compressible their output is (byte-planes vs
@@ -218,6 +226,13 @@ class SelectorState:
         self._choice: dict[tuple[str, str], str] = {}
         self._count: dict[tuple[str, str], int] = {}
 
+    def _due(self, key: tuple[str, str]) -> bool:
+        """Count one use of ``key``; True when it has no cached entry or
+        its entry is due for re-measuring (every RECHECK_EVERY-th use)."""
+        cnt = self._count.get(key, 0)
+        self._count[key] = cnt + 1
+        return key not in self._choice or cnt % RECHECK_EVERY == 0
+
     def choose_int(
         self,
         group: str,
@@ -227,13 +242,10 @@ class SelectorState:
         candidates: tuple[str, ...] | None = None,
     ) -> str:
         key = (group, stream)
-        cnt = self._count.get(key, 0)
-        self._count[key] = cnt + 1
-        if key in self._choice and cnt % self.config.selector_recheck_every != 0:
-            return self._choice[key]
-        choice = choose_int_codec(values, signed, self.config, candidates)
-        self._choice[key] = choice
-        return choice
+        if self._due(key):
+            self._choice[key] = choose_int_codec(values, signed, self.config,
+                                                 candidates)
+        return self._choice[key]
 
     def blob_codec(self, group: str, column: str) -> str | None:
         """Cached string-blob codec for (group, column), or None when a
@@ -242,11 +254,7 @@ class SelectorState:
         where zstd always wins — measured at ~1/3 of total encode time on
         the bench corpus."""
         key = (group, f"blob:{column}")
-        cnt = self._count.get(key, 0)
-        self._count[key] = cnt + 1
-        if key in self._choice and cnt % self.config.selector_recheck_every != 0:
-            return self._choice[key]
-        return None
+        return None if self._due(key) else self._choice[key]
 
     def record_blob_choice(self, group: str, column: str, codec: str) -> None:
         self._choice[(group, f"blob:{column}")] = codec
@@ -257,11 +265,6 @@ class SelectorState:
         into every stream, so blobs stay self-contained and a retrained
         table never invalidates previously committed stripes."""
         key = (group, f"fsst:{column}")
-        cnt = self._count.get(key, 0)
-        self._count[key] = cnt + 1
-        cached = self._choice.get(key)
-        if cached is not None and cnt % self.config.selector_recheck_every != 0:
-            return cached
-        table = train_fn()
-        self._choice[key] = table
-        return table
+        if self._due(key):
+            self._choice[key] = train_fn()
+        return self._choice[key]

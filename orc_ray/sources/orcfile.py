@@ -39,7 +39,10 @@ import numpy as np
 import pyarrow as pa
 
 from ..codecs import CHUNKED_KINDS, byterle, chunked, rle1, rle2
+from ..codecs.dictionary import strings_from_blob
+from ..codecs.timestamp import BASE_SECONDS, parse_nanos
 from ..codecs.varint import read_vulong
+from ..stripe import _int_array, _scatter_generic, _union_offsets
 
 # ---------------------------------------------------------------------------
 # proto2 wire-format reader
@@ -491,16 +494,36 @@ def _parse_types(raw_types: list) -> OrcType:
     return nodes[0]
 
 
+def _may_match(kind: int, lo, hi, plo, phi, tzname) -> bool:
+    """The one statistics-pruning test: False when column statistics
+    (lo, hi) of ORC type ``kind`` prove no value lies in [plo, phi];
+    True otherwise.  Missing or incomparable statistics never prune.
+    Timestamp statistics are epoch-ms while the exact filter compares in
+    decode-frame ns, so kind 9 maps both sides through the explicit
+    converters (``tzname``, the writerTimezone, is only needed for
+    writer-local statistics), never the generic compare."""
+    if kind == 9:
+        plo_ns, phi_ns = _ts_pred_ns(plo), _ts_pred_ns(phi)
+        if plo_ns is None or phi_ns is None:
+            return True
+        lo_ns, hi_ns = _ts_stat_bounds_ns(lo, hi, tzname)
+        return not ((hi_ns is not None and hi_ns < plo_ns)
+                    or (lo_ns is not None and lo_ns > phi_ns))
+    try:
+        return lo is None or hi is None or not (hi < plo or lo > phi)
+    except TypeError:
+        return True  # stats/predicate type mismatch: never prune on it
+
+
 # ---------------------------------------------------------------------------
 # footer / stripe metadata
-
-TIMESTAMP_BASE_SECONDS = 1420070400  # 2015-01-01T00:00:00Z, treereader.go:130
 
 _KIND_PRESENT = 0
 _KIND_DATA = 1
 _KIND_LENGTH = 2
 _KIND_DICT_DATA = 3
 _KIND_SECONDARY = 5
+_KIND_ROW_INDEX = 6
 _ENC_DIRECT = 0
 _ENC_DICTIONARY = 1
 _ENC_DIRECT_V2 = 2
@@ -514,6 +537,17 @@ class StripeInfo:
     data_length: int
     footer_length: int
     number_of_rows: int
+
+
+@dataclass
+class _StripeView:
+    """One stripe footer, parsed once: the stream directory
+    ``(column, kind) -> (file offset, length)`` in footer order, the
+    ColumnEncodings ``column -> (kind, dictionary size)`` and the
+    writerTimezone (orc.proto StripeFooter fields 1-3)."""
+    streams: dict[tuple[int, int], tuple[int, int]]
+    encodings: dict[int, tuple[int, int]]
+    timezone: str | None
 
 
 class ORCFile:
@@ -558,11 +592,10 @@ class ORCFile:
         tail_start = len(data) - 1 - ps_len - footer_len
         footer = _pb_fields(_decompress(data[tail_start: tail_start + footer_len],
                                         self.compression))
-        self.schema = _parse_types(footer.get(4, []))
         # raw Type buffers, kept so stripe work items can carry the schema
         # to decode tasks without a per-stripe tail re-parse (stripe_spec)
-        self._raw_types = b"".join(
-            b"\x22" + _vu(len(t)) + bytes(t) for t in footer.get(4, []))
+        self._set_schema(b"".join(
+            b"\x22" + _vu(len(t)) + bytes(t) for t in footer.get(4, [])))
         self.number_of_rows = _pb_one(footer, 6, 0)
         self.row_index_stride = _pb_one(footer, 8, 0)
         self.stripes: list[StripeInfo] = []
@@ -582,6 +615,15 @@ class ORCFile:
         # footer; parsed lazily by stripe_statistics() for pushdown
         self._meta_section = (tail_start - meta_len, meta_len)
         self._stripe_stats: list[dict] | None = None
+
+    def _set_schema(self, raw_types: bytes) -> None:
+        """Schema tree plus the top-level column map ``name -> OrcType``
+        (a non-struct root is the single column ``_value``)."""
+        self._raw_types = raw_types
+        self.schema = s = _parse_types(_pb_fields(raw_types).get(4, []))
+        self.top_columns = (dict(zip(s.field_names, s.children))
+                            if s.kind == 12 else {"_value": s})
+        self._views: dict[int, _StripeView] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -617,8 +659,7 @@ class ORCFile:
         self.compression = spec["compression"]
         self.compression_block = spec["compression_block"]
         self.version = [0, 12]
-        self.schema = _parse_types(_pb_fields(spec["types"]).get(4, []))
-        self._raw_types = bytes(spec["types"])
+        self._set_schema(bytes(spec["types"]))
         self.row_index_stride = spec["row_index_stride"]
         self.number_of_rows = spec["number_of_rows"]
         self.stripes = [] if spec["stripe"] < 0 else [StripeInfo(
@@ -631,20 +672,53 @@ class ORCFile:
         self._stripe_stats = None
         return self
 
-    def arrow_schema(self) -> pa.Schema:
-        root = self.schema
-        if root.kind == 12:
-            return pa.schema([
-                pa.field(name, _arrow_type(child))
-                for name, child in zip(root.field_names, root.children)
-            ])
-        return pa.schema([pa.field("_value", _arrow_type(root))])
+    def _select(self, columns: list[str] | None) -> list[tuple[str, OrcType]]:
+        """(name, type) of the top-level columns in ``columns``, in schema
+        order (all of them for None); ValueError names unknown ones."""
+        if columns is None:
+            return list(self.top_columns.items())
+        unknown = [c for c in columns if c not in self.top_columns]
+        if unknown:
+            raise ValueError(f"unknown ORC column(s) {unknown}; the file "
+                             f"has {list(self.top_columns)}")
+        return [(nm, t) for nm, t in self.top_columns.items() if nm in columns]
 
-    def _stripe_footer(self, i: int) -> dict:
-        st = self.stripes[i]
-        sf_off = st.offset + st.index_length + st.data_length
-        return _pb_fields(_decompress(
-            self._data[sf_off: sf_off + st.footer_length], self.compression))
+    def arrow_schema(self, columns: list[str] | None = None) -> pa.Schema:
+        return pa.schema([pa.field(nm, _arrow_type(t))
+                          for nm, t in self._select(columns)])
+
+    def _stripe_view(self, i: int) -> _StripeView:
+        """Stripe ``i``'s footer, decompressed and parsed on first use."""
+        view = self._views.get(i)
+        if view is None:
+            st = self.stripes[i]
+            sf_off = st.offset + st.index_length + st.data_length
+            sf = _pb_fields(_decompress(
+                self._data[sf_off: sf_off + st.footer_length],
+                self.compression))
+            streams = {}
+            off = st.offset
+            for sbuf in sf.get(1, []):
+                f = _pb_fields(sbuf)
+                ln = _pb_one(f, 3, 0)
+                streams[(_pb_one(f, 2, 0), _pb_one(f, 1, 0))] = (off, ln)
+                off += ln
+            encodings = {}
+            for ci, cbuf in enumerate(sf.get(2, [])):
+                f = _pb_fields(cbuf)
+                encodings[ci] = (_pb_one(f, 1, 0), _pb_one(f, 2, 0))
+            tz = _pb_one(sf, 3)
+            view = self._views[i] = _StripeView(
+                streams, encodings, None if tz is None else bytes(tz).decode())
+        return view
+
+    def _stream(self, i: int, col: int, kind: int) -> bytes | None:
+        """One whole decompressed stream of stripe ``i``, or None."""
+        rng = self._stripe_view(i).streams.get((col, kind))
+        if rng is None:
+            return None
+        off, ln = rng
+        return _decompress(self._data[off: off + ln], self.compression)
 
     def stripe_statistics(self) -> list[dict]:
         """Per-stripe top-level column statistics from the file tail's
@@ -665,35 +739,38 @@ class ORCFile:
             return self._stripe_stats
         meta = _pb_fields(_decompress(self._data[start: start + ln],
                                       self.compression))
-        root = self.schema
-        tops: list[tuple[str, int, int]] = []  # (name, column id, kind)
-        if root.kind == 12:
-            for nm, child in zip(root.field_names, root.children):
-                tops.append((nm, child.column, child.kind))
-        else:
-            tops.append(("_value", root.column, root.kind))
         out: list[dict] = []
         for sbuf in meta.get(1, []):  # StripeStatistics
             cols = _pb_fields(sbuf).get(1, [])  # repeated ColumnStatistics
             st: dict = {}
-            for nm, cid, kind in tops:
-                if cid >= len(cols):
+            for nm, t in self.top_columns.items():
+                if t.column >= len(cols):
                     continue
-                cs = _pb_fields(cols[cid])
-                lo, hi = _stats_min_max(cs, kind)
+                cs = _pb_fields(cols[t.column])
+                lo, hi = _stats_min_max(cs, t.kind)
                 st[nm] = (lo, hi, _pb_one(cs, 1, 0), bool(_pb_one(cs, 10, 0)))
             out.append(st)
         self._stripe_stats = out
         return out
 
+    def _stripe_may_match(self, i: int, column: str, lo, hi) -> bool:
+        """Stripe-statistics test for ``lo <= column <= hi`` (see
+        ``_may_match``).  Planning stays tail-only: the stripe footer is
+        read only when a timestamp statistic is in the writer-local
+        frame and so needs the writerTimezone."""
+        stats = self.stripe_statistics()
+        s = stats[i].get(column) if i < len(stats) else None
+        if s is None:
+            return True
+        local = any(isinstance(v, _TsMs) and not v.utc for v in s[:2])
+        return _may_match(self.top_columns[column].kind, s[0], s[1], lo, hi,
+                          self.writer_timezone(i) if local else None)
+
     def writer_timezone(self, i: int = 0) -> str | None:
         """StripeFooter.writerTimezone (orc.proto field 3).  The reference
         ignores it (why its own suite skips the US/Pacific files); correct
         instant decode requires it."""
-        if not self.stripes:
-            return None
-        tz = _pb_one(self._stripe_footer(i), 3)
-        return bytes(tz).decode() if tz is not None else None
+        return self._stripe_view(i).timezone if self.stripes else None
 
     def bloom_index(self, i: int, column: str):
         """Parsed BLOOM_FILTER / BLOOM_FILTER_UTF8 index for ``column`` in
@@ -702,29 +779,15 @@ class ORCFile:
         point of blooms is skipping the DATA region unread."""
         from .orcbloom import BloomFilterIndex
 
-        root = self.schema
-        colid = None
-        if root.kind == 12:
-            for nm, child in zip(root.field_names, root.children):
-                if nm == column:
-                    colid = child.column
-                    break
-        elif column == "_value":
-            colid = root.column
-        if colid is None:
+        t = self.top_columns.get(column)
+        if t is None:
             return None
-        st = self.stripes[i]
-        sf = self._stripe_footer(i)
-        off = st.offset
-        for sbuf in sf.get(1, []):
-            f = _pb_fields(sbuf)
-            kind = _pb_one(f, 1, 0)
-            ln = _pb_one(f, 3, 0)
-            if kind in (7, 8) and _pb_one(f, 2, 0) == colid:
-                return BloomFilterIndex.parse(_decompress(
-                    self._data[off: off + ln], self.compression))
-            off += ln
-        return None
+        # the first bloom stream of the column in footer order
+        kind = next((k for c, k in self._stripe_view(i).streams
+                     if c == t.column and k in (7, 8)), None)
+        if kind is None:
+            return None
+        return BloomFilterIndex.parse(self._stream(i, t.column, kind))
 
     def bloom_might_contain(self, i: int, column: str, value) -> bool:
         """Equality-lookup stripe test: False means the stripe's bloom
@@ -740,17 +803,10 @@ class ORCFile:
         without a writerTimezone hashed unrecoverable frames: never skip."""
         from .orcbloom import probe_hashes
 
-        root = self.schema
-        kind = None
-        if root.kind == 12:
-            for nm, child in zip(root.field_names, root.children):
-                if nm == column:
-                    kind = child.kind
-                    break
-        elif column == "_value":
-            kind = root.kind
-        if kind is None:
+        t = self.top_columns.get(column)
+        if t is None:
             return True
+        kind = t.kind
         if kind == 9:
             if self.writer_timezone(i) is None:
                 return True
@@ -769,78 +825,48 @@ class ORCFile:
         hashes = probe_hashes(value, kind, idx.lineage)
         return idx.might_contain(hashes) if hashes else True
 
-    def _wanted_columns(self, columns: list[str] | None) -> set[int]:
+    def _decode_rows(self, i: int, columns: list[str] | None, n: int,
+                     seek: dict | None = None,
+                     skips: dict | None = None) -> pa.Table:
+        """``n`` rows of the selected columns of stripe ``i``, decoded
+        from the stripe start or, with a ``_seek_plan``, from a row-group
+        start: ``seek`` maps (col, kind) -> (chunk_offset,
+        decompressed_offset), and those streams are decompressed FROM the
+        chunk offset only (chunked compression headers are
+        self-contained) and sliced at the decompressed offset — the byte
+        half of row-index positions; ``skips`` is the other half."""
+        cols = self._select(columns)
         root = self.schema
-        if root.kind == 12 and columns is not None:
-            wanted: set[int] = {root.column}
-            for name, child in zip(root.field_names, root.children):
-                if name in columns:
-                    wanted.update(child.subtree_columns())
-            return wanted
-        return set(root.subtree_columns())
-
-    def _stripe_parts(self, i: int, wanted: set[int],
-                      seek: dict | None = None):
-        """(streams, encodings, base_epoch) for stripe ``i``.  ``seek``
-        maps (col, kind) -> (chunk_offset, decompressed_offset): those
-        streams are decompressed FROM the chunk offset only (chunked
-        compression headers are self-contained) and sliced at the
-        decompressed offset — the byte half of row-index positions."""
-        st = self.stripes[i]
-        sf = self._stripe_footer(i)
-        encodings: dict[int, tuple[int, int]] = {}
-        for ci, cbuf in enumerate(sf.get(2, [])):
-            f = _pb_fields(cbuf)
-            encodings[ci] = (_pb_one(f, 1, 0), _pb_one(f, 2, 0))
+        wanted = {root.column}.union(*(t.subtree_columns() for _, t in cols))
+        view = self._stripe_view(i)
+        seek = seek or {}
         streams: dict[tuple[int, int], bytes] = {}
-        off = st.offset
-        for sbuf in sf.get(1, []):
-            f = _pb_fields(sbuf)
-            kind = _pb_one(f, 1, 0)
-            col = _pb_one(f, 2, 0)
-            ln = _pb_one(f, 3, 0)
-            if kind in (0, 1, 2, 3, 4, 5) and col in wanted:
-                pos = seek.get((col, kind)) if seek else None
-                if pos is None:
-                    streams[(col, kind)] = _decompress(
-                        self._data[off: off + ln], self.compression)
-                elif self.compression == 0:
-                    streams[(col, kind)] = bytes(
-                        self._data[off + pos[0]: off + ln])
-                else:
-                    buf = _decompress(
-                        self._data[off + pos[0]: off + ln], self.compression)
-                    streams[(col, kind)] = buf[pos[1]:]
-            off += ln
-        tzname = _pb_one(sf, 3)
-        base_epoch = TIMESTAMP_BASE_SECONDS
-        if tzname is not None:
+        for key, (off, ln) in view.streams.items():
+            if key[1] > _KIND_SECONDARY or key[0] not in wanted:
+                continue
+            pos = seek.get(key)
+            if pos is None:
+                streams[key] = _decompress(self._data[off: off + ln],
+                                           self.compression)
+            elif self.compression == 0:
+                streams[key] = bytes(self._data[off + pos[0]: off + ln])
+            else:
+                streams[key] = _decompress(self._data[off + pos[0]: off + ln],
+                                           self.compression)[pos[1]:]
+        base_epoch = BASE_SECONDS
+        if view.timezone is not None:
             from zoneinfo import ZoneInfo
             base_epoch = int(datetime.datetime(
-                2015, 1, 1, tzinfo=ZoneInfo(bytes(tzname).decode())).timestamp())
-        return streams, encodings, base_epoch
-
-    def _assemble(self, dec, n: int, columns: list[str] | None) -> pa.Table:
-        root = self.schema
-        if root.kind == 12:
-            names = root.field_names
-            kids = root.children
-            if columns is not None:
-                keep = [(nm, ch) for nm, ch in zip(names, kids) if nm in columns]
-                names = [nm for nm, _ in keep]
-                kids = [ch for _, ch in keep]
-            root_present = dec.present(root.column, n)
-            arrays = [dec.decode(ch, int(root_present.sum())) for ch in kids]
-            if not root_present.all():
-                raise OrcUnsupportedError("null rows at root struct")
-            return pa.table(dict(zip(names, arrays)))
-        return pa.table({"_value": dec.decode(root, n)})
+                2015, 1, 1, tzinfo=ZoneInfo(view.timezone)).timestamp())
+        dec = _StripeDecoder(streams, view.encodings, base_epoch, skips or {})
+        if root.kind != 12:
+            return pa.table({"_value": dec.decode(root, n)})
+        if not dec.present(root.column, n).all():
+            raise OrcUnsupportedError("null rows at root struct")
+        return pa.table({nm: dec.decode(t, n) for nm, t in cols})
 
     def read_stripe(self, i: int, columns: list[str] | None = None) -> pa.Table:
-        wanted = self._wanted_columns(columns)
-        streams, encodings, base_epoch = self._stripe_parts(i, wanted)
-        dec = _StripeDecoder(streams, encodings, base_epoch)
-        return self._assemble(dec, self.stripes[i].number_of_rows, columns)
+        return self._decode_rows(i, columns, self.stripes[i].number_of_rows)
 
     def row_index(self, i: int, colid: int):
         """Parsed ROW_INDEX for one column of stripe ``i``: a list of
@@ -848,35 +874,23 @@ class ORCFile:
         positions per proto RowIndexEntry (orc.proto:180-183; the
         reference exposes the same stream via cursor.go:178-196 but never
         consumes positions).  None when the stripe carries no index."""
-        st = self.stripes[i]
-        sf = self._stripe_footer(i)
-        kind_of = None
-        for t in _iter_types(self.schema):
-            if t.column == colid:
-                kind_of = t.kind
-                break
-        off = st.offset
-        for sbuf in sf.get(1, []):
-            f = _pb_fields(sbuf)
-            kind = _pb_one(f, 1, 0)
-            ln = _pb_one(f, 3, 0)
-            if kind == 6 and _pb_one(f, 2, 0) == colid:
-                raw = _decompress(self._data[off: off + ln], self.compression)
-                out = []
-                for ebuf in _pb_fields(raw).get(1, []):
-                    e = _pb_fields(ebuf)
-                    pos = _pb_packed_uints(e, 1)
-                    stats = (None, None, 0, False)
-                    sbuf2 = _pb_one(e, 2)
-                    if sbuf2 is not None and kind_of is not None:
-                        cs = _pb_fields(sbuf2)
-                        lo, hi = _stats_min_max(cs, kind_of)
-                        stats = (lo, hi, _pb_one(cs, 1, 0),
-                                 bool(_pb_one(cs, 10, 0)))
-                    out.append((pos, stats))
-                return out
-            off += ln
-        return None
+        raw = self._stream(i, colid, _KIND_ROW_INDEX)
+        if raw is None:
+            return None
+        kind_of = next((t.kind for t in _iter_types(self.schema)
+                        if t.column == colid), None)
+        out = []
+        for ebuf in _pb_fields(raw).get(1, []):
+            e = _pb_fields(ebuf)
+            pos = _pb_packed_uints(e, 1)
+            stats = (None, None, 0, False)
+            sbuf = _pb_one(e, 2)
+            if sbuf is not None and kind_of is not None:
+                cs = _pb_fields(sbuf)
+                lo, hi = _stats_min_max(cs, kind_of)
+                stats = (lo, hi, _pb_one(cs, 1, 0), bool(_pb_one(cs, 10, 0)))
+            out.append((pos, stats))
+        return out
 
     def _seek_plan(self, i: int, columns: list[str] | None, group: int):
         """(seek_bytes, skips) to start decoding stripe ``i`` at row group
@@ -886,33 +900,19 @@ class ORCFile:
         (present bitfield first, then the kind's streams — the order
         treewriter.go:69-90 emits them in).  Raises OrcUnsupportedError
         for kinds/encodings without seek support (nested types)."""
-        st = self.stripes[i]
-        sf = self._stripe_footer(i)
-        encodings: dict[int, tuple[int, int]] = {}
-        for ci, cbuf in enumerate(sf.get(2, [])):
-            f = _pb_fields(cbuf)
-            encodings[ci] = (_pb_one(f, 1, 0), _pb_one(f, 2, 0))
-        has_stream: set[tuple[int, int]] = set()
-        for sbuf in sf.get(1, []):
-            f = _pb_fields(sbuf)
-            has_stream.add((_pb_one(f, 2, 0), _pb_one(f, 1, 0)))
+        view = self._stripe_view(i)
         root = self.schema
-        cols = []
+        cols = [t for _, t in self._select(columns)]
         if root.kind == 12:
-            for nm, ch in zip(root.field_names, root.children):
-                if columns is None or nm in columns:
-                    cols.append(ch)
             cols.append(root)  # root PRESENT (if any) must seek too
-        else:
-            cols.append(root)
         nc = 2 if self.compression else 1  # buffered positions per stream
         seek: dict[tuple[int, int], tuple[int, int]] = {}
         skips: dict[tuple[int, int], int] = {}
 
         def layout(t: OrcType) -> list[tuple[int, str]]:
-            k, enc = t.kind, encodings.get(t.column, (_ENC_DIRECT, 0))[0]
+            k, enc = t.kind, view.encodings.get(t.column, (_ENC_DIRECT, 0))[0]
             out = []
-            if (t.column, _KIND_PRESENT) in has_stream:
+            if (t.column, _KIND_PRESENT) in view.streams:
                 out.append((_KIND_PRESENT, "bitfield"))
             if k == 12:
                 if t is not root:
@@ -973,40 +973,31 @@ class ORCFile:
         ROW_INDEX seek: decoding starts at the enclosing row-group
         boundary — streams are decompressed from the recorded chunk
         offset and decoded from the recorded run position — instead of at
-        the stripe start.  Falls back to a full-stripe decode + slice
-        when the file has no usable index or a selected column's type has
-        no seek support (nested types)."""
-        st = self.stripes[i]
-        n = st.number_of_rows
-        row_lo = max(0, row_lo)
-        row_hi = min(row_hi, n)
-        if row_hi <= row_lo:
-            return self.read_stripe(i, columns).slice(0, 0)
+        the stripe start.  Decodes from the stripe start when the file has
+        no usable index or a selected column's type has no seek support
+        (nested types)."""
+        n = self.stripes[i].number_of_rows
+        row_lo = min(max(0, row_lo), n)
+        row_hi = max(row_lo, min(row_hi, n))
+        if row_hi == row_lo:
+            return self.arrow_schema(columns).empty_table()
         stride = self.row_index_stride
         g0 = row_lo // stride if stride else 0
-        if g0 == 0:
-            return self.read_stripe(i, columns).slice(row_lo,
-                                                      row_hi - row_lo)
-        try:
-            seek, skips = self._seek_plan(i, columns, g0)
-        except OrcUnsupportedError:
-            return self.read_stripe(i, columns).slice(row_lo,
-                                                      row_hi - row_lo)
-        wanted = self._wanted_columns(columns)
-        streams, encodings, base_epoch = self._stripe_parts(i, wanted, seek)
-        dec = _SeekStripeDecoder(streams, encodings, base_epoch, skips)
-        n_dec = row_hi - g0 * stride
-        t = self._assemble(dec, n_dec, columns)
-        return t.slice(row_lo - g0 * stride)
+        plan = ()
+        if g0:
+            try:
+                plan = self._seek_plan(i, columns, g0)
+            except OrcUnsupportedError:
+                g0 = 0
+        start = g0 * stride
+        return self._decode_rows(i, columns, row_hi - start,
+                                 *plan).slice(row_lo - start)
 
     def read(self, columns: list[str] | None = None) -> pa.Table:
         if not self.stripes:
-            return self.arrow_schema().empty_table() if columns is None else \
-                pa.table({c: pa.array([], _arrow_type(ch))
-                          for c, ch in zip(self.schema.field_names, self.schema.children)
-                          if c in columns})
-        parts = [self.read_stripe(i, columns) for i in range(len(self.stripes))]
-        return pa.concat_tables(parts)
+            return self.arrow_schema(columns).empty_table()
+        return pa.concat_tables(
+            [self.read_stripe(i, columns) for i in range(len(self.stripes))])
 
 
 def _arrow_type(t: OrcType) -> pa.DataType:
@@ -1060,35 +1051,44 @@ def _iter_types(t: OrcType):
         yield from _iter_types(ch)
 
 
-def _validity_buffer(present: np.ndarray):
-    return pa.py_buffer(np.packbits(present, bitorder="little").tobytes())
-
-
 class _StripeDecoder:
-    """Recursive column-tree decoder over a stripe's decompressed streams."""
+    """Recursive column-tree decoder over a stripe's decompressed streams.
+
+    A seeked read (``read_rows``) gets streams byte-sliced at row-index
+    positions.  The byte half of a position lands at a run-header
+    boundary inside the stream; ``skips`` carries the other half per
+    (col, kind) — how far INTO that run the row group starts: values for
+    RLE streams, bits (bytes*8 + bit) for bitfield streams.  Each decode
+    reads skip + n entries and drops the skip prefix.  Dictionary-global
+    streams (DICT_DATA and a dict column's LENGTH) have no positions, are
+    loaded whole, and never appear in ``skips``; a whole-stripe read has
+    no skips at all."""
 
     def __init__(self, streams: dict[tuple[int, int], bytes],
-                 encodings: dict[int, tuple[int, int]],
-                 base_epoch: int = TIMESTAMP_BASE_SECONDS):
+                 encodings: dict[int, tuple[int, int]], base_epoch: int,
+                 skips: dict[tuple[int, int], int]):
         self.streams = streams
         self.encodings = encodings
         self.base_epoch = base_epoch  # epoch secs of 2015-01-01 00:00 writer-local
+        self.skips = skips
 
     def _ints(self, col: int, kind: int, n: int, signed: bool) -> np.ndarray:
-        buf = self.streams.get((col, kind), b"")
-        enc = self.encodings.get(col, (_ENC_DIRECT, 0))[0]
         if n == 0:
             return np.empty(0, np.int64)
-        if enc in (_ENC_DIRECT_V2, _ENC_DICTIONARY_V2):
-            return rle2.decode(buf, signed, n)
-        return rle1.decode(buf, signed, n)
+        s = self.skips.get((col, kind), 0)
+        buf = self.streams.get((col, kind), b"")
+        enc = self.encodings.get(col, (_ENC_DIRECT, 0))[0]
+        rle = rle2 if enc in (_ENC_DIRECT_V2, _ENC_DICTIONARY_V2) else rle1
+        return rle.decode(buf, signed, n + s)[s:]
 
     def _bools(self, col: int, kind: int, n: int) -> np.ndarray:
-        return byterle.decode_bools(self.streams.get((col, kind), b""), n)
+        s = self.skips.get((col, kind), 0)
+        return byterle.decode_bools(self.streams.get((col, kind), b""), n + s)[s:]
 
     def _bytes(self, col: int, n: int) -> np.ndarray:
+        s = self.skips.get((col, _KIND_DATA), 0)
         return byterle.decode_bytes(
-            self.streams.get((col, _KIND_DATA), b""), n)
+            self.streams.get((col, _KIND_DATA), b""), n + s)[s:]
 
     def present(self, col: int, n: int) -> np.ndarray:
         if (col, _KIND_PRESENT) not in self.streams or n == 0:
@@ -1098,154 +1098,82 @@ class _StripeDecoder:
     def decode(self, t: OrcType, n: int) -> pa.Array:
         """Decode column subtree ``t`` with ``n`` value slots at this level."""
         present = self.present(t.column, n)
-        nv = int(present.sum())
-        k = t.kind
-        has_null = nv != n
-        vbuf = _validity_buffer(present) if has_null else None
-
-        def scatter(vals: np.ndarray, dtype, patype) -> pa.Array:
-            full = np.zeros(n, dtype=dtype)
-            full[present] = vals.astype(dtype)
-            return pa.array(full, type=patype, mask=~present if has_null else None)
-
+        nv = int(np.count_nonzero(present))
+        valid = None if nv == n else present
+        k, col = t.kind, t.column
         if k == 0:
-            bits = self._bools(t.column, _KIND_DATA, nv)
-            return scatter(bits, bool, pa.bool_())
-        if k == 1:
-            raw = self._bytes(t.column, nv)
-            return scatter(raw.view(np.int8), np.int8, pa.int8())
-        if k in (2, 3, 4):
-            vals = self._ints(t.column, _KIND_DATA, nv, signed=True)
-            dt, ty = {2: (np.int16, pa.int16()), 3: (np.int32, pa.int32()),
-                      4: (np.int64, pa.int64())}[k]
-            return scatter(vals, dt, ty)
-        if k in (5, 6):
-            raw = self.streams.get((t.column, _KIND_DATA), b"")
-            dt, ty = (np.float32, pa.float32()) if k == 5 else (np.float64, pa.float64())
-            vals = np.frombuffer(raw, dtype="<" + ("f4" if k == 5 else "f8"), count=nv)
-            full = np.zeros(n, dtype=dt)
-            full[present] = vals
-            return pa.array(full, type=ty, mask=~present if has_null else None)
-        if k in (7, 16, 17):
-            return self._strings(t, n, nv, present, vbuf, pa.utf8())
-        if k == 8:
-            return self._strings(t, n, nv, present, vbuf, pa.binary())
-        if k == 9:
-            secs = self._ints(t.column, _KIND_DATA, nv, signed=True)
-            enc_nanos = self._ints(t.column, _KIND_SECONDARY, nv, signed=False)
-            zeros = enc_nanos & 7
-            nanos = enc_nanos >> 3
-            mult = np.where(zeros == 0, 1, 10 ** (zeros + 1))
+            vals = self._bools(col, _KIND_DATA, nv)
+        elif k == 1:
+            vals = self._bytes(col, nv).view(np.int8)
+        elif k in (2, 3, 4, 15):  # ints and dates (days)
+            vals = self._ints(col, _KIND_DATA, nv, signed=True)
+        elif k in (5, 6):
+            vals = np.frombuffer(self.streams.get((col, _KIND_DATA), b""),
+                                 dtype="<f4" if k == 5 else "<f8", count=nv)
+        elif k == 9:
+            secs = self._ints(col, _KIND_DATA, nv, signed=True)
+            ns_part = parse_nanos(
+                self._ints(col, _KIND_SECONDARY, nv, signed=False))
             abs_secs = self.base_epoch + secs
-            ns_part = nanos * mult
             # Java ORC quirk: pre-1970 values with nonzero nanos store the
             # *ceiling* second; readers subtract one second when
             # seconds < 0 && nanos > 0 (TreeReaderFactory semantics).
             # pyarrow's Arrow->ORC adapter instead stores trunc-division
             # seconds with NEGATIVE nanos (two's-complement in the
-            # "unsigned" SECONDARY stream, arithmetic-shift-decoded above)
-            # and no ceiling fixup — the plain sum is already the instant,
-            # so the fixup must never fire on negative nanos.
+            # "unsigned" SECONDARY stream, arithmetic-shift-decoded by
+            # parse_nanos) and no ceiling fixup — the plain sum is already
+            # the instant, so the fixup must never fire on negative nanos.
             abs_secs = abs_secs - ((abs_secs < 0) & (ns_part > 0))
-            total = abs_secs * 1_000_000_000 + ns_part
-            return scatter(total, np.int64, pa.timestamp("ns"))
-        if k == 15:
-            days = self._ints(t.column, _KIND_DATA, nv, signed=True)
-            return scatter(days, np.int32, pa.date32())
-        if k == 14:
+            vals = abs_secs * 1_000_000_000 + ns_part
+        elif k in (7, 8, 16, 17):
+            vals = self._strings(t, nv)
+            if k == 8:
+                vals = vals.view(pa.binary() if vals.type == pa.string()
+                                 else pa.large_binary())
+            return vals if valid is None else _scatter_generic(vals, valid)
+        elif k == 14:
             return self._decimal(t, n, nv, present)
-        if k == 10:
-            lengths = self._ints(t.column, _KIND_LENGTH, nv, signed=False)
-            full_len = np.zeros(n, dtype=np.int64)
-            full_len[present] = lengths
-            child = self.decode(t.children[0], int(lengths.sum()))
-            offsets = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(full_len, out=offsets[1:])
-            off_arr = pa.array(offsets, type=pa.int32(),
-                               mask=np.concatenate([~present, [False]]) if has_null else None)
-            return pa.ListArray.from_arrays(off_arr, child)
-        if k == 11:
-            lengths = self._ints(t.column, _KIND_LENGTH, nv, signed=False)
-            full_len = np.zeros(n, dtype=np.int64)
-            full_len[present] = lengths
-            total = int(lengths.sum())
-            keys = self.decode(t.children[0], total)
-            items = self.decode(t.children[1], total)
-            offsets = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(full_len, out=offsets[1:])
-            off_arr = pa.array(offsets, type=pa.int32(),
-                               mask=np.concatenate([~present, [False]]) if has_null else None)
-            if keys.null_count:  # map keys must be non-null in Arrow
-                keys = keys.fill_null("" if pa.types.is_string(keys.type) else 0)
-            return pa.MapArray.from_arrays(off_arr, keys, items)
-        if k == 12:
-            children = [self.decode(ch, nv) for ch in t.children]
-            if has_null:
-                # expand children to n slots: struct children in ORC only hold
-                # values where the struct is present
-                expanded = []
-                if nv == 0:
-                    expanded = [pa.nulls(n, ch.type) for ch in children]
-                else:
-                    idx = np.cumsum(present) - 1
-                    take_idx = pa.array(np.where(present, idx, 0).astype(np.int64))
-                    for ch in children:
-                        expanded.append(ch.take(take_idx))
-                return pa.StructArray.from_arrays(
-                    expanded, names=t.field_names or
-                    [str(i) for i in range(len(children))],
-                    mask=pa.array(~present))
-            return pa.StructArray.from_arrays(
-                children, names=t.field_names or [str(i) for i in range(len(children))])
-        if k == 13:
-            return self._union(t, n, nv, present)
-        raise OrcUnsupportedError(f"type kind {k}")
-
-    def _strings(self, t, n, nv, present, vbuf, patype) -> pa.Array:
-        enc = self.encodings.get(t.column, (_ENC_DIRECT, 0))
-        has_null = nv != n
-        if enc[0] in (_ENC_DICTIONARY, _ENC_DICTIONARY_V2):
-            dict_size = enc[1]
-            dict_data = self.streams.get((t.column, _KIND_DICT_DATA), b"")
-            dlen = self._ints(t.column, _KIND_LENGTH, dict_size, signed=False)
-            ids = self._ints(t.column, _KIND_DATA, nv, signed=False)
-            d_off = np.zeros(dict_size + 1, dtype=np.int64)
-            np.cumsum(dlen, out=d_off[1:])
-            full_ids = np.zeros(n, dtype=np.int64)
-            full_ids[present] = ids
-            if dict_size == 0:
-                starts = np.zeros(n, dtype=np.int64)
-                lens = np.zeros(n, dtype=np.int64)
+        elif k in (10, 11):
+            lengths = self._ints(col, _KIND_LENGTH, nv, signed=False)
+            kids = [self.decode(ch, int(lengths.sum())) for ch in t.children]
+            offsets = np.zeros(nv + 1, dtype=np.int32)
+            np.cumsum(lengths, out=offsets[1:])
+            if k == 10:
+                out = pa.ListArray.from_arrays(pa.array(offsets), kids[0])
             else:
-                starts = d_off[full_ids]
-                lens = d_off[full_ids + 1] - starts
-                lens[~present] = 0  # null slots carry no bytes
-            data = np.frombuffer(dict_data, dtype=np.uint8)
+                keys = kids[0]
+                if keys.null_count:  # map keys must be non-null in Arrow
+                    keys = keys.fill_null(
+                        "" if pa.types.is_string(keys.type) else 0)
+                out = pa.MapArray.from_arrays(pa.array(offsets), keys, kids[1])
+            return out if valid is None else _scatter_generic(out, valid)
+        elif k == 12:
+            # ORC struct children only hold values where the struct is
+            # present: scatter them out to the struct's n slots
+            kids = [self.decode(ch, nv) for ch in t.children]
+            if valid is not None:
+                kids = [_scatter_generic(ch, valid) for ch in kids]
+            return pa.StructArray.from_arrays(
+                kids, names=t.field_names or [str(i) for i in range(len(kids))],
+                mask=None if valid is None else pa.array(~valid))
+        elif k == 13:
+            return self._union(t, n, nv, present)
         else:
-            raw = self.streams.get((t.column, _KIND_DATA), b"")
-            lengths = self._ints(t.column, _KIND_LENGTH, nv, signed=False)
-            full_lens = np.zeros(n, dtype=np.int64)
-            full_lens[present] = lengths
-            ends = np.cumsum(full_lens)
-            starts = ends - full_lens
-            lens = full_lens
-            data = np.frombuffer(raw, dtype=np.uint8)
-        # gather value bytes contiguously
-        out_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=out_off[1:])
-        total = int(out_off[-1])
-        gather_idx = np.repeat(starts - out_off[:-1], lens) + np.arange(total)
-        out_data = data[gather_idx.astype(np.int64)] if total else np.empty(0, np.uint8)
-        if total < 2 ** 31:
-            obuf = pa.py_buffer(out_off.astype(np.int32).tobytes())
-            return pa.Array.from_buffers(
-                patype, n, [vbuf, obuf, pa.py_buffer(out_data.tobytes())],
-                null_count=n - nv if has_null else 0)
-        big = pa.large_utf8() if patype == pa.utf8() else pa.large_binary()
-        obuf = pa.py_buffer(out_off.tobytes())
-        return pa.Array.from_buffers(
-            big, n, [vbuf, obuf, pa.py_buffer(out_data.tobytes())],
-            null_count=n - nv if has_null else 0)
+            raise OrcUnsupportedError(f"type kind {k}")
+        return _int_array(vals, _arrow_type(t), valid)
+
+    def _strings(self, t: OrcType, nv: int) -> pa.Array:
+        """The ``nv`` present values of a string/binary column as strings."""
+        enc, dict_size = self.encodings.get(t.column, (_ENC_DIRECT, 0))
+        if enc in (_ENC_DICTIONARY, _ENC_DICTIONARY_V2):
+            dictionary = strings_from_blob(
+                self.streams.get((t.column, _KIND_DICT_DATA), b""),
+                self._ints(t.column, _KIND_LENGTH, dict_size, signed=False))
+            ids = self._ints(t.column, _KIND_DATA, nv, signed=False)
+            return dictionary.take(pa.array(ids, type=pa.int64()))
+        return strings_from_blob(
+            self.streams.get((t.column, _KIND_DATA), b""),
+            self._ints(t.column, _KIND_LENGTH, nv, signed=False))
 
     def _decimal(self, t, n, nv, present) -> pa.Array:
         from decimal import MAX_PREC, Context, Decimal
@@ -1286,59 +1214,19 @@ class _StripeDecoder:
         return pa.array(vals, type=pa.decimal128(max(prec, tscale + 1), tscale))
 
     def _union(self, t, n, nv, present) -> pa.Array:
-        tags = byterle.decode_bytes(self.streams.get((t.column, _KIND_DATA), b""), nv)
-        full_tags = np.zeros(n, dtype=np.int8)
-        full_tags[present] = tags.view(np.int8)
+        tags = self._bytes(t.column, nv)
         children = [self.decode(ch, int((tags == i).sum()))
                     for i, ch in enumerate(t.children)]
-        # offsets: running count per tag
-        offsets = np.zeros(n, dtype=np.int32)
-        for i in range(len(t.children)):
-            m = present & (full_tags == i)
-            offsets[m] = np.arange(int(m.sum()), dtype=np.int32)
         # dedicated "_null" child carries union-level nulls (see _arrow_type)
         null_code = len(t.children)
-        n_null = int((~present).sum())
-        children.append(pa.nulls(n_null))
-        if n_null:
-            full_tags[~present] = null_code
-            offsets[~present] = np.arange(n_null, dtype=np.int32)
+        full_tags = np.full(n, null_code, dtype=np.int8)
+        full_tags[present] = tags.view(np.int8)
+        children.append(pa.nulls(n - nv))
         return pa.UnionArray.from_dense(
             pa.array(full_tags, type=pa.int8()),
-            pa.array(offsets, type=pa.int32()),
+            pa.array(_union_offsets(full_tags, range(null_code + 1))),
             children,
             field_names=[str(i) for i in range(len(t.children))] + ["_null"])
-
-
-class _SeekStripeDecoder(_StripeDecoder):
-    """_StripeDecoder over streams byte-sliced at row-index positions.
-
-    The byte half of a position lands at a run-header boundary inside the
-    stream; the remaining half says how far INTO that run the row group
-    starts — ``skips`` carries it per (col, kind): values for RLE streams,
-    bits (bytes*8 + bit) for bitfield streams.  Each decode reads
-    skip + n entries from the sliced stream and drops the skip prefix;
-    dictionary-global streams (DICT_DATA and a dict column's LENGTH) have
-    no positions, are loaded whole, and never appear in ``skips``."""
-
-    def __init__(self, streams, encodings, base_epoch, skips):
-        super().__init__(streams, encodings, base_epoch)
-        self.skips = skips
-
-    def _ints(self, col, kind, n, signed):
-        s = self.skips.get((col, kind), 0)
-        vals = super()._ints(col, kind, n + s, signed)
-        return vals[s:] if s else vals
-
-    def _bools(self, col, kind, n):
-        s = self.skips.get((col, kind), 0)
-        bits = super()._bools(col, kind, n + s)
-        return bits[s:] if s else bits
-
-    def _bytes(self, col, n):
-        s = self.skips.get((col, _KIND_DATA), 0)
-        raw = super()._bytes(col, n + s)
-        return raw[s:] if s else raw
 
 
 # ---------------------------------------------------------------------------
@@ -1356,49 +1244,20 @@ def _read_stripe_pruned(fl: ORCFile, i: int, want, predicate) -> pa.Table:
     candidate group's recorded positions).  Exact filtering still happens
     in the caller — this only bounds what gets decoded."""
     pcol, lo, hi = predicate
+    t = fl._select([pcol])[0][1]
     stride = fl.row_index_stride
-    root = fl.schema
-    colid = kind = None
-    if root.kind == 12:
-        for nm, ch in zip(root.field_names, root.children):
-            if nm == pcol:
-                colid, kind = ch.column, ch.kind
-                break
-    if not stride or colid is None:
-        return fl.read_stripe(i, want)
-    # kind 9: index stats are epoch-MILLISECONDS while the exact filter
-    # compares in decode-frame ns — prune through the explicit converter
-    # (writerTimezone-aware), never the generic compare
-    plo_ns = phi_ns = tzname = None
-    if kind == 9:
-        plo_ns, phi_ns = _ts_pred_ns(lo), _ts_pred_ns(hi)
-        if plo_ns is None or phi_ns is None:
-            return fl.read_stripe(i, want)
-        tzname = fl.writer_timezone(i)
-    ri = fl.row_index(i, colid)
     nrows = fl.stripes[i].number_of_rows
+    ri = fl.row_index(i, t.column) if stride else None
     if not ri or len(ri) < -(-nrows // stride):
-        # short index (fewer entries than row groups): don't trust it
+        # no index, or a short one (fewer entries than row groups): don't
+        # trust it
         return fl.read_stripe(i, want)
-    keep = []
-    for g, (_, (gmin, gmax, _, _)) in enumerate(ri):
-        if kind == 9:
-            glo_ns, ghi_ns = _ts_stat_bounds_ns(gmin, gmax, tzname)
-            if (ghi_ns is not None and ghi_ns < plo_ns) or \
-                    (glo_ns is not None and glo_ns > phi_ns):
-                continue  # stats prove no row in this group can match
-            keep.append(g)
-            continue
-        try:
-            if gmin is not None and gmax is not None \
-                    and (gmax < lo or gmin > hi):
-                continue  # stats prove no row in this group can match
-        except TypeError:
-            pass  # stats/predicate type mismatch: never prune on it
-        keep.append(g)
+    tz = fl.writer_timezone(i)
+    keep = [g for g, (_, (gmin, gmax, _, _)) in enumerate(ri)
+            if _may_match(t.kind, gmin, gmax, lo, hi, tz)]
     if not keep:
-        t = fl.arrow_schema().empty_table()
-        return t.select(want) if want is not None else t
+        empty = fl.arrow_schema(want).empty_table()
+        return empty.select(want) if want is not None else empty
     row_lo = keep[0] * stride
     row_hi = min(nrows, (keep[-1] + 1) * stride)
     if row_lo == 0 and row_hi == nrows:
@@ -1423,16 +1282,23 @@ def read_orc(paths: str | list[str], columns: list[str] | None = None,
     (lo == hi) additionally probe the stripes' BLOOM_FILTER index streams
     when the writer attached them — an equality lookup then reads only a
     few KB of index per non-matching stripe (the foreign-file analogue of
-    the native ``point_lookup``)."""
+    the native ``point_lookup``).
+
+    An empty ``paths`` or a column (projected or in the predicate) that
+    the first file lacks raises ValueError here, before any task runs."""
     import ray
     import ray.data
 
     if isinstance(paths, str):
         paths = [paths]
+    if not paths:
+        raise ValueError("read_orc: paths is empty")
     pcol = predicate[0] if predicate else None
     want = columns
     if predicate and columns is not None and pcol not in columns:
         want = list(columns) + [pcol]
+    first = ORCFile(paths[0])
+    first._select(list(want or []) + ([pcol] if predicate else []))
 
     def _filter_exact(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1454,56 +1320,21 @@ def read_orc(paths: str | list[str], columns: list[str] | None = None,
         cols["types"] = pa.array([it["types"] for it in items], pa.binary())
         return pa.table(cols)
 
-    def _plan_one(p: str) -> list[dict]:
+    def _plan_one(f: ORCFile) -> list[dict]:
         """Tail-only planning for one file: SELF-CONTAINED stripe work
         items (stripe extent + compression + serialized schema) after
         stats/bloom pruning — decode tasks seek straight to their stripe,
         never re-parsing the file tail (one tail read per file total).
         stripe == -1 is the typed-empty sentinel (a stripeless file, or
         schema anchoring when everything was pruned)."""
-        f = ORCFile(p)
-        stats = f.stripe_statistics() if predicate else []
-        pkind = None
-        if predicate and f.schema.kind == 12:
-            for nm, ch in zip(f.schema.field_names, f.schema.children):
-                if nm == pcol:
-                    pkind = ch.kind
-                    break
-        # timestamp stats are epoch-ms while the exact filter compares in
-        # the column's own unit (decode-frame ns); kind 9 prunes through
-        # the explicit unit/timezone converter, never the generic compare
-        plo_ns = phi_ns = None
-        if predicate and pkind == 9:
-            plo_ns = _ts_pred_ns(predicate[1])
-            phi_ns = _ts_pred_ns(predicate[2])
         # timestamp point predicates probe too: bloom_might_contain
         # converts datetime-likes to the UTC-ms floor and only trusts
         # the pinned utf8 lineage (never skips otherwise)
         point = predicate is not None and predicate[1] == predicate[2]
         items: list[dict] = []
         for i in range(len(f.stripes)):
-            if predicate and i < len(stats):
-                s = stats[i].get(pcol)
-                if pkind == 9:
-                    if s is not None and plo_ns is not None \
-                            and phi_ns is not None:
-                        tz = None
-                        if isinstance(s[0], _TsMs) and not s[0].utc \
-                                or isinstance(s[1], _TsMs) and not s[1].utc:
-                            tz = f.writer_timezone(i)
-                        lo_ns, hi_ns = _ts_stat_bounds_ns(s[0], s[1], tz)
-                        if (hi_ns is not None and hi_ns < plo_ns) or \
-                                (lo_ns is not None and lo_ns > phi_ns):
-                            continue  # stats prove no row can match
-                else:
-                    try:
-                        if s is not None and s[0] is not None \
-                                and s[1] is not None \
-                                and (s[1] < predicate[1]
-                                     or s[0] > predicate[2]):
-                            continue  # stats prove no row can match
-                    except TypeError:
-                        pass  # stats/predicate type mismatch: never prune
+            if predicate and not f._stripe_may_match(i, *predicate):
+                continue  # stats prove no row can match
             if point and not f.bloom_might_contain(i, pcol, predicate[1]):
                 continue  # bloom filters prove no row can match
             items.append(f.stripe_spec(i))
@@ -1536,21 +1367,20 @@ def read_orc(paths: str | list[str], columns: list[str] | None = None,
         def _plan_batch(b: pa.Table) -> pa.Table:
             items: list[dict] = []
             for p in b.column("path").to_pylist():
-                items.extend(_plan_one(p))
+                items.extend(_plan_one(ORCFile(p)))
             return _spec_table(items)
         plan_src = ray.data.from_arrow(
             pa.table({"path": pa.array(paths, pa.string())}))
         planned = plan_src.map_batches(_plan_batch, batch_format="pyarrow",
                                        batch_size=32)
-        sentinel = ray.data.from_arrow(
-            _spec_table([ORCFile(paths[0]).stripe_spec(-1)]))
+        sentinel = ray.data.from_arrow(_spec_table([first.stripe_spec(-1)]))
         items = planned.union(sentinel)
     else:
-        work: list[dict] = []
-        for p in paths:
-            work.extend(_plan_one(p))
+        work = _plan_one(first)
+        for p in paths[1:]:
+            work.extend(_plan_one(ORCFile(p)))
         if not work:  # every stripe pruned (or all files stripeless)
-            work = [ORCFile(paths[0]).stripe_spec(-1)]
+            work = [first.stripe_spec(-1)]
         items = ray.data.from_arrow(_spec_table(work))
 
     return items.map_batches(_decode, batch_format="pyarrow", batch_size=1)

@@ -56,11 +56,11 @@ import pyarrow.compute as pc
 
 from ..codecs import CHUNKED_KINDS, byterle, rle2
 from ..codecs.chunked import DEFAULT_CHUNK
-from ..codecs.dictionary import dictionary_encode, string_blob
+from ..codecs.dictionary import (DICTIONARY_THRESHOLD, dictionary_encode,
+                                 string_blob)
 from ..codecs.timestamp import BASE_SECONDS, UNIT_PER_SEC, format_nanos
 from ..codecs.varint import write_vulong
 
-DICTIONARY_THRESHOLD = 0.49      # treewriter.go:537
 DEFAULT_STRIPE_ROWS = 1 << 20    # writer.go:21 DefaultStripeTargetRowCount
 
 _KIND_PRESENT, _KIND_DATA, _KIND_LENGTH, _KIND_DICT, _KIND_SECONDARY = \

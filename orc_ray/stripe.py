@@ -35,7 +35,8 @@ import pyarrow.compute as pc
 
 from . import schema as _schema_mod
 from .codecs import CHUNKED_KINDS, byterle, chunked, fsst, outer_kind, rle2
-from .codecs.dictionary import dictionary_encode, string_blob, strings_from_blob
+from .codecs.dictionary import (DICTIONARY_THRESHOLD, dictionary_encode,
+                                string_blob, strings_from_blob)
 from .config import EncoderConfig
 from .selector import (
     SelectorState,
@@ -223,12 +224,11 @@ def _encode_blob(
             if selector is not None:
                 table = selector.fsst_table(
                     group, column,
-                    lambda: fsst.train(arr, offsets, config.fsst_iterations),
+                    lambda: fsst.train(arr, offsets),
                 )
                 comp, comp_lens = fsst.compress(table, arr, offsets)
             else:
-                comp, comp_lens = fsst.compress_auto(arr, offsets,
-                                                     config.fsst_iterations)
+                comp, comp_lens = fsst.compress_auto(arr, offsets)
             if len(comp) < best[3]:
                 best = ("fsst", comp, comp_lens, len(comp))
     if selector is not None and full_trial:
@@ -502,7 +502,7 @@ def _encode_string_column(name, arr, valid, w, config, selector, group, meta) ->
         arr = arr.drop_null()
     n = len(arr)
     distinct = int(pc.count_distinct(arr).as_py()) if n else 0
-    use_dict = (not is_binary) and n > 0 and distinct / n <= config.dict_threshold
+    use_dict = (not is_binary) and n > 0 and distinct / n <= DICTIONARY_THRESHOLD
     if use_dict:
         indexes, dict_blob, dict_lengths = dictionary_encode(arr)
         idx_codec = _select_int(selector, group, f"{name}:DICTIDX", indexes, False,
@@ -1020,21 +1020,29 @@ def _decode_column_rows(reader: RangeReader, streams: dict, stride: int,
         tags_all = byterle.decode_bytes(
             _raw_range(reader, streams[(name, "DATA")]), n_rows).view(np.int8)
         tags = tags_all[lo:hi]
-        offsets = np.zeros(n_out, dtype=np.int32)
         children = []
         for i, field in enumerate(t):
             tc = cm["type_codes"][i]
-            m = tags == tc
             c0 = int(np.count_nonzero(tags_all[:lo] == tc))
-            cn = int(np.count_nonzero(m))
             children.append(_decode_column_rows(
                 reader, streams, stride, cm["children"][i], field.type,
-                int(np.count_nonzero(tags_all == tc)), c0, c0 + cn))
-            offsets[m] = np.arange(cn, dtype=np.int32)
+                int(np.count_nonzero(tags_all == tc)), c0,
+                c0 + int(np.count_nonzero(tags == tc))))
         return pa.UnionArray.from_dense(
-            pa.array(tags, type=pa.int8()), pa.array(offsets), children,
+            pa.array(tags, type=pa.int8()),
+            pa.array(_union_offsets(tags, cm["type_codes"])), children,
             [f.name for f in t], cm["type_codes"])
     raise ValueError(f"unknown encoding {enc!r}")
+
+
+def _union_offsets(tags: np.ndarray, codes) -> np.ndarray:
+    """Dense-union offsets: each slot's running count among the slots
+    that carry its tag."""
+    offsets = np.zeros(len(tags), dtype=np.int32)
+    for tc in codes:
+        m = tags == tc
+        offsets[m] = np.arange(int(np.count_nonzero(m)), dtype=np.int32)
+    return offsets
 
 
 def _scatter_generic(dense: pa.Array, valid: np.ndarray) -> pa.Array:

@@ -141,6 +141,25 @@ def test_read_orc_projection(tmp_path):
         t.column("doc_id").combine_chunks())
 
 
+def test_unknown_column_and_empty_paths_raise(tmp_path):
+    """An unknown column (projected or in a predicate) and an empty path
+    list raise ValueError on the caller's side, naming what is wrong —
+    before any Ray task runs."""
+    _, dst = _write_orc(tmp_path, "supplier")
+    f = ORCFile(dst)
+    calls = [
+        lambda: f.read(columns=["nope"]),
+        lambda: f.read_stripe(0, columns=["s_name", "nope"]),
+        lambda: read_orc(dst, columns=["nope"]),
+        lambda: read_orc(dst, predicate=("nope", 1, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="nope"):
+            call()
+    with pytest.raises(ValueError, match="paths"):
+        read_orc([])
+
+
 def test_cli_import_orc(tmp_path, capsys):
     _, dst = _write_orc(tmp_path, "supplier")
     assert main(["import-orc", dst]) == 0

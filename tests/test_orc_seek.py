@@ -130,6 +130,37 @@ def test_read_rows_nested_falls_back(tmp_path):
     assert got.equals(full.select(["k", "mp"]).slice(20000, 10))
 
 
+def test_stripe_footer_decompressed_once(tmp_path, monkeypatch):
+    """One read_rows and one row-group-pruned read each decompress the
+    stripe footer once: every stripe-level lookup (stream directory,
+    encodings, writer timezone, row index, seek plan) reads one cached
+    view of it."""
+    from orc_ray.sources import orcfile
+
+    dst = str(tmp_path / "footer.orc")
+    paorc.write_table(pa.table(_base()), dst, compression="zlib",
+                      stripe_size=50_000_000)
+    st = ORCFile(dst).stripes[0]
+    sf_off = st.offset + st.index_length + st.data_length
+    with open(dst, "rb") as fh:
+        fh.seek(sf_off)
+        footer = fh.read(st.footer_length)
+    hits = []
+    real = orcfile._decompress
+
+    def counting(data, kind):
+        hits.append(bytes(data) == footer)
+        return real(data, kind)
+
+    monkeypatch.setattr(orcfile, "_decompress", counting)
+    got = ORCFile(dst).read_rows(0, 20000, 20010)
+    assert got.num_rows == 10 and sum(hits) == 1
+    hits.clear()
+    pruned = orcfile._read_stripe_pruned(
+        ORCFile(dst), 0, None, ("i64", 37 * 20000, 37 * 20005))
+    assert pruned.num_rows == 5000 and sum(hits) == 1
+
+
 def test_read_rows_seek_plan_used(tmp_path):
     """Mid-stripe reads must actually take the seek path (positions with
     nonzero skips), not the fallback."""
