@@ -1284,8 +1284,9 @@ def read_orc(paths: str | list[str], columns: list[str] | None = None,
     few KB of index per non-matching stripe (the foreign-file analogue of
     the native ``point_lookup``).
 
-    An empty ``paths`` or a column (projected or in the predicate) that
-    the first file lacks raises ValueError here, before any task runs."""
+    An empty ``paths`` raises ValueError, and so does a column (projected
+    or in the predicate) that a file lacks: on the driver, before any
+    task runs, for the first file and for every file planned inline."""
     import ray
     import ray.data
 
@@ -1297,8 +1298,9 @@ def read_orc(paths: str | list[str], columns: list[str] | None = None,
     want = columns
     if predicate and columns is not None and pcol not in columns:
         want = list(columns) + [pcol]
+    need = list(want or []) + ([pcol] if predicate else [])
     first = ORCFile(paths[0])
-    first._select(list(want or []) + ([pcol] if predicate else []))
+    first._select(need)  # ValueError on the driver for an unknown column
 
     def _filter_exact(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1327,6 +1329,7 @@ def read_orc(paths: str | list[str], columns: list[str] | None = None,
         never re-parsing the file tail (one tail read per file total).
         stripe == -1 is the typed-empty sentinel (a stripeless file, or
         schema anchoring when everything was pruned)."""
+        f._select(need)
         # timestamp point predicates probe too: bloom_might_contain
         # converts datetime-likes to the UTC-ms floor and only trusts
         # the pinned utf8 lineage (never skips otherwise)

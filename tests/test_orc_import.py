@@ -156,6 +156,9 @@ def test_unknown_column_and_empty_paths_raise(tmp_path):
     for call in calls:
         with pytest.raises(ValueError, match="nope"):
             call()
+    _, other = _write_orc(tmp_path, "events")  # has no s_name column
+    with pytest.raises(ValueError, match="s_name"):
+        read_orc([dst, other], columns=["s_name"])
     with pytest.raises(ValueError, match="paths"):
         read_orc([])
 
