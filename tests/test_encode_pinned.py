@@ -41,6 +41,17 @@ PINNED = {
         ("be147d80a33d5c99d131886a1c1cd1f849ff9abff9b5642336f418cc89789f1f",
          "3458999b0883c88a42642518814e55332953d3b1a1cdab933937b6c461651d7f"),
     ],
+    # FSST against raw only, so doc_id's DATA stream is an FSST stream
+    "fsst": [
+        ("417aa9fc0139588596c02350bc69de9e88f20ae9a7c9d05fd079c9fff7307d54",
+         "d981d2b4efaa765a83c02b3958f1d91c70f30237fc9103b1bdd2a0316d465bd1"),
+        ("c0033842ef5ae3ad1e568534db3493dc2dc4ee5d163fb3100dec5b8592b506ff",
+         "b20d2213921290d33f9356cb297a972a7554699e5d8f3b6515dc2f82f345df24"),
+        ("474422654cd046f13325be15f51daa777e556129ceaf78523337191d0c2dee52",
+         "3a5985584032bef6031a56acf4b00a76672db2dacafea3b27c28f7b44b6c396d"),
+        ("14c70be99220a3523070240e6e15bec7d923243a9e75f9cf1f66ef793846f621",
+         "3b93a9b5eeb5dffabd1f9f3be173b042066791e5b258c520c5b1d36aff1e2d6d"),
+    ],
 }
 
 # sha256 of the blob only, per stripe: the meta may gain chunk indexes
@@ -68,6 +79,8 @@ CONFIGS = {
         stripe_target_tokens=100_000),
     "snappy": lambda: EncoderConfig(stripe_target_tokens=100_000,
                                     outer_compression="snappy"),
+    "fsst": lambda: EncoderConfig(stripe_target_tokens=100_000,
+                                  string_blob_candidates=("fsst", "none")),
 }
 
 
