@@ -25,10 +25,11 @@ DICTIONARY_THRESHOLD = 0.49
 
 def dictionary_encode(arr: pa.Array) -> tuple[np.ndarray, bytes, np.ndarray]:
     """Return (indexes int64, dict_blob bytes, dict_lengths int64) with the
-    dictionary sorted lexicographically."""
+    dictionary sorted lexicographically. An already dictionary-encoded
+    array is used as it is, without hashing it again."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    denc = pc.dictionary_encode(arr)
+    denc = arr if pa.types.is_dictionary(arr.type) else pc.dictionary_encode(arr)
     dict_arr = denc.dictionary
     indices = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     order = pc.sort_indices(dict_arr).to_numpy()  # byte-lexicographic

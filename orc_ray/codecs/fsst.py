@@ -29,6 +29,9 @@ _U8 = np.uint8
 ESCAPE = 255
 MAX_SYMBOLS = 255
 MAX_SYM_LEN = 8
+# strings per compress step: bounds the tokenizer's working arrays and how
+# much of an abandoned size-limited trial runs
+CHUNK_STRINGS = 2048
 
 
 class SymbolTable:
@@ -150,12 +153,50 @@ def _tokenize(table: SymbolTable, blob: np.ndarray, offsets: np.ndarray):
     return tok_str[order], tok_code[order], tok_lit[order], tok_esc[order]
 
 
-def compress(table: SymbolTable, blob: np.ndarray, offsets: np.ndarray):
+def compress(table: SymbolTable, blob: np.ndarray, offsets: np.ndarray,
+             limit: int | None = None):
     """Compress strings (concatenated `blob` uint8 + int64 `offsets`).
     Returns (compressed bytes incl. serialized table, per-string compressed
-    lengths int64)."""
+    lengths int64), or None once the output is certain to exceed `limit`
+    bytes.
+
+    Strings encode independently, so they are encoded CHUNK_STRINGS at a
+    time and the chunks concatenated; the bytes equal a one-shot encode.
+    Before each chunk the final size is bounded from below by the exact
+    bytes so far plus one token byte per longest-symbol span of every
+    string still to do, and the trial is abandoned when that bound
+    exceeds `limit`."""
     blob = np.ascontiguousarray(blob, dtype=_U8)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    header = table.serialize()
+    nstr = len(offsets) - 1
+    limit = np.inf if limit is None else limit
+    # rest[i]: fewest token bytes strings i.. can take (a token byte covers
+    # at most the longest symbol; an escape takes two bytes for one)
+    longest = max((len(sym) for sym in table.symbols), default=1)
+    rest = np.zeros(nstr + 1, dtype=np.int64)
+    np.cumsum((-(-np.diff(offsets) // longest))[::-1], out=rest[-2::-1])
+    parts, part_lengths = [header], []
+    done = len(header)
+    for lo in range(0, nstr, CHUNK_STRINGS):
+        if done + rest[lo] > limit:
+            return None
+        hi = min(lo + CHUNK_STRINGS, nstr)
+        out, comp_lengths = _compress_chunk(
+            table, blob[offsets[lo]: offsets[hi]], offsets[lo: hi + 1] - offsets[lo])
+        parts.append(out)
+        part_lengths.append(comp_lengths)
+        done += len(out)
+    if done > limit:
+        return None
+    return (b"".join(parts),
+            np.concatenate(part_lengths) if part_lengths
+            else np.zeros(0, dtype=np.int64))
+
+
+def _compress_chunk(table: SymbolTable, blob: np.ndarray, offsets: np.ndarray):
+    """Token bytes and per-string compressed lengths of one run of strings
+    (`offsets` starting at 0)."""
     tok_str, tok_code, tok_lit, tok_esc = _tokenize(table, blob, offsets)
     nstr = len(offsets) - 1
     tok_bytes = 1 + tok_esc.astype(np.int64)
@@ -169,8 +210,7 @@ def compress(table: SymbolTable, blob: np.ndarray, offsets: np.ndarray):
     out[starts] = first.astype(_U8)
     esc_idx = np.flatnonzero(tok_esc)
     out[starts[esc_idx] + 1] = tok_lit[esc_idx].astype(_U8)
-    header = table.serialize()
-    return header + out.tobytes(), comp_lengths
+    return out.tobytes(), comp_lengths
 
 
 def decompress(buf: bytes, comp_lengths: np.ndarray):
@@ -301,6 +341,8 @@ def train(blob: np.ndarray, offsets: np.ndarray, iterations: int = 5,
 
 
 def compress_auto(blob: np.ndarray, offsets: np.ndarray, iterations: int = 5):
-    """Train + compress in one call (per column-chunk usage)."""
+    """Train + compress in one call. No engine path calls it (the string
+    blob selector trains through its table cache); perfbench's tracer
+    wraps it by name."""
     table = train(blob, offsets, iterations=iterations)
     return compress(table, blob, offsets)

@@ -18,9 +18,13 @@ class EncoderConfig:
     stripe_target_tokens: int = 4_000_000
     # candidates for integer DATA streams, in preference order on ties
     int_candidates: tuple[str, ...] = ("rle2", "rle2_delta", "for", "planar")
-    # string blob handling: measured-size choice between candidates
-    # ("zlib" remains supported; zstd-1 measures both smaller and ~6x
-    # faster than flate-6 on the corpus's string blobs)
+    # string blob handling: measured-size choice between candidates, in
+    # list order, a later one winning only when strictly smaller ("zlib"
+    # remains supported; zstd-1 measures both smaller and ~6x faster than
+    # flate-6 on the corpus's string blobs). The chunked kinds run first;
+    # FSST then stops once the exact bytes so far plus ceil(len / longest
+    # symbol) for each string left exceed what raw and they produce, so
+    # the choice is the same as encoding every candidate in full.
     string_blob_candidates: tuple[str, ...] = ("fsst", "zstd", "none")
     # outer chunked block compression over each encoded stream (ORC's
     # CompressionKind, compressioncodec.go): "auto" tries zstd per stream

@@ -249,10 +249,11 @@ class SelectorState:
 
     def blob_codec(self, group: str, column: str) -> str | None:
         """Cached string-blob codec for (group, column), or None when a
-        full-trial re-measure is due. Without this cache every stripe pays
-        a full FSST trial encode (~45 MB/s pure-python) even on columns
-        where zstd always wins — measured at ~1/3 of total encode time on
-        the bench corpus."""
+        full-trial re-measure is due. A full trial trains an FSST table and
+        runs every candidate; FSST is abandoned early once it cannot beat
+        raw or a chunked kind, but training still costs ~60 ms per
+        short-docs encode job, so later stripes encode only the cached
+        winner."""
         key = (group, f"blob:{column}")
         return None if self._due(key) else self._choice[key]
 

@@ -1176,42 +1176,69 @@ class _StripeDecoder:
             self._ints(t.column, _KIND_LENGTH, nv, signed=False))
 
     def _decimal(self, t, n, nv, present) -> pa.Array:
+        buf = np.frombuffer(self.streams.get((t.column, _KIND_DATA), b""),
+                            dtype=np.uint8)
+        scales = self._ints(t.column, _KIND_SECONDARY, nv, signed=True)
+        tscale = t.scale if (t.scale or t.precision) else (
+            int(scales.max()) if nv else 0)
+        prec = min(t.precision or 38, 38)
+        dtype = pa.decimal128(max(prec, tscale + 1), tscale)
+        # unbounded base-128 zigzag varints (decimal.go:49-72): the last
+        # byte of each has its high bit clear
+        ends = np.flatnonzero(buf < 0x80)[:nv]
+        if len(ends) < nv:
+            raise OrcFormatError(f"column {t.column}: decimal stream is truncated")
+        starts = np.zeros(nv, dtype=np.int64)
+        starts[1:] = ends[:-1] + 1
+        nbytes = ends - starts + 1
+        # up to 9 bytes hold 63 bits, so the mantissa fits an int64
+        fast = nbytes <= 9
+        u = np.zeros(nv, dtype=np.uint64)
+        for j in range(int(nbytes[fast].max(initial=0))):
+            at = fast & (nbytes > j)
+            u[at] |= (buf[starts[at] + j] & 0x7F).astype(np.uint64) \
+                << np.uint64(7 * j)
+        mant = ((u >> np.uint64(1)).view(np.int64)
+                ^ -(u & np.uint64(1)).view(np.int64))
+        fast &= scales == tscale
+        if dtype.precision < 19:
+            fast &= np.abs(mant) < 10 ** dtype.precision
+        # decimal128 words: the low int64 and its sign extension
+        words = np.zeros((n, 2), dtype=np.int64)
+        rows = np.flatnonzero(present)
+        words[rows[fast], 0] = mant[fast]
+        words[rows[fast], 1] = mant[fast] >> 63
+        slow = np.flatnonzero(~fast)
+        if len(slow):
+            words[rows[slow]] = self._decimal_words(buf, starts[slow], ends[slow],
+                                                    scales[slow], tscale, dtype)
+        validity = None if nv == n else \
+            pa.py_buffer(np.packbits(present, bitorder="little"))
+        return pa.Array.from_buffers(dtype, n, [validity, pa.py_buffer(words)],
+                                     null_count=n - nv)
+
+    @staticmethod
+    def _decimal_words(buf, starts, ends, scales, tscale, dtype) -> np.ndarray:
+        """decimal128 words of the values the int64 path cannot take: wide
+        mantissas, and scales other than the column's (rounded half-even)."""
         from decimal import MAX_PREC, Context, Decimal
 
         # the default decimal context rounds at 28 significant digits;
         # decimal128 mantissas carry up to 38 — rescale under a wide
         # context or low digits are silently lost
         ctx = Context(prec=MAX_PREC)
-        buf = self.streams.get((t.column, _KIND_DATA), b"")
-        scales = self._ints(t.column, _KIND_SECONDARY, nv, signed=True)
-        mants: list[int] = []
-        pos = 0
-        for _ in range(nv):
-            # unbounded base-128 varint (decimal.go:49-69): mantissas may
-            # exceed 64 bits, so no fixed-width reader here
+        vals = []
+        for lo, hi, s in zip(starts.tolist(), ends.tolist(), scales.tolist()):
             u = 0
-            shift = 0
-            while True:
-                b = buf[pos]
-                pos += 1
-                u |= (b & 0x7F) << shift
-                shift += 7
-                if not (b & 0x80):
-                    break
-            mants.append((u >> 1) ^ -(u & 1))  # zigzag bigint, decimal.go:72
-        tscale = t.scale if (t.scale or t.precision) else (
-            int(scales.max()) if nv else 0)
-        prec = min(t.precision or 38, 38)
-        vals: list[Decimal | None] = [None] * n
-        j = 0
-        for i in range(n):
-            if present[i]:
-                m, s = mants[j], int(scales[j])
-                j += 1
-                vals[i] = Decimal(m).scaleb(-s, context=ctx) \
-                    .scaleb(tscale, context=ctx) \
-                    .to_integral_value().scaleb(-tscale, context=ctx)
-        return pa.array(vals, type=pa.decimal128(max(prec, tscale + 1), tscale))
+            for b in reversed(buf[lo: hi + 1].tolist()):
+                u = (u << 7) | (b & 0x7F)
+            m = (u >> 1) ^ -(u & 1)
+            vals.append(Decimal(m).scaleb(-s, context=ctx)
+                        .scaleb(tscale, context=ctx)
+                        .to_integral_value().scaleb(-tscale, context=ctx))
+        # pa.array checks each value against the type's precision
+        arr = pa.array(vals, type=dtype)
+        return np.frombuffer(arr.buffers()[1], dtype=np.int64).reshape(-1, 2)
 
     def _union(self, t, n, nv, present) -> pa.Array:
         tags = self._bytes(t.column, nv)

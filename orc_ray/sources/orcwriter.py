@@ -459,12 +459,11 @@ class _StripeEncoder:
         return total
 
     def _string(self, node, vals, st, nv, null_count) -> int:
-        if nv:
-            distinct = pc.count_distinct(vals).as_py()
-        else:
-            distinct = 0
+        # one hash pass: the distinct count and the dictionary encoding
+        denc = pc.dictionary_encode(vals) if nv else None
+        distinct = len(denc.dictionary) if nv else 0
         if nv and distinct / nv <= DICTIONARY_THRESHOLD:
-            idx, blob, dlen = dictionary_encode(vals)
+            idx, blob, dlen = dictionary_encode(denc)
             self._put(node.id, _KIND_DATA, rle2.encode(idx, signed=False))
             self._put(node.id, _KIND_DICT, blob)
             self._put(node.id, _KIND_LENGTH, rle2.encode(dlen, signed=False))

@@ -195,10 +195,12 @@ def _encode_blob(
 ) -> tuple[str, bytes, np.ndarray]:
     """Choose fsst, a chunked kind or none for a string byte payload by size.
     Returns (codec, payload, lengths_for_stream) — with FSST the LENGTH
-    stream carries compressed lengths. When selector state is present the
-    trained FSST symbol table is reused across chunks of the same
-    (source, column) and retrained every Nth chunk (tables are serialized
-    into each stream, so blobs stay self-contained)."""
+    stream carries compressed lengths. The FSST trial gets a size limit
+    from raw and the chunked kinds and is abandoned once it cannot win, so
+    the choice equals encoding every candidate in full. When selector
+    state is present the trained FSST symbol table is reused across chunks
+    of the same (source, column) and retrained every Nth chunk (tables are
+    serialized into each stream, so blobs stay self-contained)."""
     candidates = config.string_blob_candidates
     if len(blob) == 0:
         return "none", blob, lengths
@@ -214,23 +216,29 @@ def _encode_blob(
             # and the recheck cadence re-runs the full trial periodically
             candidates = (cached,)
             full_trial = False
-    best = ("none", blob, lengths, len(blob))
+    # the chunked kinds first: they are cheap, and their sizes bound FSST,
+    # which may then stop as soon as it cannot win. Candidates still rank
+    # in list order, a later one replacing the best only when strictly
+    # smaller, and everything must beat raw.
+    sized = {cand: (CHUNKED_KINDS[cand].module.compress(blob), lengths)
+             for cand in candidates if cand in CHUNKED_KINDS}
+    if "fsst" in candidates:
+        at = candidates.index("fsst")
+        limit = min([len(blob) - 1]
+                    + [len(sized[c][0]) - 1 for c in candidates[:at] if c in sized]
+                    + [len(sized[c][0]) for c in candidates[at + 1:] if c in sized])
+        if selector is not None:
+            table = selector.fsst_table(group, column,
+                                        lambda: fsst.train(arr, offsets))
+        else:
+            table = fsst.train(arr, offsets)
+        comp = fsst.compress(table, arr, offsets, limit=limit)
+        if comp is not None:
+            sized["fsst"] = comp
+    best = ("none", blob, lengths)
     for cand in candidates:
-        if cand in CHUNKED_KINDS:
-            z = CHUNKED_KINDS[cand].module.compress(blob)
-            if len(z) < best[3]:
-                best = (cand, z, lengths, len(z))
-        elif cand == "fsst":
-            if selector is not None:
-                table = selector.fsst_table(
-                    group, column,
-                    lambda: fsst.train(arr, offsets),
-                )
-                comp, comp_lens = fsst.compress(table, arr, offsets)
-            else:
-                comp, comp_lens = fsst.compress_auto(arr, offsets)
-            if len(comp) < best[3]:
-                best = ("fsst", comp, comp_lens, len(comp))
+        if cand in sized and len(sized[cand][0]) < len(best[1]):
+            best = (cand, *sized[cand])
     if selector is not None and full_trial:
         selector.record_blob_choice(group, column, best[0])
     return best[0], best[1], best[2]
@@ -501,10 +509,13 @@ def _encode_string_column(name, arr, valid, w, config, selector, group, meta) ->
     if valid is not None:
         arr = arr.drop_null()
     n = len(arr)
-    distinct = int(pc.count_distinct(arr).as_py()) if n else 0
+    # the column's one hash pass: it counts the distinct values and, for a
+    # dictionary column, is the encoding itself
+    denc = pc.dictionary_encode(arr) if n else None
+    distinct = len(denc.dictionary) if n else 0
     use_dict = (not is_binary) and n > 0 and distinct / n <= DICTIONARY_THRESHOLD
     if use_dict:
-        indexes, dict_blob, dict_lengths = dictionary_encode(arr)
+        indexes, dict_blob, dict_lengths = dictionary_encode(denc)
         idx_codec = _select_int(selector, group, f"{name}:DICTIDX", indexes, False,
                                 config, ("rle2", "for", "planar"))
         w.add(name, "DATA", idx_codec, encode_int_stream(indexes, idx_codec, False),
@@ -550,7 +561,7 @@ def _encode_string_column(name, arr, valid, w, config, selector, group, meta) ->
         from .codecs import bloom
 
         w.add(name, "BLOOM_FILTER", "bloom",
-              bloom.build(bloom.hash_strings(pc.unique(arr))))
+              bloom.build(bloom.hash_strings(denc.dictionary)))
     stats = {"num_values": n, "distinct": distinct}
     if n and not is_binary:
         mm = pc.min_max(arr)

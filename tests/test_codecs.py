@@ -173,6 +173,145 @@ def test_fsst_empty_table_passthrough():
     np.testing.assert_array_equal(out_lens, [2, 1])
 
 
+def _limit_cases():
+    """Seeded string sets for the size-limited compress: empty strings, a
+    single string, no strings, an untrained table, and more strings than
+    one chunk holds."""
+    rng = np.random.default_rng(17)
+    words = ["doc", "-", "0000", "web", "books", "x", "zz"]
+    many = ["".join(rng.choice(words, size=rng.integers(0, 6)))
+            for _ in range(2 * fsst.CHUNK_STRINGS + 37)]
+    noise = [bytes(rng.integers(0, 256, rng.integers(0, 40)).astype(np.uint8))
+             .decode("latin-1") for _ in range(fsst.CHUNK_STRINGS + 5)]
+    return {"empty_strings": [""] * 7, "single": ["web-000000000042"],
+            "no_strings": [], "many": many, "noise": noise,
+            "mixed": ["", "abc", ""] + many[:50]}
+
+
+@pytest.mark.parametrize("name", sorted(_limit_cases()))
+def test_fsst_limit_is_exact(name):
+    """A size-limited compress returns the unlimited output or None, and
+    None exactly when that output is larger than the limit; the chunked
+    output equals one encode of every string at once."""
+    blob, offsets = _strs_to_blob(_limit_cases()[name])
+    for table in (fsst.train(blob, offsets) if len(blob) else
+                  fsst.SymbolTable([b"ab"]), fsst.SymbolTable([])):
+        comp, comp_lens = fsst.compress(table, blob, offsets)
+        whole, whole_lens = fsst._compress_chunk(table, blob, offsets)
+        assert comp == table.serialize() + whole
+        np.testing.assert_array_equal(comp_lens, whole_lens)
+        size = len(comp)
+        rng = np.random.default_rng(size)
+        limits = {0, size - 1, size, size + 1, 2 * size,
+                  *rng.integers(0, 2 * size + 2, 20).tolist()}
+        for limit in sorted(limits):
+            got = fsst.compress(table, blob, offsets, limit=limit)
+            if size > limit:
+                assert got is None, (limit, size)
+            else:
+                assert got is not None, (limit, size)
+                assert got[0] == comp
+                np.testing.assert_array_equal(got[1], comp_lens)
+
+
+def _parent_encode_blob(blob, lengths, candidates):
+    """The string-blob selection before size-limited FSST: every candidate
+    encoded in full, in list order, a later one replacing the best only
+    when strictly smaller."""
+    from orc_ray.codecs import CHUNKED_KINDS
+
+    arr = np.frombuffer(blob, dtype=np.uint8)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    best = ("none", blob, lengths, len(blob))
+    for cand in candidates:
+        if cand in CHUNKED_KINDS:
+            z = CHUNKED_KINDS[cand].module.compress(blob)
+            if len(z) < best[3]:
+                best = (cand, z, lengths, len(z))
+        elif cand == "fsst":
+            comp, comp_lens = fsst.compress(fsst.train(arr, offsets), arr,
+                                            offsets)
+            if len(comp) < best[3]:
+                best = ("fsst", comp, comp_lens, len(comp))
+    return best[0], best[1], best[2]
+
+
+def _blob_cases():
+    from orc_ray.sources.tokens import synthesize_tokens
+
+    rng = np.random.default_rng(5)
+    table = synthesize_tokens(6000, seed=3, mean_log=1.5)
+    vocab = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), 8))
+             for _ in range(50)]
+    return {
+        # zstd wins
+        "doc_id": table.column("doc_id").to_pylist(),
+        # FSST wins: three of 50 random 8-letter words per string
+        "words": ["".join(rng.choice(vocab, 3)) for _ in range(2000)],
+        # raw wins
+        "noise": [bytes(rng.integers(0, 256, 9).astype(np.uint8))
+                  .decode("latin-1") for _ in range(40)],
+        "one": ["a"],
+    }
+
+
+@pytest.mark.parametrize("candidates", [("fsst", "zstd", "none"),
+                                        ("zstd", "fsst", "none"),
+                                        ("fsst",)])
+def test_encode_blob_matches_full_trial(candidates):
+    """_encode_blob, which runs the chunked kinds first and stops FSST once
+    it cannot win, chooses the same codec, payload and lengths as encoding
+    every candidate in full."""
+    from orc_ray.codecs.dictionary import string_blob
+    from orc_ray.config import EncoderConfig
+    from orc_ray.stripe import _encode_blob
+
+    config = EncoderConfig(string_blob_candidates=candidates)
+    winners = set()
+    for strs in _blob_cases().values():
+        blob, lengths = string_blob(pa.array(strs, pa.string()))
+        got = _encode_blob(blob, lengths, config)
+        want = _parent_encode_blob(blob, lengths, candidates)
+        assert got[0] == want[0] and got[1] == want[1]
+        np.testing.assert_array_equal(got[2], want[2])
+        winners.add(got[0])
+    assert winners == ({"fsst", "none"} if candidates == ("fsst",)
+                       else {"fsst", "zstd", "none"})
+
+
+def test_fsst_trial_stops_within_one_chunk(monkeypatch):
+    """On a doc_id column where zstd wins, the FSST trial tokenizes at most
+    one chunk of strings outside training."""
+    from orc_ray.codecs.dictionary import string_blob
+    from orc_ray.config import EncoderConfig
+    from orc_ray.sources.tokens import synthesize_tokens
+    from orc_ray.stripe import _encode_blob
+
+    stripe = synthesize_tokens(50_000, seed=1, mean_log=1.5)
+    blob, lengths = string_blob(stripe.column("doc_id"))
+    training, seen = [False], []
+    train, tokenize = fsst.train, fsst._tokenize
+
+    def counting_train(*args, **kwargs):
+        training[0] = True
+        try:
+            return train(*args, **kwargs)
+        finally:
+            training[0] = False
+
+    def counting_tokenize(table, blob, offsets):
+        if not training[0]:
+            seen.append(len(offsets) - 1)
+        return tokenize(table, blob, offsets)
+
+    monkeypatch.setattr(fsst, "train", counting_train)
+    monkeypatch.setattr(fsst, "_tokenize", counting_tokenize)
+    codec, _, _ = _encode_blob(blob, lengths, EncoderConfig())
+    assert codec == "zstd"
+    assert sum(seen) <= fsst.CHUNK_STRINGS, seen
+
+
 # --- cardinality sketch ----------------------------------------------------
 
 def test_cardinality_sketch_accuracy():

@@ -475,3 +475,42 @@ def test_tz_offsets_overflow_means_no_prune_not_crash():
     lo_ns, hi_ns = _ts_stat_bounds_ns(
         _TsMs(10**18, False), _TsMs(10**18, False), "America/Los_Angeles")
     assert lo_ns is None and hi_ns is None
+
+
+def test_decimal_scales_widths_and_nulls():
+    """Decimal values decode exactly on both of the decoder's paths: the
+    int64 one (including a 63-bit zigzag varint) and the Decimal one
+    (mantissas past 63 bits, and stream scales other than the column's,
+    which round half-even to it); nulls stay null."""
+    import decimal
+
+    import numpy as np
+
+    from orc_ray.codecs import byterle, rle2
+    from orc_ray.sources import orcfile
+
+    mants = [12345, 2**70 + 3, -(2**62), 125, 135, 0, -10**30, 7]
+    scales = [2, 2, 2, 3, 3, 0, 2, 1]
+    present = np.array([True, True, False, True, True, True, True, True,
+                        True])
+    data = bytearray()
+    for m in mants:
+        u = (m << 1) if m >= 0 else ((-m) << 1) - 1
+        while u >= 0x80:
+            data.append(u & 0x7F | 0x80)
+            u >>= 7
+        data.append(u)
+    streams = {(1, orcfile._KIND_DATA): bytes(data),
+               (1, orcfile._KIND_SECONDARY):
+                   rle2.encode(np.array(scales, np.int64), signed=True),
+               (1, orcfile._KIND_PRESENT): byterle.encode_bools(present)}
+    dec = orcfile._StripeDecoder(streams, {1: (orcfile._ENC_DIRECT_V2, 0)},
+                                 0, {})
+    got = dec.decode(orcfile.OrcType(column=1, kind=14, precision=38,
+                                     scale=2), len(present))
+    ctx = decimal.Context(prec=38, rounding=decimal.ROUND_HALF_EVEN)
+    want = iter(ctx.quantize(decimal.Decimal(m).scaleb(-s, ctx),
+                             decimal.Decimal("0.01"))
+                for m, s in zip(mants, scales))
+    assert got.type == pa.decimal128(38, 2)
+    assert got.to_pylist() == [next(want) if p else None for p in present]
