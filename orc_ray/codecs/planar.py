@@ -8,8 +8,8 @@ zlib stage (compressioncodec.go analogue): odd-width bit-packed data is
 byte-misaligned, so deflate finds no byte matches and only its Huffman pass
 gains ~25%; splitting into planes gives each 256 KiB zlib chunk a single
 stationary byte distribution (the high plane of token ids is highly
-skewed), compressing ~30% smaller AND faster on the same data. Decode is k
-vectorized shift-ORs. The layout is analytically seekable like FOR: value
+skewed), compressing ~30% smaller AND faster on the same data. Decode adds the k
+shifted planes tile by tile in an L2-sized scratch. The layout is analytically seekable like FOR: value
 i of plane p lives at byte ``header + p*n + i`` — no stored index needed.
 
 Layout: varint(n) + vslong(min) + u8(n_planes) + n_planes * n bytes.
@@ -25,9 +25,9 @@ _U64 = np.uint64
 _I64 = np.int64
 _U8 = np.uint8
 
-# encode-side tile: 128k values = 512 KiB u32 / 1 MiB u64 scratch, sized to
-# sit in L2 while its byte lanes are peeled
-_ENC_TILE = 1 << 17
+# encode and decode tile: 64k values = 256 KiB u32 / 512 KiB u64 scratch,
+# sized to sit in L2 while its byte lanes are peeled or added
+_TILE = 1 << 16
 
 
 def encode_parts(values: np.ndarray) -> tuple[bytes, np.ndarray | None]:
@@ -68,7 +68,7 @@ def encode_parts(values: np.ndarray) -> tuple[bytes, np.ndarray | None]:
     # a 4/8-byte stride — one DRAM pass over the source total (measured
     # ~25% faster single-thread at 9M values, and it is the traffic, not
     # the ALU, that the 32-way contended runs are bound on)
-    tile = _ENC_TILE
+    tile = _TILE
     tmp = np.empty(min(tile, n), dtype=src.dtype)
     for s in range(0, n, tile):
         e = min(n, s + tile)
@@ -95,32 +95,36 @@ def decode(buf: bytes, out_dtype=np.int64) -> np.ndarray:
     k = buf[pos]
     pos += 1
     planes = np.frombuffer(buf, dtype=_U8, count=k * n, offset=pos).reshape(k, n)
-    return _assemble(planes, k, vmin, out_dtype)
+    return _assemble(planes, vmin, out_dtype)
 
 
-def _assemble(planes: np.ndarray, k: int, vmin: int,
-              out_dtype=np.int64) -> np.ndarray:
-    # planes are the little-endian bytes of (v - vmin), so scattering
-    # plane p into byte lane p of a zeroed output IS the word assembly —
-    # one strided byte write per plane replaces the shift-or chain's
-    # full-word read-modify-write per plane (measured >2x faster at both
-    # widths; x86/arm little-endian assumed, as everywhere in this codec)
-    n = planes.shape[1]
-    if out_dtype == np.int32 and k <= 4:
-        # caller guarantees the true values fit int32 (they were encoded
-        # from an int32 column), so mod-2^32 arithmetic is exact — half
-        # the memory traffic of the 64-bit assemble on the hottest stream
-        res32 = np.zeros(n, dtype=np.uint32)
-        lanes = res32.view(_U8).reshape(n, 4)
-        for p in range(k):
-            lanes[:, p] = planes[p]
-        res32 += np.uint32(vmin & 0xFFFFFFFF)
-        return res32.view(np.int32)
-    res = np.zeros(n, dtype=_U64)
-    lanes = res.view(_U8).reshape(n, 8)
-    for p in range(k):
-        lanes[:, p] = planes[p]
-    res += _U64(vmin & 0xFFFFFFFFFFFFFFFF)
+def _assemble(planes, vmin: int, out_dtype=np.int64) -> np.ndarray:
+    """Values from the k uint8 planes of their residuals (``planes[p]`` is
+    plane p). Per tile: ``plane0 + vmin``, then ``+= plane_p << 8p`` —
+    the planes hold disjoint bytes of (v - vmin), so adding equals OR-ing
+    and the result is exact mod 2^32 or 2^64. One read of each plane and
+    one write of the output, all in L2, instead of a strided byte-lane
+    scatter into a zeroed output."""
+    k = len(planes)
+    n = len(planes[0])
+    # int32 output: the caller guarantees the true values fit (they were
+    # encoded from an int32 column), so mod-2^32 arithmetic is exact — half
+    # the memory traffic of the 64-bit assemble on the hottest stream
+    wt = np.uint32 if out_dtype == np.int32 and k <= 4 else _U64
+    res = np.empty(n, dtype=wt)
+    base = wt(vmin & (0xFFFFFFFF if wt is np.uint32 else 0xFFFFFFFFFFFFFFFF))
+    tmp = np.empty(min(_TILE, n), dtype=wt)
+    for s in range(0, n, _TILE):
+        e = min(n, s + _TILE)
+        r = res[s:e]
+        np.add(planes[0][s:e], base, out=r, dtype=wt, casting="unsafe")
+        for p in range(1, k):
+            t = tmp[: e - s]
+            np.left_shift(planes[p][s:e], wt(8 * p), out=t, dtype=wt,
+                          casting="unsafe")
+            r += t
+    if wt is np.uint32:
+        return res.view(np.int32)
     out = res.view(_I64)
     return out if out_dtype == np.int64 else out.astype(out_dtype, copy=False)
 
@@ -145,9 +149,6 @@ def plane_ranges(lo: int, hi: int, n: int, k: int,
 def decode_range(plane_payloads: list[bytes], lo: int, hi: int,
                  vmin: int, out_dtype=np.int64) -> np.ndarray:
     """Decode values [lo, hi) from the per-plane payload byte slices."""
-    k = len(plane_payloads)
-    m = hi - lo
-    planes = np.empty((k, m), dtype=_U8)
-    for p, payload in enumerate(plane_payloads):
-        planes[p, :] = np.frombuffer(payload, dtype=_U8, count=m)
-    return _assemble(planes, k, vmin, out_dtype)
+    planes = [np.frombuffer(payload, dtype=_U8, count=hi - lo)
+              for payload in plane_payloads]
+    return _assemble(planes, vmin, out_dtype)

@@ -23,10 +23,14 @@ _P = _U64(0x100000001B3)  # FNV-ish odd multiplier
 _K = _U64(0x9E3779B97F4A7C15)
 _PINV = _U64(pow(int(_P), -1, 1 << 64))  # P is odd => invertible mod 2^64
 
-# blocked power table: P^i = SMALL[i % B] * (P^B)^(i // B). Building it is
-# one parallelizable multiply pass instead of a serial length-m cumprod —
-# the checksum was the dominant cost of the fused decode+verify task.
-_B = 4096
+# row hashes run in L2-sized tiles against tile-sized tables: position i =
+# t*T + r has P^i = PB^t * POW[r] with PB = P^T, so one tile's products sit
+# in a scratch buffer and only per-segment sums leave it (an m-long terms
+# array and m-long power tables cost two extra DRAM passes and, cached, a
+# few hundred MB per process). POW/INV/GEO hold P^r, P^-r and
+# sum_{i<r} P^i for r <= T: 1.5 MB in all.
+_SHIFT = 16
+_T = 1 << _SHIFT
 
 
 def _pow_mod64(base: np.uint64, exp: np.ndarray) -> np.ndarray:
@@ -44,92 +48,80 @@ def _pow_mod64(base: np.uint64, exp: np.ndarray) -> np.ndarray:
     return result
 
 
-def _make_pow_cache(base: int):
-    small = np.empty(_B, dtype=_U64)
-    small[0] = 1
-    np.cumprod(np.full(_B - 1, base, dtype=_U64), out=small[1:])
-    pb = (int(small[-1]) * base) & 0xFFFFFFFFFFFFFFFF
-    cache = np.empty(0, dtype=_U64)
-
-    def table(m: int) -> np.ndarray:
-        """[base^0 .. base^(m-1)] mod 2^64, blocked construction, cached
-        per process (read-only view of the largest table built so far):
-        rebuilding it per stripe was ~25% of fused decode+verify. Built
-        with 2x headroom — stripe value counts vary a few percent around
-        the token budget, and growing by max-so-far would rebuild ~half
-        the time early on."""
-        nonlocal cache
-        if len(cache) < m:
-            nb = (2 * m + _B - 1) // _B
-            blockpows = np.empty(nb, dtype=_U64)
-            blockpows[0] = 1
-            if nb > 1:
-                np.cumprod(np.full(nb - 1, pb, dtype=_U64),
-                           out=blockpows[1:])
-            cache = np.multiply(blockpows[:, None],
-                                small[None, :]).reshape(-1)
-        return cache[:m]
-
-    return table
+def _powers(base: np.uint64, n: int) -> np.ndarray:
+    """[base^0 .. base^(n-1)] mod 2^64."""
+    out = np.ones(n, dtype=_U64)
+    np.cumprod(np.full(n - 1, base, dtype=_U64), out=out[1:])
+    return out
 
 
-def _make_powsum_cache():
-    """T[j] = K * sum_{i<j} P^i mod 2^64 (one extra slot past the pow
-    table) — lets the per-value ``terms += K`` pass collapse to a
-    per-SEGMENT ``K*(T[end]-T[start])`` gather, since
-    sum_seg((v+K)*P^i) = sum_seg(v*P^i) + K*sum_seg(P^i)."""
-    cache = np.empty(0, dtype=_U64)
-
-    def table(m: int) -> np.ndarray:
-        nonlocal cache
-        if len(cache) < m + 1:
-            pows = _pow_table(2 * m + 1)
-            cache = np.zeros(len(pows) + 1, dtype=_U64)
-            np.cumsum(pows * _K, out=cache[1:])
-        return cache
-
-    return table
-
-
-_pow_table = _make_pow_cache(int(_P))
-_pow_table_inv = _make_pow_cache(int(_PINV))
-_powsum_table = _make_powsum_cache()
+_POW = _powers(_P, _T + 1)
+_INV = _powers(_PINV, _T + 1)
+_GEO = np.zeros(_T + 1, dtype=_U64)
+np.cumsum(_POW[:-1], out=_GEO[1:])
 
 
 def _poly_hash_segments(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-segment hash sum((v+K) * P^pos_in_segment) mod 2^64.
 
-    Computed as P^(-start) * sum((v_i+K) * P^i) over GLOBAL positions i —
-    bit-identical to the per-segment formulation (P odd => P^-1 exists mod
-    2^64) but needs no per-value position gather / np.repeat: one global
-    power table, one reduceat, one row-count-sized inverse-power pass."""
+    Computed as P^(-start) * sum(v_i * P^i) over GLOBAL positions i plus
+    K * sum_{j<len} P^j — bit-identical to the per-segment formulation (P
+    odd => P^-1 exists mod 2^64) with no per-value position gather. The
+    global sums are built tile by tile: each tile's products are reduced
+    at the segment starts inside it (plus the head of a segment the tile
+    opens inside) and scaled by PB^t."""
     n = len(offsets) - 1
-    if len(values) == 0:
-        return np.zeros(n, dtype=_U64)
     m = len(values)
-    # widen+multiply in one pass (ufunc dtype=uint64 sign-extends int32
-    # exactly like the old .astype chain); the +K per-value pass is folded
-    # into a per-segment gather from the K-scaled power prefix sums —
-    # together they drop two full passes over the hottest stream
-    terms = np.multiply(values, _pow_table(m), dtype=_U64, casting="unsafe")
-    lengths = np.diff(offsets)
     out = np.zeros(n, dtype=_U64)
+    if m == 0:
+        return out
+    lengths = np.diff(offsets)
     nz = lengths > 0
     starts = offsets[:-1][nz]
-    ends = offsets[1:][nz]
-    seg_sums = np.add.reduceat(terms, starts)
-    psum = _powsum_table(m)
-    seg_sums += psum[ends]
-    seg_sums -= psum[starts]
-    # P^(-start) via a gather from the cached inverse-power table (a
-    # vectorized binpow per call was ~14% of fused decode+verify)
-    out[nz] = seg_sums * _pow_table_inv(m)[starts]
+    lengths = lengths[nz]
+    # per call: PB^q, PB^-q and sum_{q'<q} PB^q' for every block q <= m/T
+    nt = (m + _T - 1) // _T
+    blk = _powers(_POW[_T], nt + 1)
+    blk_inv = _powers(_INV[_T], nt + 1)
+    blk_geo = np.zeros(nt + 1, dtype=_U64)
+    np.cumsum(blk[:-1], out=blk_geo[1:])
+    # segments [first[t], first[t+1]) start inside tile t
+    first = np.searchsorted(starts, np.arange(nt + 1) * _T).tolist()
+    seg = np.zeros(len(starts), dtype=_U64)
+    scratch = np.empty(min(_T, m), dtype=_U64)
+    for t in range(nt):
+        s = t * _T
+        buf = scratch[: min(m - s, _T)]
+        # the cast-assign sign-extends signed values mod 2^64; a separate
+        # in-L2 multiply beats one casting multiply
+        buf[...] = values[s: s + len(buf)]
+        buf *= _POW[: len(buf)]
+        i0, i1 = first[t], first[t + 1]
+        local = starts[i0:i1] - s
+        # a tile that opens inside segment i0-1 adds its head to it
+        head = int(i0 == i1 or local[0] != 0)
+        if head:
+            local = np.concatenate(([0], local))
+        sums = np.add.reduceat(buf, local)
+        sums *= blk[t]
+        seg[i0 - head: i1] += sums
+    seg *= blk_inv[starts >> _SHIFT] * _INV[starts & (_T - 1)]
+    q = lengths >> _SHIFT
+    seg += _K * (_GEO[_T] * blk_geo[q] + blk[q] * _GEO[lengths & (_T - 1)])
+    out[nz] = seg
     return out
 
 
+def _one_chunk(col):
+    """The column as one Arrow array, copying only when it has 0 or 2+
+    chunks (combine_chunks copies even a single chunk)."""
+    if isinstance(col, pa.ChunkedArray):
+        return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    return col
+
+
 def _string_hashes(arr: pa.Array) -> np.ndarray:
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+    arr = _one_chunk(arr)
     if pa.types.is_dictionary(arr.type):
         arr = arr.cast(pa.string())
     off_dtype = np.int64 if pa.types.is_large_string(arr.type) else np.int32
@@ -147,9 +139,7 @@ def row_hashes(batch: pa.Table) -> np.ndarray:
     n = batch.num_rows
     h = np.full(n, _K, dtype=_U64)
     if "tokens" in batch.column_names:
-        col = batch.column("tokens")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = _one_chunk(batch.column("tokens"))
         off_dtype = np.int64 if pa.types.is_large_list(col.type) else np.int32
         offsets = np.frombuffer(col.buffers()[1], dtype=off_dtype)[
             col.offset: col.offset + n + 1

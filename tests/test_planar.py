@@ -104,3 +104,39 @@ def test_int32_assemble_path(base):
     got_r = planar.decode_range(payloads, lo, hi, vmin, out_dtype=np.int32)
     assert got_r.dtype == np.int32
     assert np.array_equal(got_r, v[lo:hi])
+
+
+_N_AT_TILES = [1, planar._TILE - 1, planar._TILE, planar._TILE + 1,
+               2 * planar._TILE + 3]
+
+
+@pytest.mark.parametrize("n", _N_AT_TILES)
+@pytest.mark.parametrize("dtype,k", [(np.int64, k) for k in range(1, 9)]
+                         + [(np.int32, k) for k in range(1, 5)])
+def test_tiled_assemble_roundtrip(dtype, k, n):
+    """Every plane count at both output widths, at and around the tile
+    size: values span [lo, lo + 2^(8k)) with a negative minimum (k=8 is
+    the full int64 span), and both the whole-stream and the range decode
+    return the encoder's input."""
+    lo = -(1 << (8 * k - 1))
+    hi = lo + (1 << (8 * k)) - 1
+    rng = np.random.default_rng(k * 1000 + n)
+    v = rng.integers(lo, hi, n, endpoint=True, dtype=np.int64)
+    v[0] = lo
+    v[-1] = hi if n > 1 else lo
+    v = v.astype(dtype)
+    buf = planar.encode(v)
+    size, vmin, planes, hdr = planar.parse_header(buf[:24])
+    assert (size, vmin, planes) == (n, lo, k if n > 1 else 1)
+    got = planar.decode(buf, out_dtype=dtype)
+    assert got.dtype == dtype
+    assert np.array_equal(got, v)
+    edge = planar._TILE
+    for a, b in [(0, n), (edge - 5, min(n, edge + 7)), (n - 1, n)]:
+        if not 0 <= a < b:
+            continue
+        payloads = [buf[x:y] for x, y in
+                    planar.plane_ranges(a, b, n, planes, hdr)]
+        got_r = planar.decode_range(payloads, a, b, vmin, out_dtype=dtype)
+        assert got_r.dtype == dtype
+        assert np.array_equal(got_r, v[a:b]), (a, b)

@@ -119,3 +119,67 @@ def test_layouts_hash_like_one_chunk():
     full = row_hashes(_base())
     assert np.array_equal(row_hashes(_chunked()), full)
     assert np.array_equal(row_hashes(_base().slice(37, 150)), full[37:187])
+
+
+def _reference(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Plain O(m) form: global powers, one reduceat, inverse-power scaling."""
+    from orc_ray.pipelines.verify import _K, _P, _PINV, _pow_mod64
+
+    out = np.zeros(len(offsets) - 1, dtype=np.uint64)
+    pw = _pow_mod64(_P, np.arange(len(values)))
+    terms = np.multiply(values, pw, dtype=np.uint64, casting="unsafe")
+    terms += _K * pw
+    nz = np.diff(offsets) > 0
+    starts = offsets[:-1][nz]
+    if len(starts):
+        out[nz] = np.add.reduceat(terms, starts) * _pow_mod64(_PINV, starts)
+    return out
+
+
+def _segmentations(m: int, rng) -> list[np.ndarray]:
+    from orc_ray.pipelines.verify import _T
+
+    edges = [b for b in range(_T, m, _T)]
+    cuts = rng.integers(0, m + 1, size=min(m, 40))
+    return [
+        np.array([0, m]),                          # one segment, every tile
+        np.array([0, 0, m, m]),                    # empty at both ends
+        np.sort(np.r_[0, m, cuts]),                # random, repeats = empty
+        np.sort(np.r_[0, m, edges, edges, cuts]),  # starts on tile edges
+        np.sort(np.r_[0, m, [e - 1 for e in edges], [e + 1 for e in edges]]),
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+def test_kernel_matches_reference_at_tile_edges(dtype):
+    from orc_ray.pipelines.verify import _T, _poly_hash_segments
+
+    rng = np.random.default_rng(21)
+    info = np.iinfo(dtype)
+    for m in (0, 1, _T - 1, _T, _T + 1, 3 * _T + 7):
+        values = rng.integers(info.min, info.max, m, endpoint=True,
+                              dtype=dtype)
+        for offsets in _segmentations(m, rng):
+            offsets = offsets.astype(np.int64)
+            assert np.array_equal(_poly_hash_segments(values, offsets),
+                                  _reference(values, offsets)), (m, offsets)
+
+
+def test_row_hashes_memory_is_tile_sized():
+    """Hashing a single-chunk ~2.4M-token table allocates no token-sized
+    numpy buffer and caches nothing afterwards (numpy reports its buffers
+    to tracemalloc)."""
+    import tracemalloc
+
+    t = synthesize_tokens(8_000, seed=3)
+    assert t.column("tokens").num_chunks == 1
+    assert len(t.column("tokens").chunk(0).values) > 2_000_000
+    tracemalloc.start()
+    try:
+        h = row_hashes(t)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(h) == t.num_rows
+    assert peak < 8 << 20, peak
+    assert held < 1 << 20, held
