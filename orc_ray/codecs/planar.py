@@ -8,9 +8,10 @@ zlib stage (compressioncodec.go analogue): odd-width bit-packed data is
 byte-misaligned, so deflate finds no byte matches and only its Huffman pass
 gains ~25%; splitting into planes gives each 256 KiB zlib chunk a single
 stationary byte distribution (the high plane of token ids is highly
-skewed), compressing ~30% smaller AND faster on the same data. Decode adds the k
-shifted planes tile by tile in an L2-sized scratch. The layout is analytically seekable like FOR: value
-i of plane p lives at byte ``header + p*n + i`` — no stored index needed.
+skewed), compressing ~30% smaller AND faster on the same data. Decode adds
+the k shifted planes tile by tile in an L2-sized scratch. The layout is
+analytically seekable like FOR: value i of plane p lives at byte
+``header + p*n + i`` — no stored index needed.
 
 Layout: varint(n) + vslong(min) + u8(n_planes) + n_planes * n bytes.
 """
@@ -102,9 +103,8 @@ def _assemble(planes, vmin: int, out_dtype=np.int64) -> np.ndarray:
     """Values from the k uint8 planes of their residuals (``planes[p]`` is
     plane p). Per tile: ``plane0 + vmin``, then ``+= plane_p << 8p`` —
     the planes hold disjoint bytes of (v - vmin), so adding equals OR-ing
-    and the result is exact mod 2^32 or 2^64. One read of each plane and
-    one write of the output, all in L2, instead of a strided byte-lane
-    scatter into a zeroed output."""
+    and the result is exact mod 2^32 or 2^64. Each plane is read once and
+    the output written once; the shifts and adds stay in L2."""
     k = len(planes)
     n = len(planes[0])
     # int32 output: the caller guarantees the true values fit (they were

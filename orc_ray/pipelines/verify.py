@@ -25,10 +25,10 @@ _PINV = _U64(pow(int(_P), -1, 1 << 64))  # P is odd => invertible mod 2^64
 
 # row hashes run in L2-sized tiles against tile-sized tables: position i =
 # t*T + r has P^i = PB^t * POW[r] with PB = P^T, so one tile's products sit
-# in a scratch buffer and only per-segment sums leave it (an m-long terms
-# array and m-long power tables cost two extra DRAM passes and, cached, a
-# few hundred MB per process). POW/INV/GEO hold P^r, P^-r and
-# sum_{i<r} P^i for r <= T: 1.5 MB in all.
+# in a scratch buffer and only per-segment sums leave it. No value-count
+# sized array is built: each would cost a DRAM pass per stripe, and cached
+# power tables grow to hundreds of MB per process. POW/INV/GEO hold P^r,
+# P^-r and sum_{i<r} P^i for r <= T: 1.5 MB in all.
 _SHIFT = 16
 _T = 1 << _SHIFT
 

@@ -139,7 +139,7 @@ def _reference(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def _segmentations(m: int, rng) -> list[np.ndarray]:
     from orc_ray.pipelines.verify import _T
 
-    edges = [b for b in range(_T, m, _T)]
+    edges = list(range(_T, m, _T))
     cuts = rng.integers(0, m + 1, size=min(m, 40))
     return [
         np.array([0, m]),                          # one segment, every tile

@@ -62,6 +62,12 @@ def result_of(rec: dict) -> dict | None:
         return None
 
 
+def metric_value(entry) -> float | None:
+    """A metric's number: run.py prints each as ``{"value", "unit"}``."""
+    v = entry.get("value") if isinstance(entry, dict) else entry
+    return float(v) if isinstance(v, (int, float)) else None
+
+
 def _quartiles(xs: list[float]) -> tuple[float, float, float]:
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
@@ -86,7 +92,7 @@ def summarize(records: list[dict], spec: dict, claim: str | None) -> None:
 
     def value(s: int, side: str, name: str) -> float | None:
         v = results[s, side].get("metrics", {}).get(name)
-        return float(v) if isinstance(v, (int, float)) else None
+        return metric_value(v)
 
     print("seed  first   " + "  ".join(f"{n:>18s}" for n in names))
     for s in seeds:
@@ -131,6 +137,9 @@ def summarize(records: list[dict], spec: dict, claim: str | None) -> None:
         both = [(value(s, "head", claim), value(s, "parent", claim))
                 for s in seeds]
         both = [(h, p) for h, p in both if h is not None and p is not None]
+        if not both:
+            print(f"\nclaim {claim}: no pair has values")
+            return
         wins = sum(_better(m, h, p) for h, p in both)
         pq = _quartiles([p for _, p in both])
         hmed = statistics.median(h for h, _ in both)
@@ -179,7 +188,8 @@ def main(argv: list[str]) -> int:
                 m = (result_of(rec) or {}).get("metrics", {})
                 print(f"seed {seed} {side}: exit {rec['exit']}, "
                       f"{rec['wall_s']} s, "
-                      + ", ".join(f"{k}={v}" for k, v in m.items()),
+                      + ", ".join(f"{k}={metric_value(v):.4g}"
+                                  for k, v in m.items()),
                       flush=True)
         print()
     summarize(records, spec, args.claim)
