@@ -88,7 +88,7 @@ def compress_parts(parts, block, chunk_size: int = DEFAULT_CHUNK) -> bytes:
 
 
 def decompress(data, block, raw_length: int | None = None,
-               chunk_size: int = DEFAULT_CHUNK) -> bytearray:
+               chunk_size: int = DEFAULT_CHUNK):
     """Decompress a chunked stream. ``block(payload, raw_n)`` decodes one
     compressed chunk whose raw size is ``raw_n``.
 
@@ -97,10 +97,18 @@ def decompress(data, block, raw_length: int | None = None,
     tail's, and chunks are written straight into one preallocated buffer:
     growing a buffer instead costs a second pass over every decoded byte.
     Without it (foreign ORC streams, whose chunk sizes are unknown) the
-    output is appended and ``raw_n`` is None. Returns the bytearray
-    itself: ``np.frombuffer``, slicing and indexing behave like bytes."""
+    output is appended and ``raw_n`` is None. A stream of one chunk returns
+    that chunk's bytes as they are (bytes or a memoryview), without the
+    copy. Every result is bytes-like: ``np.frombuffer``, slicing and
+    indexing behave like bytes."""
     mv = memoryview(data)
     pos = 0
+    if raw_length is not None and 0 < raw_length <= chunk_size:
+        length, original = _read_header(mv, 0)
+        if 3 + length == len(mv):
+            out = mv[3:] if original else block(mv[3:], raw_length)
+            if len(out) == raw_length:  # else the loop below raises
+                return out
     if raw_length is None:
         out = bytearray()
         while pos < len(mv):

@@ -603,12 +603,13 @@ def decode(buf: bytes, signed: bool, n: int | None = None,
     np.cumsum(cnt_a, out=starts[1:])
     total = int(starts[-1])
     out = np.empty(total, dtype=out_dtype)
+    # a tag the stream does not use costs one bincount slot, no array pass
+    present = np.bincount(tags, minlength=4)
     # DIRECT: one unpack per (width, count) group
-    direct_idx = np.flatnonzero(tags == DIRECT)
-    if len(direct_idx):
-        for key in np.unique(w_a[direct_idx] * 1024 + cnt_a[direct_idx]):
-            w, c = int(key) // 1024, int(key) % 1024
-            grp = direct_idx[(w_a[direct_idx] == w) & (cnt_a[direct_idx] == c)]
+    if present[DIRECT]:
+        direct_idx = np.flatnonzero(tags == DIRECT)
+        for w, c, sel in _groups(w_a[direct_idx], cnt_a[direct_idx]):
+            grp = direct_idx[sel]
             nb = (c * w + 7) // 8
             vals = unpack_rows(raw[pos_a[grp][:, None] + 2 + np.arange(nb)], w, c)
             dec = zigzag_decode(vals) if signed else vals.view(_I64)
@@ -616,17 +617,13 @@ def decode(buf: bytes, signed: bool, n: int | None = None,
             out[scatter.ravel()] = dec.ravel()
     # DELTA: batch the header varints, then one unpack + row-cumsum per
     # (width, count) group
-    di = np.flatnonzero(tags == DELTA)
-    if len(di):
+    if present[DELTA]:
+        di = np.flatnonzero(tags == DELTA)
         u1 = _batch_vulongs(raw, pos_a[di] + 2, e1)
         first_vals = zigzag_decode(u1) if signed else u1.view(_I64)
         delta_bases = zigzag_decode(_batch_vulongs(raw, e1 + 1, e2))
         data_start = e2 + 1
-        dcnt = cnt_a[di]
-        dfb = w_a[di]
-        for key in np.unique(dfb * 1024 + dcnt):
-            w, c = int(key) // 1024, int(key) % 1024
-            sel = (dfb == w) & (dcnt == c)
+        for w, c, sel in _groups(w_a[di], cnt_a[di]):
             grp = di[sel]
             fv = first_vals[sel]
             db = delta_bases[sel]
@@ -647,16 +644,16 @@ def decode(buf: bytes, signed: bool, n: int | None = None,
             out[scatter.ravel()] = vals2d.ravel()
     # SHORT_REPEAT: batch big-endian value gather per byte-width, then one
     # ragged repeat/scatter for all runs
-    sr_idx = np.flatnonzero(tags == SHORT_REPEAT)
-    if len(sr_idx):
+    if present[SHORT_REPEAT]:
+        sr_idx = np.flatnonzero(tags == SHORT_REPEAT)
         vals_u = np.zeros(len(sr_idx), dtype=_U64)
         srw = w_a[sr_idx]
-        for w in np.unique(srw):
+        for w in _distinct(srw):
             m = srw == w
-            gather = pos_a[sr_idx][m][:, None] + 1 + np.arange(int(w))
+            gather = pos_a[sr_idx][m][:, None] + 1 + np.arange(w)
             mat = raw[gather].astype(_U64)
             v = np.zeros(len(mat), dtype=_U64)
-            for j in range(int(w)):
+            for j in range(w):
                 v = (v << _U64(8)) | mat[:, j]
             vals_u[m] = v
         dec = (zigzag_decode(vals_u) if signed
@@ -667,13 +664,29 @@ def decode(buf: bytes, signed: bool, n: int | None = None,
         intra = np.arange(tot) - np.repeat(np.cumsum(cnts) - cnts, cnts)
         out[pos0 + intra] = np.repeat(dec, cnts)
     # PATCHED_BASE (rare), per run
-    for i in np.flatnonzero(tags == PATCHED_BASE):
-        s = starts[i]
-        arr, _ = _read_patched_base(buf, int(pos_a[i]))
-        out[s: s + len(arr)] = arr
+    if present[PATCHED_BASE]:
+        for i in np.flatnonzero(tags == PATCHED_BASE):
+            s = starts[i]
+            arr, _ = _read_patched_base(buf, int(pos_a[i]))
+            out[s: s + len(arr)] = arr
     if n is not None and total > n:
         out = out[:n]
     return out
+
+
+def _distinct(keys: np.ndarray):
+    """The distinct values of ``keys`` as ints. A few are found in Python:
+    ``np.unique`` alone costs more than the rest of a short stream's
+    decode."""
+    return set(keys.tolist()) if len(keys) <= 64 else np.unique(keys).tolist()
+
+
+def _groups(widths: np.ndarray, counts: np.ndarray):
+    """(width, count, mask) for each distinct (width, count) pair of some
+    runs: one ``unpack_rows`` call each."""
+    keys = widths * 1024 + counts
+    for key in _distinct(keys):
+        yield key >> 10, key & 1023, keys == key
 
 
 def _read_patched_base(buf, pos):

@@ -286,21 +286,22 @@ def plan_row_ranges(man: pa.Table, row_start: int, row_count: int) -> list[dict]
     order: partition_id, stripe_id). Shared by read_rows and the CLI."""
     import numpy as np
 
-    order = sorted(range(man.num_rows), key=lambda i: (
-        man.column("partition_id")[i].as_py(), man.column("stripe_id")[i].as_py()))
-    rows = man.take(pa.array(order, type=pa.int64()))
-    counts = np.asarray(rows.column("num_rows").to_pylist(), dtype=np.int64)
-    starts = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
+    order = np.lexsort((man.column("stripe_id").to_numpy(),
+                        man.column("partition_id").to_numpy()))
+    starts = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(man.column("num_rows").to_numpy()[order], out=starts[1:])
     lo, hi = row_start, row_start + row_count
+    # stripe i is picked when it ends after lo (starts[i + 1] > lo) and
+    # starts before hi (starts[i] < hi): one run of stripes, a zero-row
+    # stripe inside the range too. starts[0] is 0, so one searchsorted
+    # finds both ends.
+    a, b = np.searchsorted(starts, [lo + 1, hi]).tolist()
     picked = []
-    for i in range(len(counts)):
-        s, e = int(starts[i]), int(starts[i + 1])
-        if e <= lo or s >= hi:
-            continue
+    for i in range(max(0, a - 1), min(b, len(order))):
+        s, e, j = int(starts[i]), int(starts[i + 1]), int(order[i])
         picked.append({
-            "blob_path": rows.column("blob_path")[i].as_py(),
-            "meta_json": rows.column("meta_json")[i].as_py(),
+            "blob_path": man.column("blob_path")[j].as_py(),
+            "meta_json": man.column("meta_json")[j].as_py(),
             "row_lo": max(0, lo - s),
             "row_cnt": min(e, hi) - max(s, lo),
         })

@@ -291,13 +291,6 @@ def _decompress(data: bytes | memoryview, kind: int) -> bytes:
 # ---------------------------------------------------------------------------
 # schema tree
 
-_KIND_NAMES = [
-    "boolean", "byte", "short", "int", "long", "float", "double", "string",
-    "binary", "timestamp", "list", "map", "struct", "union", "decimal",
-    "date", "varchar", "char",
-]
-
-
 def _unzig(v: int) -> int:
     return (v >> 1) ^ -(v & 1)
 
@@ -464,10 +457,6 @@ class OrcType:
     precision: int = 0
     scale: int = 0
     children: list["OrcType"] = field(default_factory=list)
-
-    @property
-    def kind_name(self) -> str:
-        return _KIND_NAMES[self.kind]
 
     def subtree_columns(self) -> list[int]:
         out = [self.column]
@@ -679,8 +668,9 @@ class ORCFile:
             return list(self.top_columns.items())
         unknown = [c for c in columns if c not in self.top_columns]
         if unknown:
-            raise ValueError(f"unknown ORC column(s) {unknown}; the file "
-                             f"has {list(self.top_columns)}")
+            raise ValueError(f"unknown ORC column(s) {unknown}; "
+                             f"{self.path or 'the file'} has "
+                             f"{list(self.top_columns)}")
         return [(nm, t) for nm, t in self.top_columns.items() if nm in columns]
 
     def arrow_schema(self, columns: list[str] | None = None) -> pa.Schema:
@@ -1312,8 +1302,9 @@ def read_orc(paths: str | list[str], columns: list[str] | None = None,
     the native ``point_lookup``).
 
     An empty ``paths`` raises ValueError, and so does a column (projected
-    or in the predicate) that a file lacks: on the driver, before any
-    task runs, for the first file and for every file planned inline."""
+    or in the predicate) that a file lacks, naming the file: on the
+    driver, before any decode task runs. Above ``_PLAN_INLINE_MAX`` paths
+    that means the planning stage runs here, in ``read_orc``."""
     import ray
     import ray.data
 
@@ -1347,6 +1338,8 @@ def read_orc(paths: str | list[str], columns: list[str] | None = None,
         for c in _SPEC_INT_COLS:
             cols[c] = pa.array([it[c] for it in items], pa.int64())
         cols["types"] = pa.array([it["types"] for it in items], pa.binary())
+        # a planning task's ValueError, raised again on the driver
+        cols["error"] = pa.array([it.get("error") for it in items], pa.string())
         return pa.table(cols)
 
     def _plan_one(f: ORCFile) -> list[dict]:
@@ -1397,12 +1390,20 @@ def read_orc(paths: str | list[str], columns: list[str] | None = None,
         def _plan_batch(b: pa.Table) -> pa.Table:
             items: list[dict] = []
             for p in b.column("path").to_pylist():
-                items.extend(_plan_one(ORCFile(p)))
+                f = ORCFile(p)
+                try:
+                    items.extend(_plan_one(f))
+                except ValueError as e:
+                    items.append({**f.stripe_spec(-1), "error": str(e)})
             return _spec_table(items)
         plan_src = ray.data.from_arrow(
             pa.table({"path": pa.array(paths, pa.string())}))
         planned = plan_src.map_batches(_plan_batch, batch_format="pyarrow",
-                                       batch_size=32)
+                                       batch_size=32).materialize()
+        # a file that lacks a column fails here, before any decode task
+        bad = planned.filter(expr="is_valid(error)").take(1)
+        if bad:
+            raise ValueError(bad[0]["error"])
         sentinel = ray.data.from_arrow(_spec_table([first.stripe_spec(-1)]))
         items = planned.union(sentinel)
     else:

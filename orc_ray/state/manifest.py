@@ -152,7 +152,8 @@ def read_manifest(out_dir: str, columns: list[str] | None = None) -> pa.Table:
     with ThreadPoolExecutor(max_workers=min(16, len(files))) as ex:
         tables = list(ex.map(lambda f: read_manifest_file(f, columns=columns),
                              files))
-    return pa.concat_tables(tables)
+    # one chunk per column: row-range planning reads it per point read
+    return pa.concat_tables(tables).combine_chunks()
 
 
 def manifest_summary(out_dir: str, codec_histogram: bool = True) -> dict:

@@ -31,6 +31,7 @@ Commit semantics per backend:
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 _SUBTREE_SCHEME = "subtree+local://"
@@ -106,16 +107,31 @@ def read_file(path: str) -> bytes:
         return f.read()
 
 
+class _LocalRanged:
+    """A local file read by ``os.pread``: no seek state, one descriptor."""
+
+    def __init__(self, path: str):
+        self._fd = os.open(path, os.O_RDONLY)
+
+    def read_at(self, nbytes: int, offset: int) -> bytes:
+        return os.pread(self._fd, nbytes, offset)
+
+    def close(self) -> None:
+        os.close(self._fd)
+
+
+def open_ranged(path: str):
+    """A handle for many byte-range reads of one file: ``read_at(nbytes,
+    offset)`` and ``close()`` (pyarrow's ``RandomAccessFile`` on URIs).
+    The caller closes it."""
+    fs, p = _parse(path)
+    return _LocalRanged(p) if fs is None else fs.open_input_file(p)
+
+
 def read_file_range(path: str, offset: int, length: int) -> bytes:
     """One byte-range read (a GET with Range on object stores)."""
-    fs, p = _parse(path)
-    if fs is None:
-        with open(p, "rb") as f:
-            f.seek(offset)
-            return f.read(length)
-    with fs.open_input_file(p) as f:
-        f.seek(offset)
-        return f.read(length)
+    with contextlib.closing(open_ranged(path)) as f:
+        return f.read_at(length, offset)
 
 
 def open_input(path: str):

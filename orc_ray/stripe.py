@@ -27,6 +27,7 @@ runs unchanged inside ``map_batches`` tasks.
 from __future__ import annotations
 
 import base64
+import functools
 from zlib import crc32 as _zlib_crc32
 
 import numpy as np
@@ -662,17 +663,33 @@ class BlobIntegrityError(ValueError):
 class RangeReader:
     """Byte-range access to a blob (bytes, or a path read through the
     storage backend) that counts the bytes actually touched — the unit the
-    seek-point tests assert on."""
+    seek-point tests assert on. A path is opened once, at the first read,
+    and serves every range until the reader's ``with`` block ends, which
+    closes it. ``spans`` holds the raw bytes of each compressed span
+    ``_raw_range`` decompressed through this reader, so planes that share
+    a chunk decompress it once; it lives as long as the reader, one
+    read."""
 
     def __init__(self, src):
         self._src = src
+        self._file = None
+        self.spans: dict[tuple[int, int], object] = {}
         self.bytes_read = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._file is not None:
+            self._file.close()
 
     def read(self, offset: int, length: int) -> bytes:
         self.bytes_read += length
-        if isinstance(self._src, str):
-            return storage.read_file_range(self._src, offset, length)
-        return bytes(self._src[offset: offset + length])
+        if not isinstance(self._src, str):
+            return bytes(self._src[offset: offset + length])
+        if self._file is None:
+            self._file = storage.open_ranged(self._src)
+        return self._file.read_at(length, offset)
 
 
 def decode_blob(blob: bytes, meta: dict, columns: list[str] | None = None,
@@ -702,10 +719,10 @@ def decode_blob_rows(src, meta: dict, row_start: int, row_count: int,
     streams) is read whole, and no other stream is touched. ``src`` is
     blob bytes or a path read through the storage backend. Returns
     (table, bytes_touched)."""
-    reader = RangeReader(src)
     lo = max(0, row_start)
     hi = min(meta["num_rows"], row_start + row_count)
-    return _decode_rows(reader, meta, lo, hi, columns), reader.bytes_read
+    with RangeReader(src) as reader:
+        return _decode_rows(reader, meta, lo, hi, columns), reader.bytes_read
 
 
 def read_stream_from_file(path: str, meta: dict, column: str, kind: str) -> bytes | None:
@@ -713,7 +730,8 @@ def read_stream_from_file(path: str, meta: dict, column: str, kind: str) -> byte
     Point lookups use this to fetch just a stripe's BLOOM_FILTER bytes —
     the stripe is ruled in/out without reading its data streams."""
     rec = _stream_dir(meta).get((column, kind))
-    return None if rec is None else _raw_range(RangeReader(path), rec)
+    with RangeReader(path) as reader:  # opens the file only to read
+        return None if rec is None else _raw_range(reader, rec)
 
 
 def _stream_dir(meta: dict) -> dict:
@@ -724,11 +742,17 @@ def _stream_dir(meta: dict) -> dict:
             for r in meta["streams"]}
 
 
+@functools.lru_cache(maxsize=64)
+def _schema(schema_b64: str) -> pa.Schema:
+    """The Arrow schema a stripe's meta records (parsed once per text)."""
+    return pa.ipc.read_schema(pa.py_buffer(base64.b64decode(schema_b64)))
+
+
 def _decode_rows(reader: RangeReader, meta: dict, lo: int, hi: int,
                  columns: list[str] | None) -> pa.Table:
     """Rows [lo, hi) of the projected columns: the one function behind both
     decode_blob and decode_blob_rows."""
-    schema = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(meta["schema_b64"])))
+    schema = _schema(meta["schema_b64"])
     streams = _stream_dir(meta)
     stride = meta.get("index_stride", 0)
     cols_meta = {c["name"]: c for c in meta["columns"]}
@@ -765,8 +789,12 @@ def _raw_range(reader: RangeReader, rec: dict, raw_lo: int = 0,
         byte_hi = offs[c1] if c1 < len(offs) else rec["length"]
         # every covered chunk is csize raw bytes except the stream's tail
         raw_n = min(c1 * csize, raw_len) - base
-    raw = kind.module.decompress(
-        reader.read(rec["offset"] + byte_lo, byte_hi - byte_lo), raw_n, csize)
+    span = (rec["offset"] + byte_lo, byte_hi - byte_lo)
+    raw = reader.spans.get(span)
+    if raw is None:
+        raw = kind.module.decompress(reader.read(*span), raw_n, csize)
+        if raw_lo != 0 or raw_hi != raw_len:  # a whole stream is read once
+            reader.spans[span] = raw
     if raw_lo == base and raw_hi == base + raw_n:
         return raw
     return raw[raw_lo - base: raw_hi - base]
@@ -783,10 +811,9 @@ def _int_range(reader: RangeReader, rec: dict, lo: int, hi: int, n: int,
     codec = rec["codec"]
     part = lo > 0 or hi < n
     # fixed-width layouts range-read through the outer chunk index; an
-    # outer-compressed stream without one decodes whole
-    ranged = part and (rec["outer"] not in CHUNKED_KINDS
-                       or "chunk_offsets" in rec)
-    if codec == "for" and ranged:
+    # outer-compressed stream without one is decompressed whole, once per
+    # reader (RangeReader.spans), and only [lo, hi) of it is decoded
+    if codec == "for" and part:
         # fixed-width packing: the byte range of [lo, hi) is pure math
         from .codecs import forpack
 
@@ -799,7 +826,7 @@ def _int_range(reader: RangeReader, rec: dict, lo: int, hi: int, n: int,
         payload = _raw_range(reader, rec, byte_lo, byte_hi)
         vals = forpack.decode_range(payload, lo2, lo, hi, vmin, width)
         return vals.astype(out_dtype, copy=False)
-    if codec == "planar" and ranged:
+    if codec == "planar" and part:
         from .codecs import planar
 
         if "planar_header" in rec:
@@ -1073,9 +1100,10 @@ def _int_array(vals: np.ndarray, t: pa.DataType, valid) -> pa.Array:
         storage = pa.int32()
     else:
         storage = t
-    vals = vals.astype(storage.to_pandas_dtype(), copy=False)
-    out = (pa.array(vals, type=storage) if valid is None
-           else _scatter_array(vals, valid, storage))
+    vals = np.ascontiguousarray(vals, dtype=storage.to_pandas_dtype())
+    if valid is None:  # t over the values' own buffer, no conversion
+        return pa.Array.from_buffers(t, len(vals), [None, pa.py_buffer(vals)])
+    out = _scatter_array(vals, valid, storage)
     return out if storage == t else out.view(t)
 
 

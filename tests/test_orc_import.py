@@ -163,6 +163,27 @@ def test_unknown_column_and_empty_paths_raise(tmp_path):
         read_orc([])
 
 
+def test_missing_column_in_a_late_file_raises_on_driver(ray_session,
+                                                        tmp_path):
+    """Above ``_PLAN_INLINE_MAX`` paths planning runs in Ray tasks; a column
+    that a later file lacks still raises ValueError from ``read_orc``
+    itself, naming that file, before any decode task runs."""
+    from orc_ray.sources.orcfile import _PLAN_INLINE_MAX
+
+    paths = []
+    for i in range(_PLAN_INLINE_MAX + 1):
+        cols = {"a": pa.array([i])}
+        if i < _PLAN_INLINE_MAX:
+            cols["b"] = pa.array([str(i)])
+        paths.append(str(tmp_path / f"f{i:02d}.orc"))
+        paorc.write_table(pa.table(cols), paths[-1])
+    with pytest.raises(ValueError, match=r"\['b'\].*f16\.orc"):
+        read_orc(paths, columns=["b"])
+    with pytest.raises(ValueError, match=r"f16\.orc"):
+        read_orc(paths, predicate=("b", "0", "9"))
+    assert read_orc(paths[:-1] + paths[:1], columns=["b"]).count() == 17
+
+
 def test_cli_import_orc(tmp_path, capsys):
     _, dst = _write_orc(tmp_path, "supplier")
     assert main(["import-orc", dst]) == 0

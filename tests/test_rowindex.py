@@ -3,12 +3,17 @@ must be byte-sparse — a 10k-row read from a 1M-row stripe touches <5% of
 the blob (reference positionrecorder.go:1-12, writer.go:337-384,
 cursor.go:179-198)."""
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pytest
 
 from orc_ray.config import EncoderConfig
 from orc_ray.stripe import decode_blob, decode_blob_rows, encode_table
+
+BIG_RANGES = [(612345, 10000), (0, 10000), (995000, 5000), (7, 3),
+              (999999, 1), (0, 1_000_000)]
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +54,95 @@ def _check_ranges(t, blob, meta, ranges):
 
 def test_range_decode_correct_at_boundaries(big_stripe):
     t, blob, meta = big_stripe
-    _check_ranges(t, blob, meta, [(612345, 10000), (0, 10000), (995000, 5000),
-                                  (7, 3), (999999, 1), (0, t.num_rows)])
+    _check_ranges(t, blob, meta, BIG_RANGES)
+
+
+@pytest.fixture(scope="module")
+def big_stripe_dir(big_stripe, tmp_path_factory):
+    """big_stripe's blob as a file: (directory, file name)."""
+    d = tmp_path_factory.mktemp("blob")
+    (d / "stripe.strp").write_bytes(big_stripe[1])
+    return str(d), "stripe.strp"
+
+
+@pytest.mark.parametrize("uri", [False, True])
+def test_path_source_matches_bytes(big_stripe, big_stripe_dir, uri):
+    """A blob read through its path (a local file, or a pyarrow.fs URI)
+    decodes every range as its bytes do, touching the same bytes."""
+    _, blob, meta = big_stripe
+    d, name = big_stripe_dir
+    path = f"subtree+local://{d}//{name}" if uri else os.path.join(d, name)
+    for r0, cnt in BIG_RANGES:
+        want, touched = decode_blob_rows(blob, meta, r0, cnt)
+        got, got_touched = decode_blob_rows(path, meta, r0, cnt)
+        assert got.equals(want) and got_touched == touched, (r0, cnt)
+
+
+def test_path_read_opens_blob_once(big_stripe, big_stripe_dir, monkeypatch):
+    """One decode_blob_rows call serves all its byte ranges from a single
+    open of the blob file."""
+    import builtins
+
+    from orc_ray import stripe
+
+    _, _, meta = big_stripe
+    path = os.path.join(*big_stripe_dir)
+    opened, ranges = [], []
+    real_os_open, real_open = os.open, builtins.open
+    real_read = stripe.RangeReader.read
+    monkeypatch.setattr(os, "open", lambda p, *a, **k: opened.append(p)
+                        or real_os_open(p, *a, **k))
+    monkeypatch.setattr(builtins, "open", lambda p, *a, **k: opened.append(p)
+                        or real_open(p, *a, **k))
+    monkeypatch.setattr(stripe.RangeReader, "read", lambda self, o, n:
+                        ranges.append(o) or real_read(self, o, n))
+    decode_blob_rows(path, meta, 612345, 64)
+    assert len(ranges) > 5 and opened == [path]
+
+
+def test_path_reads_leave_no_descriptor_open(big_stripe, big_stripe_dir,
+                                             tmp_path):
+    """A thousand path reads, and reads of a truncated blob that fail,
+    leave the process's open descriptors as they were."""
+    t, blob, meta = big_stripe
+    path = os.path.join(*big_stripe_dir)
+    short = str(tmp_path / "short.strp")
+    with open(short, "wb") as f:
+        f.write(blob[: len(blob) // 2])
+    before = sorted(os.listdir("/proc/self/fd"))
+    for i in range(1000):
+        r0 = (i * 7919) % t.num_rows
+        sub, _ = decode_blob_rows(path, meta, r0, 3, columns=["n_tok", "source"])
+        assert sub.num_rows == min(3, t.num_rows - r0)
+    for _ in range(3):
+        with pytest.raises(Exception):
+            decode_blob_rows(short, meta, t.num_rows - 10, 5)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def test_planes_sharing_a_chunk_decompress_it_once(monkeypatch):
+    """The planes of a planar stream lie in one outer chunk when the stream
+    is short; a row-range read decompresses each covering chunk once."""
+    from orc_ray.codecs import planar, zstdchunk
+    from orc_ray.sources.tokens import synthesize_tokens
+    from orc_ray.stripe import _stream_dir
+
+    t = synthesize_tokens(4000, seed=1, mean_log=5.0)
+    blob, meta = encode_table(t, EncoderConfig())
+    rec = _stream_dir(meta)[("n_tok", "DATA")]
+    n, _, k, hdr = rec["planar_header"]
+    assert rec["codec"] == "planar" and rec["outer"] == "zstd" and k == 2
+    lo, hi = 1000, 1032
+    csize = rec["chunk_size"]
+    chunks = {c for blo, bhi in planar.plane_ranges(lo, hi, n, k, hdr)
+              for c in range(blo // csize, -(-bhi // csize))}
+    calls = []
+    real = zstdchunk._decompress_block
+    monkeypatch.setattr(zstdchunk, "_decompress_block",
+                        lambda p, raw_n: calls.append(raw_n) or real(p, raw_n))
+    sub, _ = decode_blob_rows(blob, meta, lo, hi - lo, columns=["n_tok"])
+    assert sub.column("n_tok").equals(t.column("n_tok").slice(lo, hi - lo))
+    assert len(calls) == len(chunks) == 1
 
 
 def test_range_decode_is_byte_sparse(big_stripe):
@@ -372,3 +464,70 @@ def test_range_decode_snappy_without_chunk_index():
             stripped += 1
     assert stripped
     _assert_rows(t, blob, meta)
+
+
+def _plan_reference(man, row_start, row_count):
+    """plan_row_ranges as a plain loop over the sorted manifest: the
+    reference the numpy planner is pinned against."""
+    order = sorted(range(man.num_rows), key=lambda i: (
+        man.column("partition_id")[i].as_py(),
+        man.column("stripe_id")[i].as_py()))
+    rows = man.take(pa.array(order, type=pa.int64()))
+    counts = np.asarray(rows.column("num_rows").to_pylist(), dtype=np.int64)
+    starts = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    lo, hi = row_start, row_start + row_count
+    picked = []
+    for i in range(len(counts)):
+        s, e = int(starts[i]), int(starts[i + 1])
+        if e <= lo or s >= hi:
+            continue
+        picked.append({
+            "blob_path": rows.column("blob_path")[i].as_py(),
+            "meta_json": rows.column("meta_json")[i].as_py(),
+            "row_lo": max(0, lo - s),
+            "row_cnt": min(e, hi) - max(s, lo),
+        })
+    return picked
+
+
+def test_plan_row_ranges_matches_reference_loop():
+    """Randomized manifests in shuffled row order and in several chunks,
+    with zero-row stripes; ranges that start or end on a stripe edge, span
+    three stripes, hold no rows, or start past the last row."""
+    from orc_ray.pipelines.decode import plan_row_ranges
+
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        n = int(rng.integers(1, 14))
+        pids = np.sort(rng.integers(0, 5, n))
+        sids = np.zeros(n, dtype=np.int64)
+        for i in range(1, n):
+            sids[i] = sids[i - 1] + 1 if pids[i] == pids[i - 1] else 0
+        counts = rng.integers(0, 40, n) * (rng.random(n) > 0.25)
+        perm = rng.permutation(n)
+        man = pa.table({
+            "partition_id": pa.array(pids[perm], pa.int64()),
+            "stripe_id": pa.array(sids[perm], pa.int64()),
+            "blob_path": [f"p{pids[i]}-s{sids[i]}" for i in perm],
+            "num_rows": pa.array(counts[perm], pa.int64()),
+            "meta_json": [f"{{\"i\": {i}}}" for i in perm],
+        })
+        cut = int(rng.integers(0, n + 1))
+        man = pa.concat_tables([man.slice(0, cut), man.slice(cut)])
+        edges = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        total = edges[-1]
+        ranges = [(0, total), (total, 5), (total + 3, 1), (0, 0)]
+        for _ in range(12):
+            a = int(rng.integers(0, total + 2))
+            ranges += [(a, int(rng.integers(0, 70))), (a, 0)]
+        for j in range(len(edges)):
+            e = edges[j]
+            ranges += [(e, int(rng.integers(1, 30))),
+                       (max(0, e - 7), 7)]
+            if j + 3 < len(edges):  # three stripes, edge to edge and inside
+                ranges += [(e, edges[j + 3] - e),
+                           (e + 1, max(0, edges[j + 3] - e - 2))]
+        for r0, cnt in ranges:
+            assert plan_row_ranges(man, r0, cnt) == \
+                _plan_reference(man, r0, cnt), (trial, r0, cnt)
