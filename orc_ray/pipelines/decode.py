@@ -289,13 +289,15 @@ def plan_row_ranges(man: pa.Table, row_start: int, row_count: int) -> list[dict]
     order = np.lexsort((man.column("stripe_id").to_numpy(),
                         man.column("partition_id").to_numpy()))
     starts = np.zeros(len(order) + 1, dtype=np.int64)
-    np.cumsum(man.column("num_rows").to_numpy()[order], out=starts[1:])
+    # ufunc methods, not the np.* wrappers: a point read plans on every call
+    np.add.accumulate(man.column("num_rows").to_numpy()[order],
+                      out=starts[1:])
     lo, hi = row_start, row_start + row_count
     # stripe i is picked when it ends after lo (starts[i + 1] > lo) and
     # starts before hi (starts[i] < hi): one run of stripes, a zero-row
     # stripe inside the range too. starts[0] is 0, so one searchsorted
     # finds both ends.
-    a, b = np.searchsorted(starts, [lo + 1, hi]).tolist()
+    a, b = starts.searchsorted([lo + 1, hi]).tolist()
     picked = []
     for i in range(max(0, a - 1), min(b, len(order))):
         s, e, j = int(starts[i]), int(starts[i + 1]), int(order[i])
