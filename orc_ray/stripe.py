@@ -983,7 +983,7 @@ def _decode_column_rows(reader: RangeReader, streams: dict, stride: int,
             lens = _int_range(reader, streams[(name, "LENGTH")], 0, size, size)
             dictionary = strings_from_blob(*_decode_blob(
                 dict_rec["codec"], _raw_range(reader, dict_rec), lens))
-            vals = dictionary.take(pa.array(indexes, type=pa.int64()))
+            vals = dictionary.take(_int_array(indexes, pa.int64(), None))
         else:
             vals = _strings_range(reader, streams[(name, "DATA")],
                                   streams[(name, "LENGTH")], vlo, vhi,

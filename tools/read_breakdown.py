@@ -47,6 +47,7 @@ class Ledger:
         self.us = defaultdict(float)      # layer -> microseconds
         self.io = defaultdict(lambda: [0, 0, 0])  # stream -> calls, bytes, raw
         self.stream: list[str] = []       # the _raw_range calls now open
+        self.last = "?"                   # the stream _raw_range read last
         self.depth = 0                    # _decode_column_rows nesting
 
 
@@ -74,21 +75,23 @@ def install(led: Ledger) -> None:
                     time.perf_counter() - t0) * 1e6
 
     def named_range(reader, rec, *a, **k):
-        led.stream.append(f"{rec['column']}:{rec['kind']}")
+        led.last = f"{rec['column']}:{rec['kind']}"
+        led.stream.append(led.last)
         try:
             return raw_range(reader, rec, *a, **k)
         finally:
             led.stream.pop()
 
     def counted_read(self, offset, length):
-        c = led.io[led.stream[-1] if led.stream else "?"]
+        c = led.io[led.stream[-1] if led.stream else led.last]
         c[0] += 1
         c[1] += length
         return read(self, offset, length)
 
     def counted_decompress(*a, **k):
+        # a string blob's own codec decompresses after _raw_range returns
         out = decompress(*a, **k)
-        led.io[led.stream[-1] if led.stream else "?"][2] += len(out)
+        led.io[led.stream[-1] if led.stream else led.last][2] += len(out)
         return out
 
     decode.plan_row_ranges = timed_plan
@@ -127,6 +130,7 @@ def main(argv=None) -> int:
         start = int(rng.integers(0, total_rows - n + 1))
         led.us.clear()
         led.io.clear()
+        led.last = "?"
         t0 = time.perf_counter()
         got = one_read(man, blobs, start, n)
         wall = (time.perf_counter() - t0) * 1e6
