@@ -181,11 +181,16 @@ def unpack_bits(buf, width: int, count: int, offset: int = 0) -> tuple[np.ndarra
 # big-endian views for the widths that are whole machine words
 _BE_WORD = {8: np.dtype(">u1"), 16: np.dtype(">u2"), 32: np.dtype(">u4"),
             64: np.dtype(">u8")}
-# a matrix of at most this many bytes unpacks one bit per byte and sums
-# the bits against these weights (2^63 .. 2^0): a few array calls in all,
-# where the group loop below makes several per bit position — 7 against
-# 65 us for 3 bytes, 106 against 156 us for 6.5 KB on one core
-_BITWISE_MAX = 4096
+# a matrix of at most this many bytes per group-loop pass (g, below)
+# unpacks one bit per byte and sums the bits against these weights
+# (2^63 .. 2^0): a few array calls in all, where the group loop makes
+# about g * (width / 8 + 1), each over the whole matrix. The bitwise
+# path's cost grows with the bytes alone, so the crossover grows with g:
+# timed on one core over every width but 8/16/32/64 and matrices of
+# 512 B - 12 KB, this cutoff took 34.0 ms for the whole grid, a flat
+# 4096-byte one 39.0, the bitwise path alone 35.4, the group loop alone
+# 67.7, and the faster path in every cell 30.9
+_BITWISE_BYTES = 1024
 _BIT_WEIGHTS = np.uint64(1) << np.arange(63, -1, -1, dtype=_U64)
 
 
@@ -199,14 +204,14 @@ def unpack_rows(data: np.ndarray, width: int, count: int) -> np.ndarray:
     word = _BE_WORD.get(width)
     if word is not None:
         return data.view(word).astype(_U64)
-    if data.size <= _BITWISE_MAX:
+    g = 8 // math.gcd(width, 8)
+    if data.size <= _BITWISE_BYTES * g:
         bits = np.unpackbits(data, axis=1, count=count * width)
         return bits.reshape(k, count, width) @ _BIT_WEIGHTS[64 - width:]
     # inverse of _pack_odd (and of the whole-byte packing, g = 1) —
     # byte-aligned groups of g values, each value rebuilt from
     # <= width//8 + 2 byte-slices (vectorized); the k rows' groups stack
     # into one (k * ngrp, gb) matrix
-    g = 8 // math.gcd(width, 8)
     ngrp = (count + g - 1) // g
     gb = g * width // 8
     if ngrp * gb != nbytes:

@@ -122,8 +122,9 @@ class _LocalRanged:
 
 def open_ranged(path: str):
     """A handle for many byte-range reads of one file: ``read_at(nbytes,
-    offset)`` and ``close()`` (pyarrow's ``RandomAccessFile`` on URIs).
-    The caller closes it."""
+    offset)``, which returns bytes on both backends (pyarrow's
+    ``NativeFile.read_at`` on URIs), and ``close()``. The caller closes
+    it."""
     fs, p = _parse(path)
     return _LocalRanged(p) if fs is None else fs.open_input_file(p)
 

@@ -665,15 +665,15 @@ class RangeReader:
     storage backend) that counts the bytes actually touched — the unit the
     seek-point tests assert on. A path is opened once, at the first read,
     and serves every range until the reader's ``with`` block ends, which
-    closes it. ``spans`` holds the raw bytes of each compressed span
-    ``_raw_range`` decompressed through this reader, so planes that share
-    a chunk decompress it once; it lives as long as the reader, one
-    read."""
+    closes it. ``span`` is the last compressed (offset, length) span
+    ``_raw_range`` decompressed through this reader and its raw bytes, so
+    planes that share a chunk, read one after the other, decompress it
+    once; it holds one span at a time."""
 
     def __init__(self, src):
         self._src = src
         self._file = None
-        self.spans: dict[tuple[int, int], object] = {}
+        self.span = (None, None)
         self.bytes_read = 0
 
     def __enter__(self):
@@ -790,11 +790,11 @@ def _raw_range(reader: RangeReader, rec: dict, raw_lo: int = 0,
         # every covered chunk is csize raw bytes except the stream's tail
         raw_n = min(c1 * csize, raw_len) - base
     span = (rec["offset"] + byte_lo, byte_hi - byte_lo)
-    raw = reader.spans.get(span)
-    if raw is None:
+    last, raw = reader.span
+    if last != span:
         raw = kind.module.decompress(reader.read(*span), raw_n, csize)
         if raw_lo != 0 or raw_hi != raw_len:  # a whole stream is read once
-            reader.spans[span] = raw
+            reader.span = (span, raw)
     if raw_lo == base and raw_hi == base + raw_n:
         return raw
     return raw[raw_lo - base: raw_hi - base]
@@ -811,8 +811,8 @@ def _int_range(reader: RangeReader, rec: dict, lo: int, hi: int, n: int,
     codec = rec["codec"]
     part = lo > 0 or hi < n
     # fixed-width layouts range-read through the outer chunk index; an
-    # outer-compressed stream without one is decompressed whole, once per
-    # reader (RangeReader.spans), and only [lo, hi) of it is decoded
+    # outer-compressed stream without one is decompressed whole, once for
+    # its header and ranges (RangeReader.span), and only [lo, hi) decoded
     if codec == "for" and part:
         # fixed-width packing: the byte range of [lo, hi) is pure math
         from .codecs import forpack
@@ -1101,9 +1101,12 @@ def _int_array(vals: np.ndarray, t: pa.DataType, valid) -> pa.Array:
     else:
         storage = t
     vals = np.ascontiguousarray(vals, dtype=storage.to_pandas_dtype())
-    if valid is None:  # t over the values' own buffer, no conversion
+    # t over the values' own buffer, no conversion — except bools, which
+    # numpy keeps one byte each and Arrow packs one bit each
+    if valid is None and t != pa.bool_():
         return pa.Array.from_buffers(t, len(vals), [None, pa.py_buffer(vals)])
-    out = _scatter_array(vals, valid, storage)
+    out = (pa.array(vals, type=storage) if valid is None
+           else _scatter_array(vals, valid, storage))
     return out if storage == t else out.view(t)
 
 

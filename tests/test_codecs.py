@@ -8,8 +8,26 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from orc_ray.codecs import (byterle, chunked, dictionary, forpack, fsst,
-                            zlibchunk, zstdchunk)
+from orc_ray.codecs import (bitpack, byterle, chunked, dictionary, forpack,
+                            fsst, zlibchunk, zstdchunk)
+
+
+# --- bit packing -------------------------------------------------------------
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_unpack_rows_both_paths(width):
+    """unpack_rows inverts pack_bits at every width, on matrices below the
+    bitwise path's cutoff (a few values, one row) and above it (the group
+    loop: many rows of 200 values)."""
+    rng = np.random.default_rng(width)
+    top = (1 << width) - 1
+    for k, count in [(1, 1), (1, 5), (3, 37), (400, 200)]:
+        vals = rng.integers(0, top, (k, count), dtype=np.uint64,
+                            endpoint=True)
+        data = np.frombuffer(b"".join(bitpack.pack_bits(v, width)
+                                      for v in vals), dtype=np.uint8)
+        got = bitpack.unpack_rows(data.reshape(k, -1), width, count)
+        np.testing.assert_array_equal(got, vals)
 
 
 # --- byte RLE / boolean ----------------------------------------------------

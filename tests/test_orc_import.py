@@ -4,6 +4,7 @@ cross-check on driver-shaped tables, projection, and the CLI command."""
 import json
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.orc as paorc
 import pyarrow.parquet as pq
@@ -139,6 +140,24 @@ def test_read_orc_projection(tmp_path):
     assert mine.column_names == ["doc_id", "n_chars"]
     assert mine.column("doc_id").combine_chunks().equals(
         t.column("doc_id").combine_chunks())
+
+
+def test_boolean_columns_read_back(ray_session, tmp_path):
+    """A boolean column with no nulls (one numpy byte per value, one Arrow
+    bit) and one with nulls read back equal through a stripe, a row range
+    and the distributed reader."""
+    rng = np.random.default_rng(7)
+    flags = rng.random(1000) < 0.5
+    t = pa.table({"b": pa.array(flags),
+                  "c": pa.array(flags[::-1], mask=rng.random(1000) < 0.2)})
+    dst = str(tmp_path / "bools.orc")
+    paorc.write_table(t, dst)
+    f = ORCFile(dst)
+    assert f.read_stripe(0).equals(t)
+    assert f.read_rows(0, 123, 456).equals(t.slice(123, 333))
+    got = pa.concat_tables(read_orc(dst).iter_batches(
+        batch_format="pyarrow", batch_size=None))
+    assert got.equals(t)
 
 
 def test_unknown_column_and_empty_paths_raise(tmp_path):

@@ -10,7 +10,8 @@ import pyarrow as pa
 import pytest
 
 from orc_ray.config import EncoderConfig
-from orc_ray.stripe import decode_blob, decode_blob_rows, encode_table
+from orc_ray.stripe import (RangeReader, decode_blob, decode_blob_rows,
+                             encode_table)
 
 BIG_RANGES = [(612345, 10000), (0, 10000), (995000, 5000), (7, 3),
               (999999, 1), (0, 1_000_000)]
@@ -68,10 +69,14 @@ def big_stripe_dir(big_stripe, tmp_path_factory):
 @pytest.mark.parametrize("uri", [False, True])
 def test_path_source_matches_bytes(big_stripe, big_stripe_dir, uri):
     """A blob read through its path (a local file, or a pyarrow.fs URI)
-    decodes every range as its bytes do, touching the same bytes."""
+    decodes every range as its bytes do, touching the same bytes; both
+    backends hand the decoders ``bytes``."""
     _, blob, meta = big_stripe
     d, name = big_stripe_dir
     path = f"subtree+local://{d}//{name}" if uri else os.path.join(d, name)
+    with RangeReader(path) as reader:
+        got = reader.read(100, 37)
+    assert type(got) is bytes and got == blob[100:137]
     for r0, cnt in BIG_RANGES:
         want, touched = decode_blob_rows(blob, meta, r0, cnt)
         got, got_touched = decode_blob_rows(path, meta, r0, cnt)
