@@ -17,7 +17,7 @@ from orc_ray.pipelines.encode import split_stripes
 from orc_ray.selector import SelectorState
 from orc_ray.sources.orcwriter import write_orc_file
 from orc_ray.sources.tokens import synthesize_tokens
-from orc_ray.stripe import encode_table
+from orc_ray.stripe import decode_blob, decode_blob_rows, encode_table
 
 # (sha256 of blob, sha256 of meta_json) per stripe, in stripe order
 PINNED = {
@@ -108,6 +108,141 @@ def test_encoder_output_pinned(name):
 @pytest.mark.parametrize("name", sorted(PINNED_BLOBS))
 def test_encoder_blobs_pinned(name):
     assert [b for b, _ in _digests(CONFIGS[name]())] == PINNED_BLOBS[name]
+
+
+# One column of every kind the encoder writes, two 16k-row stripes, so
+# seek indexes are written: (blob, meta_json) sha256 per stripe, encoded
+# with one SelectorState across the stripes ("<config>/selector") and with
+# none ("<config>/none")
+PINNED_ALL_KINDS = {
+    "default/none": [
+        ("71160a2348012a39891d37c4064792664f21258b17d0d7ee2d6af5acdf6dfc9d",
+         "77113618e0f19fc91aed92acc69bf13fe42afe4548114752d3bf346253464972"),
+        ("93b7a698eaa805a7e579cf303c00fc75d773db4d687fecfdc114e06753ebb8e3",
+         "12b8c3053bb1f8fdcdad184c64dedc0d81724431c58e2a0828bf36d73c169898"),
+    ],
+    "default/selector": [
+        ("71160a2348012a39891d37c4064792664f21258b17d0d7ee2d6af5acdf6dfc9d",
+         "77113618e0f19fc91aed92acc69bf13fe42afe4548114752d3bf346253464972"),
+        ("4660b4039b6d5c89793640e6f03ba9673d1cd4793002fe2ad81250907d611ba6",
+         "2a55e6df57e478c7403b90dc0ec175cf2f63eb98a18ea63222e688cd860e93a9"),
+    ],
+    "size_priority/none": [
+        ("150cd87fc11f5c10d103d50e1b1185ca4ab28b64c2b08dbc94f52b8a3e0cef67",
+         "0963b6e3401a74ffe864f2f782f31662bfc892ade7647cf20aeabc84a7c08764"),
+        ("037f7067b615a121d34e47341b0a4a37fbda0ac602956a9c4faa597cf0b46b23",
+         "141afaa719305ff3a5ee8fab4b7e81714443b5be729cf646412ecbaee1b6cb33"),
+    ],
+    "size_priority/selector": [
+        ("150cd87fc11f5c10d103d50e1b1185ca4ab28b64c2b08dbc94f52b8a3e0cef67",
+         "0963b6e3401a74ffe864f2f782f31662bfc892ade7647cf20aeabc84a7c08764"),
+        ("e2e858815a2930544f67601e68bad604bd845eabfd1cbcbe3f79613d0f1c9a27",
+         "ee4e4a71f8490050504db7239d0aec5610166b49797c39e10adef3a8b12cd225"),
+    ],
+    "snappy/none": [
+        ("1736c48552e41ae366c171ec7ac04b3144f6b1ffed21ec7fc2985d3f6d519172",
+         "4d9e17e68c6732c80bf833e449c9227e401c4b51dc75f58a6a37d1f92b5b8729"),
+        ("3e2d7ad3c1191aae521fcc79b357f1c34cfce147dd0a6762d8f27e5ba49658e8",
+         "a3da1c5336baeae57b7b7adc4a7cae19d63baf20856a303b013e64daf4a0491e"),
+    ],
+    "snappy/selector": [
+        ("1736c48552e41ae366c171ec7ac04b3144f6b1ffed21ec7fc2985d3f6d519172",
+         "4d9e17e68c6732c80bf833e449c9227e401c4b51dc75f58a6a37d1f92b5b8729"),
+        ("3f291c228d2fdb36212501554e4616428d8e151d78e5f353cbf611aedaf994a1",
+         "01aeaab344a1d67b2935610ad1fef2a8b74c359b7db220482b808dfddac06f06"),
+    ],
+}
+
+
+def _all_kinds_table(n=32_000, seed=23):
+    rng = np.random.default_rng(seed)
+
+    def nulls(p):
+        return rng.random(n) < p
+
+    def offsets(max_len):
+        off = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(rng.integers(0, max_len + 1, n), out=off[1:])
+        return pa.array(off), int(off[-1])
+
+    words = np.array(["alpha", "beta", "gamma", "delta", "epsilon", "zeta"])
+    l32_off, l32_n = offsets(8)
+    ls_off, ls_n = offsets(4)
+    l64_off, l64_n = offsets(6)
+    map_off, map_n = offsets(3)
+    dec = rng.integers(-10**12, 10**12, n)
+    tags = rng.integers(0, 2, n).astype(np.int8)
+    return pa.table({
+        "i64": pa.array(rng.integers(-10**6, 10**6, n), mask=nulls(0.1)),
+        "u16": pa.array(rng.integers(0, 1 << 16, n).astype(np.uint16)),
+        "day": pa.array((18_000 + np.cumsum(rng.integers(0, 2, n)))
+                        .astype(np.int32), type=pa.date32()),
+        "ts": pa.array(1_600_000_000_000_000
+                       + np.cumsum(rng.integers(0, 10**7, n)),
+                       type=pa.timestamp("us"), mask=nulls(0.05)),
+        "flag": pa.array(rng.random(n) < 0.3, mask=nulls(0.1)),
+        "score": pa.array(rng.normal(size=n), mask=nulls(0.1)),
+        "word": pa.array(words[rng.integers(0, len(words), n)]),
+        "title": pa.array([f"title-{v:09d}" for v in rng.integers(0, 10**9, n)],
+                          mask=nulls(0.1)),
+        "raw": pa.array([rng.bytes(int(k)) for k in rng.integers(0, 12, n)],
+                        type=pa.binary()),
+        "l32": pa.ListArray.from_arrays(
+            l32_off, pa.array(rng.integers(0, 50_000, l32_n).astype(np.int32))),
+        "lstr": pa.ListArray.from_arrays(
+            ls_off, pa.array(words[rng.integers(0, len(words), ls_n)])),
+        "l64": pa.ListArray.from_arrays(
+            l64_off, pa.array(rng.integers(-10**9, 10**9, l64_n),
+                              mask=rng.random(l64_n) < 0.2)),
+        "kv": pa.MapArray.from_arrays(
+            map_off, pa.array(words[rng.integers(0, len(words), map_n)]),
+            pa.array(rng.integers(0, 10**6, map_n))),
+        "st": pa.StructArray.from_arrays(
+            [pa.array(rng.integers(0, 1000, n).astype(np.int32)),
+             pa.array(words[rng.integers(0, len(words), n)])],
+            names=["a", "b"], mask=pa.array(nulls(0.1))),
+        "dec": pa.Array.from_buffers(
+            pa.decimal128(18, 2), n,
+            [pa.py_buffer(np.packbits(rng.random(n) >= 0.1, bitorder="little")),
+             pa.py_buffer(np.column_stack([dec, dec >> 63]).tobytes())]),
+        "u": pa.UnionArray.from_dense(
+            pa.array(tags),
+            pa.array(np.where(tags == 0, np.cumsum(tags == 0),
+                              np.cumsum(tags == 1)).astype(np.int32) - 1),
+            [pa.array(rng.integers(0, 10**6, int((tags == 0).sum()))),
+             pa.array(words[rng.integers(0, len(words),
+                                         int((tags == 1).sum()))])],
+            ["num", "txt"], [0, 1]),
+    })
+
+
+def _all_kinds_digests(config: EncoderConfig, with_selector: bool):
+    table = _all_kinds_table()
+    selector = SelectorState(config) if with_selector else None
+    out = []
+    for lo in range(0, table.num_rows, 16_000):
+        blob, meta = encode_table(table.slice(lo, 16_000), config,
+                                  selector=selector, group="g")
+        meta_json = json.dumps(meta, separators=(",", ":"))
+        out.append((hashlib.sha256(blob).hexdigest(),
+                    hashlib.sha256(meta_json.encode()).hexdigest()))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ALL_KINDS))
+def test_every_column_kind_pinned(name):
+    config, mode = name.split("/")
+    assert _all_kinds_digests(CONFIGS[config](), mode == "selector") == \
+        PINNED_ALL_KINDS[name]
+
+
+def test_every_column_kind_round_trips():
+    table = _all_kinds_table().slice(0, 16_000)
+    blob, meta = encode_table(table, EncoderConfig())
+    assert decode_blob(blob, meta).equals(table)
+    for lo, cnt in [(0, 10), (9_995, 10), (12_345, 700), (15_990, 10)]:
+        sub, _ = decode_blob_rows(blob, meta, lo, cnt)
+        assert sub.equals(table.slice(lo, cnt)), (lo, cnt)
 
 
 def _orc_table() -> pa.Table:
