@@ -12,6 +12,8 @@ Layout: varint(n) + vslong(min) + u8(width) + packed residuals.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bitpack import pack_bits, unpack_bits
@@ -74,22 +76,26 @@ def parse_header(head: bytes) -> tuple[int, int, int, int]:
     return n, vmin, width, pos + 1
 
 
-def range_bytes(lo: int, hi: int, width: int, header: int) -> tuple[int, int, int]:
-    """Raw-byte range [byte_lo, byte_hi) covering values [lo, hi), plus the
-    byte-aligned start value lo2 <= lo the caller must decode from."""
-    import math
-
+def _aligned_start(lo: int, width: int) -> int:
+    """The first value at or before ``lo`` whose bits start on a byte."""
     step = 8 // math.gcd(width, 8)
-    lo2 = (lo // step) * step
-    byte_lo = header + (lo2 * width) // 8
-    byte_hi = header + (hi * width + 7) // 8
-    return byte_lo, byte_hi, lo2
+    return (lo // step) * step
 
 
-def decode_range(payload: bytes, lo2: int, lo: int, hi: int, vmin: int,
+def plane_ranges(lo: int, hi: int, n: int, width: int,
+                 header: int) -> list[tuple[int, int]]:
+    """The raw-byte range [byte_lo, byte_hi) covering values [lo, hi), as
+    a one-plane list (the shape of :func:`planar.plane_ranges`): it starts
+    at the byte-aligned value at or before ``lo``."""
+    return [(header + (_aligned_start(lo, width) * width) // 8,
+             header + (hi * width + 7) // 8)]
+
+
+def decode_range(payloads: list[bytes], lo: int, hi: int, vmin: int,
                  width: int) -> np.ndarray:
-    """Decode values [lo, hi) from payload bytes that start at value lo2's
-    (byte-aligned) position."""
-    residuals, _ = unpack_bits(payload, width, hi - lo2, 0)
+    """Decode values [lo, hi) from the one payload :func:`plane_ranges`
+    names."""
+    lo2 = _aligned_start(lo, width)
+    residuals, _ = unpack_bits(payloads[0], width, hi - lo2, 0)
     vals = (residuals + np.uint64(vmin & 0xFFFFFFFFFFFFFFFF)).view(_I64)
     return vals[lo - lo2:]

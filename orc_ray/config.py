@@ -70,8 +70,8 @@ class EncoderConfig:
         the reference's chunked flate-6 as the outer stage instead of
         zstd-1 (the round-4 speed default costs ~2% bytes/token; flate-6
         costs ~11x the outer CPU).  Reclaims the full round-3 size point;
-        the default config remains the speed-balanced mode, both reported
-        by bench.py and documented in BASELINE.md."""
+        the default config remains the speed-balanced mode. BASELINE.md
+        documents both."""
         d = {"rle2_speed_tolerance": 0.0, "outer_compression": "zlib"}
         d.update(overrides)
         return cls(**d)

@@ -25,7 +25,7 @@ from ..config import EncoderConfig
 from ..state import manifest as mf
 from ..state import storage
 from .decode import decode_stripes
-from .encode import _encode_stripes, job_selector, work_units
+from .encode import _encode_stripes, job_selector, task_stage
 
 
 def plan_compaction(man: pa.Table, target_tokens: int) -> list[dict]:
@@ -108,14 +108,9 @@ def compact_job(
     items = [{"pid": b["pid"],
               "stripes_json": json.dumps(b["stripes"], separators=(",", ":"))}
              for b in bins]
-    out_man = work_units(items).map_batches(
-        compact_bins,
-        fn_kwargs={"src_dir": src_dir, "dst_dir": dst_dir, "config": config,
-                   "job": uuid.uuid4().hex},
-        batch_size=None,
-        batch_format="pyarrow",
-        num_cpus=1,
-    ).materialize()
+    out_man = task_stage(items, compact_bins, src_dir=src_dir,
+                         dst_dir=dst_dir, config=config,
+                         job=uuid.uuid4().hex).materialize()
     enc_after = sum(r["encoded_bytes"] for r in out_man.take_all())
     return {
         "partitions": len(bins),

@@ -23,7 +23,7 @@ import pyarrow as pa
 
 from ..state import manifest as mf
 from ..stripe import decode_blob
-from .encode import cluster_cpus, work_units
+from .encode import cluster_cpus, task_stage
 
 
 def decode_stripes(batch: pa.Table, out_dir: str,
@@ -69,17 +69,17 @@ def manifest_file_items(out_dir: str) -> list[dict]:
             for f in sorted(storage.listdir(mdir)) if f.endswith(".parquet")]
 
 
-def manifest_feed(out_dir: str):
-    """Dataset of decode work units. Big directories fan out manifest-file
-    paths (no driver-side manifest scan); directories with fewer manifest
-    files than cluster CPUs fall back to per-stripe manifest ROWS (each
-    file lists several stripes) so every CPU still gets work — the driver
-    read of a handful of tiny files is free."""
+def manifest_units(out_dir: str) -> list[dict]:
+    """Decode work units. Big directories fan out manifest-file paths (no
+    driver-side manifest scan); directories with fewer manifest files than
+    cluster CPUs fall back to per-stripe manifest ROWS (each file lists
+    several stripes) so every CPU still gets work — the driver read of a
+    handful of tiny files is free."""
     items = manifest_file_items(out_dir)
     if len(items) >= cluster_cpus():
-        return work_units(items)
-    man = mf.read_manifest(out_dir).select(["blob_path", "meta_json"])
-    return work_units(man.to_pylist())
+        return items
+    return mf.read_manifest(out_dir).select(
+        ["blob_path", "meta_json"]).to_pylist()
 
 
 def decode_dataset(
@@ -93,26 +93,27 @@ def decode_dataset(
     stripe table before the block is emitted — required when the decoded
     schema contains dense unions, whose slice views Ray cannot serialize.
     ``validate=True`` crc-checks each blob before decoding it."""
-    return manifest_feed(out_dir).map_batches(
-        decode_stripes,
-        fn_kwargs={"out_dir": out_dir, "columns": columns,
-                   "postprocess": postprocess, "validate": validate},
-        batch_size=None,
-        batch_format="pyarrow",
-        num_cpus=1,
-    )
+    return task_stage(manifest_units(out_dir), decode_stripes,
+                      out_dir=out_dir, columns=columns,
+                      postprocess=postprocess, validate=validate)
 
 
-def _stripe_stat_range(meta_json: str, column: str):
-    """(min, max) of an int column from the stripe's manifest stats, or
+def _stripe_stat_range(meta: dict, column: str):
+    """(min, max) of a top-level column from a stripe's meta stats, or
     None when the column has no recorded range."""
-    meta = json.loads(meta_json)
     for cm in meta["columns"]:
         if cm["name"] == column:
             st = cm.get("stats", {})
             if "min" in st and "max" in st:
                 return st["min"], st["max"]
     return None
+
+
+def _with_column(columns: list[str] | None, column: str) -> list[str] | None:
+    """A projection that also holds ``column`` (None: every column)."""
+    if columns is None:
+        return None
+    return list(dict.fromkeys(list(columns) + [column]))
 
 
 def decode_dataset_filtered(
@@ -132,13 +133,10 @@ def decode_dataset_filtered(
     man = mf.read_manifest(out_dir)
     keep = []
     for i, mj in enumerate(man.column("meta_json").to_pylist()):
-        rng = _stripe_stat_range(mj, column)
+        rng = _stripe_stat_range(json.loads(mj), column)
         if rng is None or (rng[1] >= lo and rng[0] <= hi):
             keep.append(i)
     pruned = man.take(pa.array(keep, type=pa.int64()))
-    want = None
-    if columns is not None:
-        want = list(dict.fromkeys(list(columns) + [column]))
 
     def in_range(t: pa.Table) -> pa.Table:
         mask = pc.and_(pc.greater_equal(t.column(column), lo),
@@ -146,15 +144,10 @@ def decode_dataset_filtered(
         ft = t.filter(mask)
         return ft.select(columns) if columns is not None else ft
 
-    return work_units(
-        pruned.select(["blob_path", "meta_json"]).to_pylist()).map_batches(
-        decode_stripes,
-        fn_kwargs={"out_dir": out_dir, "columns": want,
-                   "postprocess": in_range},
-        batch_size=None,
-        batch_format="pyarrow",
-        num_cpus=1,
-    )
+    return task_stage(pruned.select(["blob_path", "meta_json"]).to_pylist(),
+                      decode_stripes, out_dir=out_dir,
+                      columns=_with_column(columns, column),
+                      postprocess=in_range)
 
 
 def _value_hashes(values: list):
@@ -182,13 +175,9 @@ def _lookup_stripe(blobs_dir: str, blob_path: str, meta: dict, column: str,
     from ..codecs import bloom
     from ..stripe import decode_blob, read_stream_from_file
 
-    for cm in meta["columns"]:
-        if cm["name"] == column:
-            st = cm.get("stats", {})
-            if "min" in st and "max" in st and not any(
-                    st["min"] <= v <= st["max"] for v in values):
-                return None, "stats"
-            break
+    rng = _stripe_stat_range(meta, column)
+    if rng is not None and not any(rng[0] <= v <= rng[1] for v in values):
+        return None, "stats"
     from ..state import storage
 
     path = storage.join(blobs_dir, blob_path)
@@ -228,17 +217,9 @@ def point_lookup(
     only surviving stripes decode. Returns a Dataset of matching rows."""
     hashes = _value_hashes(values)
     man = mf.read_manifest(out_dir).select(["blob_path", "meta_json"])
-    want = None
-    if columns is not None:
-        want = list(dict.fromkeys(list(columns) + [column]))
-    return work_units(man.to_pylist()).map_batches(
-        lookup_stripes,
-        fn_kwargs={"out_dir": out_dir, "column": column, "values": values,
-                   "hashes": hashes, "columns": want},
-        batch_size=None,
-        batch_format="pyarrow",
-        num_cpus=1,
-    )
+    return task_stage(man.to_pylist(), lookup_stripes, out_dir=out_dir,
+                      column=column, values=values, hashes=hashes,
+                      columns=_with_column(columns, column))
 
 
 def point_lookup_local(out_dir: str, column: str, values: list,
@@ -246,9 +227,7 @@ def point_lookup_local(out_dir: str, column: str, values: list,
     """Driver-side point lookup with prune diagnostics (tests/CLI): returns
     (table | None, {"stats": n, "bloom": n, "decoded": n})."""
     hashes = _value_hashes(values)
-    want = None
-    if columns is not None:
-        want = list(dict.fromkeys(list(columns) + [column]))
+    want = _with_column(columns, column)
     man = mf.read_manifest(out_dir)
     blobs_dir = mf.blobs_dir(out_dir)
     counts = {"stats": 0, "bloom": 0, "decoded": 0}
@@ -325,13 +304,8 @@ def read_rows(
     picked = plan_row_ranges(man, row_start, row_count)
     if not picked:
         return None
-    return work_units(picked).map_batches(
-        decode_row_ranges,
-        fn_kwargs={"out_dir": out_dir, "columns": columns},
-        batch_size=None,
-        batch_format="pyarrow",
-        num_cpus=1,
-    )
+    return task_stage(picked, decode_row_ranges, out_dir=out_dir,
+                      columns=columns)
 
 
 def decode_table(out_dir: str, columns: list[str] | None = None) -> pa.Table:

@@ -69,6 +69,15 @@ def work_units(items: list[dict]):
     return ray.data.from_items(items, override_num_blocks=blocks)
 
 
+def task_stage(items: list[dict], fn, /, **fn_kwargs):
+    """Lazy Dataset of a stage that runs ``fn(block, **fn_kwargs)`` as one
+    one-CPU Ray task per block of ``work_units(items)``, each handed its
+    whole block as a pyarrow table."""
+    return work_units(items).map_batches(
+        fn, fn_kwargs=fn_kwargs, batch_size=None, batch_format="pyarrow",
+        num_cpus=1)
+
+
 # (job id, selector) of the job this process last encoded for
 _SELECTOR: tuple[str, SelectorState] | None = None
 
@@ -260,14 +269,8 @@ def encode_job(
     if todo:
         # a task may encode several specs; each partition still commits
         # its own manifest, so resume granularity stays one partition
-        man = work_units(todo).map_batches(
-            encode_partitions,
-            fn_kwargs={"out_dir": out_dir, "config": config,
-                       "job": uuid.uuid4().hex},
-            batch_size=None,
-            batch_format="pyarrow",
-            num_cpus=1,
-        )
+        man = task_stage(todo, encode_partitions, out_dir=out_dir,
+                         config=config, job=uuid.uuid4().hex)
         mm = man.materialize()  # manifest rows only: metadata-sized
         if not result["skipped"]:
             # every manifest row is already in hand: summarize directly

@@ -224,20 +224,16 @@ def decode_checksum(batch: pa.Table, out_dir: str) -> pa.Table:
 def checksum_encoded(out_dir: str) -> dict:
     """Streaming checksum of an encoded directory (decode fused in).
 
-    The work units are per-partition manifest FILES (decode.manifest_feed):
+    The work units are per-partition manifest FILES (decode.manifest_units):
     reading thousands of sub-megabyte manifests through
     ``ray.data.read_parquet`` cost seconds of fan-out AND fixed the task
     granularity at one coarse block per read task (ragged multi-round
     tail); path items make both the fan-out and the tail quantum cheap."""
-    from .decode import manifest_feed
+    from .decode import manifest_units
+    from .encode import task_stage
 
-    return _fold(manifest_feed(out_dir).map_batches(
-        decode_checksum,
-        fn_kwargs={"out_dir": out_dir},
-        batch_size=None,
-        batch_format="pyarrow",
-        num_cpus=1,
-    ).take_all())
+    return _fold(task_stage(manifest_units(out_dir), decode_checksum,
+                            out_dir=out_dir).take_all())
 
 
 def verify_encoded(original_ds, out_dir: str) -> dict:
@@ -317,18 +313,12 @@ def fsck_encoded(out_dir: str, max_bad: int = 100) -> dict:
     (partition, stripe, path, status, detail) rows — metadata-sized, so a
     100k-stripe lake returns a summary, not a blob list."""
     from .decode import manifest_file_items
-    from .encode import work_units
+    from .encode import task_stage
 
     items = manifest_file_items(out_dir)
     if not items:
         return {"blobs": 0, "ok": 0, "no_crc": 0, "bad": 0, "bad_rows": []}
-    checked = work_units(items).map_batches(
-        fsck_shards,
-        fn_kwargs={"out_dir": out_dir},
-        batch_size=None,
-        batch_format="pyarrow",
-        num_cpus=1,
-    )
+    checked = task_stage(items, fsck_shards, out_dir=out_dir)
 
     def _summarize(batch: pa.Table) -> pa.Table:
         import json as _json

@@ -35,25 +35,22 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import schema as _schema_mod
-from .codecs import CHUNKED_KINDS, byterle, chunked, fsst, outer_kind, rle2
+from .codecs import (CHUNKED_KINDS, byterle, chunked, forpack, fsst,
+                     outer_kind, planar, rle2)
 from .codecs.dictionary import (DICTIONARY_THRESHOLD, dictionary_encode,
                                 string_blob, strings_from_blob)
 from .config import EncoderConfig
-from .selector import (
-    SelectorState,
-    choose_int_codec,
-    decode_int_stream,
-    encode_int_stream,
-)
+from .selector import SelectorState, decode_int_stream, encode_int_stream
 from .state import storage
 
 FORMAT_VERSION = 1
 
-_INT_TYPES = {
-    pa.int8(): 8, pa.int16(): 16, pa.int32(): 32, pa.int64(): 64,
-    pa.uint8(): 8, pa.uint16(): 16, pa.uint32(): 32, pa.uint64(): 64,
-}
-
+# candidates of the side int streams (SECONDARY, LENGTH, dictionary
+# indexes): no delta codec
+_SIDE = ("rle2", "for", "planar")
+# fixed-width int layouts: the raw bytes of values [lo, hi) are pure math
+# on a tiny header, which the stream record keeps as "<codec>_header"
+_RANGE_CODECS = {"for": forpack, "planar": planar}
 
 def _is_int_like(t: pa.DataType) -> bool:
     return (
@@ -64,16 +61,21 @@ def _is_int_like(t: pa.DataType) -> bool:
     )
 
 
+def _storage_type(t: pa.DataType) -> pa.DataType:
+    """The fixed-width Arrow type whose values buffer type ``t`` shares:
+    int64 for timestamps, date64 and time64, int32 for date32 and time32,
+    ``t`` itself otherwise."""
+    if pa.types.is_timestamp(t) or pa.types.is_date64(t) or pa.types.is_time64(t):
+        return pa.int64()
+    if pa.types.is_date32(t) or pa.types.is_time32(t):
+        return pa.int32()
+    return t
+
+
 def _int_view(arr: pa.Array) -> np.ndarray:
     """Zero-copy int64 view of an int-like array's values buffer (null slots
     contain garbage; callers mask them)."""
-    t = arr.type
-    if pa.types.is_timestamp(t) or pa.types.is_date64(t) or pa.types.is_time64(t):
-        storage = np.int64
-    elif pa.types.is_date32(t) or pa.types.is_time32(t):
-        storage = np.int32
-    else:
-        storage = np.dtype(t.to_pandas_dtype())
+    storage = np.dtype(_storage_type(arr.type).to_pandas_dtype())
     buf = arr.buffers()[1]
     vals = np.frombuffer(buf, dtype=storage, count=arr.offset + len(arr))[arr.offset:]
     if vals.dtype == np.int32:
@@ -118,42 +120,28 @@ class _BlobWriter:
         # the containing run; delta streams also record the running value
         # before each entry so a range decode can re-base its cumsum
         seekable = False
-        if (self.stride and raw_len >= self.MIN_INDEX_BYTES
-                and (codec == "rle2"
-                     or (codec == "rle2_delta" and index_values is not None))):
-            # delta streams only get an index when the caller provides the
-            # original values (the re-base prefixes); recording vindex
-            # without vprefix would invite silently-wrong range decodes
+        indexable = self.stride and raw_len >= self.MIN_INDEX_BYTES
+        if indexable and codec in ("rle2", "rle2_delta"):
             entries = rle2.run_index(head, self.stride)
             if len(entries) > 1:
                 rec["vindex"] = [[int(v), int(b)] for v, b in entries]
                 seekable = True
                 if codec == "rle2_delta":
+                    # the running value before each entry, so a range
+                    # decode can re-base its cumsum there
                     rec["vprefix"] = [
                         int(index_values[v - 1]) if v > 0 else 0
                         for v, _ in entries
                     ]
-        # "for" streams are analytically seekable (fixed width) — store the
-        # tiny header params so a range decode never reads chunk 0 for them
-        if codec == "for" and raw_len >= self.MIN_INDEX_BYTES and self.stride:
-            from .codecs import forpack
-
-            n_, vmin_, width_, hdr_ = forpack.parse_header(head[:24])
-            rec["for_header"] = [int(n_), int(vmin_), int(width_), int(hdr_)]
+        # fixed-width layouts (for, planar, raw float bytes) are
+        # analytically seekable: for and planar keep their header here, so
+        # a range decode never reads chunk 0 for it, and every one of them
+        # gets a chunk index under an outer kind
+        if indexable and (codec in _RANGE_CODECS or codec == "bytes"):
             seekable = True
-        # planar streams: value i of plane p is at byte hdr + p*n + i —
-        # analytically seekable the same way, one range per plane
-        if codec == "planar" and raw_len >= self.MIN_INDEX_BYTES and self.stride:
-            from .codecs import planar as _planar
-
-            n_, vmin_, k_, hdr_ = _planar.parse_header(head[:24])
-            rec["planar_header"] = [int(n_), int(vmin_), int(k_), int(hdr_)]
-            seekable = True
-        # raw fixed-width payloads (float streams) are analytically
-        # seekable too: byte range of values [lo, hi) is pure math — mark
-        # them so an outer kind gets a chunk index for range reads
-        if codec == "bytes" and raw_len >= self.MIN_INDEX_BYTES and self.stride:
-            seekable = True
+            if codec in _RANGE_CODECS:
+                rec[f"{codec}_header"] = [
+                    int(x) for x in _RANGE_CODECS[codec].parse_header(head[:24])]
         # codec-level chunked compression (string blobs): chunk index
         # enables raw range reads when paired with a byte_index
         blob_kind = CHUNKED_KINDS.get(codec)
@@ -201,22 +189,19 @@ def _encode_blob(
     the choice equals encoding every candidate in full. When selector
     state is present the trained FSST symbol table is reused across chunks
     of the same (source, column) and retrained every Nth chunk (tables are
-    serialized into each stream, so blobs stay self-contained)."""
-    candidates = config.string_blob_candidates
+    serialized into each stream, so blobs stay self-contained). Without
+    a caller's state a fresh one runs exactly the full trial."""
     if len(blob) == 0:
         return "none", blob, lengths
+    selector = selector or SelectorState(config)
     arr = np.frombuffer(blob, dtype=np.uint8)
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    full_trial = True
-    if selector is not None:
-        cached = selector.blob_codec(group, column)
-        if cached is not None:
-            # encode only the cached winner; the free raw-size compare
-            # below still falls back to "none" if this chunk degenerates,
-            # and the recheck cadence re-runs the full trial periodically
-            candidates = (cached,)
-            full_trial = False
+    # a cached winner is the only candidate encoded; the free raw-size
+    # compare below still falls back to "none" if this chunk degenerates,
+    # and the recheck cadence re-runs the full trial periodically
+    cached = selector.blob_codec(group, column)
+    candidates = config.string_blob_candidates if cached is None else (cached,)
     # the chunked kinds first: they are cheap, and their sizes bound FSST,
     # which may then stop as soon as it cannot win. Candidates still rank
     # in list order, a later one replacing the best only when strictly
@@ -228,11 +213,8 @@ def _encode_blob(
         limit = min([len(blob) - 1]
                     + [len(sized[c][0]) - 1 for c in candidates[:at] if c in sized]
                     + [len(sized[c][0]) for c in candidates[at + 1:] if c in sized])
-        if selector is not None:
-            table = selector.fsst_table(group, column,
-                                        lambda: fsst.train(arr, offsets))
-        else:
-            table = fsst.train(arr, offsets)
+        table = selector.fsst_table(group, column,
+                                    lambda: fsst.train(arr, offsets))
         comp = fsst.compress(table, arr, offsets, limit=limit)
         if comp is not None:
             sized["fsst"] = comp
@@ -240,7 +222,7 @@ def _encode_blob(
     for cand in candidates:
         if cand in sized and len(sized[cand][0]) < len(best[1]):
             best = (cand, *sized[cand])
-    if selector is not None and full_trial:
+    if cached is None:
         selector.record_blob_choice(group, column, best[0])
     return best[0], best[1], best[2]
 
@@ -267,8 +249,11 @@ def encode_table(
     group: str = "",
 ) -> tuple[bytes, dict]:
     """Encode a table chunk into (blob bytes, meta dict). ``group`` keys the
-    stateful selector cache (e.g. the partition's dominant source)."""
+    stateful selector cache (e.g. the partition's dominant source); without
+    a caller's state a fresh one measures every stream, as a first use
+    always does."""
     config = config or EncoderConfig()
+    selector = selector or SelectorState(config)
     table = table.combine_chunks()
     w = _BlobWriter(config.outer_compression, config.row_index_stride)
     columns_meta = []
@@ -305,36 +290,29 @@ def encode_table(
     return blob, meta
 
 
-def _select_int(
-    selector: SelectorState | None,
-    group: str,
-    stream_key: str,
-    values: np.ndarray,
-    signed: bool,
-    config: EncoderConfig,
+def _int_stream(
+    w: _BlobWriter, selector: SelectorState, group: str, name: str,
+    kind: str, vals: np.ndarray, signed: bool,
     candidates: tuple[str, ...] | None = None,
-) -> str:
-    if selector is not None:
-        return selector.choose_int(group, stream_key, values, signed, candidates)
-    return choose_int_codec(values, signed, config, candidates)
-
-
-def _add_int_stream(
-    w: _BlobWriter, name: str, kind: str, codec: str, vals: np.ndarray,
-    signed: bool, index_values: np.ndarray | None = None, **extra,
 ) -> None:
-    """Route an int stream to the writer: planar hands over its header and
-    plane matrix as parts (compressed in place, no joined raw stream);
-    every other codec its encoded bytes."""
+    """Select, pack and add one int stream: the one path every int stream
+    of a stripe takes. The selector picks the codec per (group,
+    ``name:kind``); a single candidate is taken as is, without a lookup. Planar hands over its
+    header and plane matrix as parts, which the outer kind compresses
+    without the joined stream ever existing; every other codec its encoded
+    bytes. The values go along so a delta stream's seek index can record
+    its re-base prefixes."""
+    if candidates is not None and len(candidates) == 1:
+        codec = candidates[0]
+    else:
+        codec = selector.choose_int(group, f"{name}:{kind}", vals, signed,
+                                    candidates)
     if codec == "planar":
-        from .codecs import planar as _planar
-
-        header, planes = _planar.encode_parts(vals)
+        header, planes = planar.encode_parts(vals)
         data = [header] if planes is None else [header, planes.reshape(-1)]
     else:
         data = encode_int_stream(vals, codec, signed)
-    w.add(name, kind, codec, data, signed=signed, index_values=index_values,
-          **extra)
+    w.add(name, kind, codec, data, index_values=vals, signed=signed)
 
 
 def _int_stats(vals: np.ndarray) -> dict:
@@ -371,13 +349,9 @@ def _encode_column(
         if valid is not None:
             vals = vals[valid]
         secs_rel, fmt_nanos = split_unit(vals, t.unit)
-        codec = _select_int(selector, group, f"{name}:DATA", secs_rel, True, config)
-        _add_int_stream(w, name, "DATA", codec, secs_rel, True,
-                        index_values=secs_rel)
-        n_codec = _select_int(selector, group, f"{name}:SECONDARY", fmt_nanos,
-                              False, config, ("rle2", "for", "planar"))
-        w.add(name, "SECONDARY", n_codec,
-              encode_int_stream(fmt_nanos, n_codec, False), signed=False)
+        _int_stream(w, selector, group, name, "DATA", secs_rel, True)
+        _int_stream(w, selector, group, name, "SECONDARY", fmt_nanos, False,
+                    _SIDE)
         meta["encoding"] = "timestamp"
         meta["unit"] = t.unit
         meta["stats"] = _int_stats(np.asarray(vals, dtype=np.int64))
@@ -387,10 +361,8 @@ def _encode_column(
         vals = _int_view(arr)
         if valid is not None:
             vals = vals[valid]
-        signed = not pa.types.is_unsigned_integer(t)
-        codec = _select_int(selector, group, f"{name}:DATA", vals, signed, config)
-        _add_int_stream(w, name, "DATA", codec, vals, signed,
-                        index_values=vals)
+        _int_stream(w, selector, group, name, "DATA", vals,
+                    not pa.types.is_unsigned_integer(t))
         if name in config.bloom_columns and len(vals):
             from .codecs import bloom
 
@@ -426,7 +398,7 @@ def _encode_column(
             pa.types.is_binary(t) or pa.types.is_large_binary(t):
         return _encode_string_column(name, arr, valid, w, config, selector, group, meta)
 
-    if pa.types.is_list(t) or pa.types.is_large_list(t):
+    if pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_map(t):
         return _encode_list_column(name, arr, valid, w, config, selector, group, meta)
 
     if pa.types.is_struct(t):
@@ -445,9 +417,6 @@ def _encode_column(
         meta["stats"] = {"num_values": len(arr) - arr.null_count}
         return meta
 
-    if pa.types.is_map(t):
-        return _encode_map_column(name, arr, valid, w, config, selector, group, meta)
-
     if pa.types.is_decimal128(t):
         # C20 (decimal): the reference only READS decimals (its writer has
         # no decimal case, treewriterfactory.go:13-104); here both
@@ -463,12 +432,8 @@ def _encode_column(
                                count=(vals.offset + n) * 2)[vals.offset * 2:]
         lo = np.ascontiguousarray(halves[0::2])
         hi = np.ascontiguousarray(halves[1::2])
-        lo_codec = _select_int(selector, group, f"{name}:DATA", lo, True, config)
-        _add_int_stream(w, name, "DATA", lo_codec, lo, True)
-        hi_codec = _select_int(selector, group, f"{name}:SECONDARY", hi, True,
-                               config, ("rle2", "for", "planar"))
-        w.add(name, "SECONDARY", hi_codec, encode_int_stream(hi, hi_codec, True),
-              signed=True)
+        _int_stream(w, selector, group, name, "DATA", lo, True)
+        _int_stream(w, selector, group, name, "SECONDARY", hi, True, _SIDE)
         meta["encoding"] = "decimal"
         meta["precision"] = t.precision
         meta["scale"] = t.scale
@@ -517,15 +482,11 @@ def _encode_string_column(name, arr, valid, w, config, selector, group, meta) ->
     use_dict = (not is_binary) and n > 0 and distinct / n <= DICTIONARY_THRESHOLD
     if use_dict:
         indexes, dict_blob, dict_lengths = dictionary_encode(denc)
-        idx_codec = _select_int(selector, group, f"{name}:DICTIDX", indexes, False,
-                                config, ("rle2", "for", "planar"))
-        w.add(name, "DATA", idx_codec, encode_int_stream(indexes, idx_codec, False),
-              signed=False)
+        _int_stream(w, selector, group, name, "DATA", indexes, False, _SIDE)
         blob_codec, payload, lens = _encode_blob(dict_blob, dict_lengths, config,
                                                  selector, group, f"{name}:DICT")
         w.add(name, "DICT_DATA", blob_codec, payload, dict_size=len(dict_lengths))
-        w.add(name, "LENGTH", "rle2", encode_int_stream(lens, "rle2", False),
-              signed=False)
+        _int_stream(w, selector, group, name, "LENGTH", lens, False, ("rle2",))
         meta["encoding"] = "dict"
     else:
         blob, lengths = string_blob(arr)
@@ -553,10 +514,7 @@ def _encode_string_column(name, arr, valid, w, config, selector, group, meta) ->
                                        for x in boff[:-1:stride]]
                 extra["fsst_header_len"] = hlen
         w.add(name, "DATA", blob_codec, payload, **extra)
-        len_codec = _select_int(selector, group, f"{name}:LENGTH", lens, False,
-                                config, ("rle2", "for", "planar"))
-        w.add(name, "LENGTH", len_codec, encode_int_stream(lens, len_codec, False),
-              signed=False)
+        _int_stream(w, selector, group, name, "LENGTH", lens, False, _SIDE)
         meta["encoding"] = "binary" if is_binary else "direct"
     if name in config.bloom_columns and n and not is_binary:
         from .codecs import bloom
@@ -574,79 +532,55 @@ def _encode_string_column(name, arr, valid, w, config, selector, group, meta) ->
 
 
 def _encode_list_column(name, arr, valid, w, config, selector, group, meta) -> dict:
-    """C23 (list, treewriter.go:722-804): LENGTH stream + recursively
-    encoded child — ANY child type (ints keep the flat zero-copy fast
-    path; strings/floats/structs/nested lists/nullable children all go
-    through _encode_column like the reference's recursive tree writers)."""
+    """C23 (list, treewriter.go:722-804) and C24 (map, treewriter.go:
+    806-904): LENGTH stream + recursively encoded children — ANY child
+    type for a list (ints keep the flat zero-copy fast path; strings/
+    floats/structs/nested lists/nullable children all go through
+    _encode_column like the reference's recursive tree writers), a key and
+    a value child for a map."""
     t = arr.type
+    is_map = pa.types.is_map(t)
     if valid is not None:
         arr = arr.drop_null()
     off_dtype = np.int64 if pa.types.is_large_list(t) else np.int32
     offsets = np.frombuffer(arr.buffers()[1], dtype=off_dtype)[
         arr.offset: arr.offset + len(arr) + 1
     ].astype(np.int64)
-    child = arr.values.slice(int(offsets[0]), int(offsets[-1] - offsets[0]))
+    e0, n_elems = int(offsets[0]), int(offsets[-1] - offsets[0])
     lengths = np.diff(offsets)
-    len_codec = _select_int(selector, group, f"{name}:LENGTH", lengths, False,
-                            config, ("rle2", "for", "planar"))
-    w.add(name, "LENGTH", len_codec, encode_int_stream(lengths, len_codec, False),
-          signed=False)
-    meta["encoding"] = "list"
+    _int_stream(w, selector, group, name, "LENGTH", lengths, False, _SIDE)
+    meta["encoding"] = "map" if is_map else "list"
     meta["stats"] = {
         "num_values": int(len(lengths)),
-        "total_elements": int(lengths.sum()),
+        "total_entries" if is_map else "total_elements": int(lengths.sum()),
     }
     stride = config.row_index_stride
     if stride and len(lengths) > stride:
         # row-stride element offsets: lets a row-range decode locate the
-        # child DATA value range without decoding every LENGTH before it
+        # child value range without decoding every LENGTH before it
         rel = offsets - offsets[0]
         meta["elem_offsets"] = [int(x) for x in rel[::stride]]
+    if is_map:
+        meta["key"] = _encode_column(f"{name}._key", arr.keys.slice(e0, n_elems),
+                                     w, config, selector, group)
+        meta["value"] = _encode_column(f"{name}._value",
+                                       arr.items.slice(e0, n_elems), w, config,
+                                       selector, group)
+        meta["stats"] = meta.pop("stats")  # a map's stats follow its children
+        return meta
+    child = arr.values.slice(e0, n_elems)
     if _is_int_like(child.type) and not pa.types.is_timestamp(child.type) \
             and child.null_count == 0:
         # hot path (e.g. the tokens column): flat int stream, no recursion
         vals = _int_view(child)
-        signed = not pa.types.is_unsigned_integer(child.type)
-        codec = _select_int(selector, group, f"{name}:DATA", vals, signed, config)
-        _add_int_stream(w, name, "DATA", codec, vals, signed,
-                        index_values=vals)
+        _int_stream(w, selector, group, name, "DATA", vals,
+                    not pa.types.is_unsigned_integer(child.type))
         meta["stats"].update(
             {f"elem_{k}": v for k, v in _int_stats(vals).items()
              if k != "num_values"})
     else:
         meta["child"] = _encode_column(f"{name}._elem", child, w, config,
                                        selector, group)
-    return meta
-
-
-def _encode_map_column(name, arr, valid, w, config, selector, group, meta) -> dict:
-    """C24 (map, treewriter.go:806-904): LENGTH stream + recursively
-    encoded key and value children — mirrors the list path with two
-    children."""
-    if valid is not None:
-        arr = arr.drop_null()
-    offsets = np.frombuffer(arr.buffers()[1], dtype=np.int32)[
-        arr.offset: arr.offset + len(arr) + 1
-    ].astype(np.int64)
-    lengths = np.diff(offsets)
-    keys = arr.keys.slice(int(offsets[0]), int(offsets[-1] - offsets[0]))
-    items = arr.items.slice(int(offsets[0]), int(offsets[-1] - offsets[0]))
-    len_codec = _select_int(selector, group, f"{name}:LENGTH", lengths, False,
-                            config, ("rle2", "for", "planar"))
-    w.add(name, "LENGTH", len_codec, encode_int_stream(lengths, len_codec, False),
-          signed=False)
-    meta["encoding"] = "map"
-    stride = config.row_index_stride
-    if stride and len(lengths) > stride:
-        rel = offsets - offsets[0]
-        meta["elem_offsets"] = [int(x) for x in rel[::stride]]
-    meta["key"] = _encode_column(f"{name}._key", keys, w, config, selector, group)
-    meta["value"] = _encode_column(f"{name}._value", items, w, config,
-                                   selector, group)
-    meta["stats"] = {
-        "num_values": int(len(lengths)),
-        "total_entries": int(lengths.sum()),
-    }
     return meta
 
 
@@ -810,39 +744,25 @@ def _int_range(reader: RangeReader, rec: dict, lo: int, hi: int, n: int,
 
     codec = rec["codec"]
     part = lo > 0 or hi < n
-    # fixed-width layouts range-read through the outer chunk index; an
-    # outer-compressed stream without one is decompressed whole, once for
-    # its header and ranges (RangeReader.span), and only [lo, hi) decoded
-    if codec == "for" and part:
-        # fixed-width packing: the byte range of [lo, hi) is pure math
-        from .codecs import forpack
-
-        if "for_header" in rec:
-            n, vmin, width, hdr = rec["for_header"]
-        else:
-            n, vmin, width, hdr = forpack.parse_header(_raw_range(reader, rec, 0, 24))
-        hi = min(hi, n)
-        byte_lo, byte_hi, lo2 = forpack.range_bytes(lo, hi, width, hdr)
-        payload = _raw_range(reader, rec, byte_lo, byte_hi)
-        vals = forpack.decode_range(payload, lo2, lo, hi, vmin, width)
-        return vals.astype(out_dtype, copy=False)
-    if codec == "planar" and part:
-        from .codecs import planar
-
-        if "planar_header" in rec:
-            n, vmin, k, hdr = rec["planar_header"]
-        else:
-            n, vmin, k, hdr = planar.parse_header(_raw_range(reader, rec, 0, 24))
+    mod = _RANGE_CODECS.get(codec)
+    if mod is not None and part:
+        # fixed-width layouts range-read through the outer chunk index; an
+        # outer-compressed stream without one is decompressed whole, once
+        # for its header and ranges (RangeReader.span), and only [lo, hi)
+        # decoded
+        n, vmin, width, hdr = (rec.get(f"{codec}_header")
+                               or mod.parse_header(_raw_range(reader, rec, 0, 24)))
         hi = min(hi, n)
         payloads = [_raw_range(reader, rec, blo, bhi)
-                    for blo, bhi in planar.plane_ranges(lo, hi, n, k, hdr)]
-        vals = planar.decode_range(payloads, lo, hi, vmin,
-                                   out_dtype=out_dtype)
+                    for blo, bhi in mod.plane_ranges(lo, hi, n, width, hdr)]
+        vals = (planar.decode_range(payloads, lo, hi, vmin, out_dtype=out_dtype)
+                if mod is planar
+                else forpack.decode_range(payloads, lo, hi, vmin, width))
         return vals.astype(out_dtype, copy=False)
     vindex = rec.get("vindex") if part else None
-    if codec == "rle2_delta" and "vprefix" not in rec:
-        vindex = None  # no re-base prefixes: decode from the start
-    if vindex is None or codec not in ("rle2", "rle2_delta"):
+    if vindex is None or (codec == "rle2_delta" and "vprefix" not in rec):
+        # no seek points, or a delta stream without its re-base prefixes:
+        # decode from the start
         vals = decode_int_stream(_raw_range(reader, rec), codec,
                                  rec.get("signed", True), hi,
                                  out_dtype=out_dtype)
@@ -963,17 +883,13 @@ def _decode_column_rows(reader: RangeReader, streams: dict, stride: int,
     if enc == "bool":
         bits = byterle.decode_bools(
             _raw_range(reader, streams[(name, "DATA")]), vhi)[vlo:]
-        if valid is None:
-            return pa.array(bits, type=pa.bool_())
-        return _scatter_array(bits, valid, pa.bool_())
+        return _int_array(bits, t, valid)
     if enc == "float":
-        dtype = np.float32 if t == pa.float32() else np.float64
-        isz = np.dtype(dtype).itemsize
+        dtype = np.dtype(t.to_pandas_dtype())
         vals = np.frombuffer(_raw_range(reader, streams[(name, "DATA")],
-                                        vlo * isz, vhi * isz), dtype=dtype)
-        if valid is None:
-            return pa.array(vals, type=t)
-        return _scatter_array(vals, valid, t)
+                                        vlo * dtype.itemsize,
+                                        vhi * dtype.itemsize), dtype=dtype)
+        return _int_array(vals, t, valid)
     if enc in ("dict", "direct", "binary"):
         if enc == "dict":
             indexes = _int_range(reader, streams[(name, "DATA")], vlo, vhi,
@@ -1092,14 +1008,10 @@ def _scatter_generic(dense: pa.Array, valid: np.ndarray) -> pa.Array:
 
 
 def _int_array(vals: np.ndarray, t: pa.DataType, valid) -> pa.Array:
-    """Decoded int values -> Arrow array of the original int-like type,
-    with nulls re-inserted where ``valid`` is False."""
-    if pa.types.is_timestamp(t) or pa.types.is_date64(t) or pa.types.is_time64(t):
-        storage = pa.int64()
-    elif pa.types.is_date32(t) or pa.types.is_time32(t):
-        storage = pa.int32()
-    else:
-        storage = t
+    """Decoded fixed-width values (ints of an int-like type, floats,
+    bools) -> Arrow array of type ``t``, with nulls re-inserted where
+    ``valid`` is False."""
+    storage = _storage_type(t)
     vals = np.ascontiguousarray(vals, dtype=storage.to_pandas_dtype())
     # t over the values' own buffer, no conversion — except bools, which
     # numpy keeps one byte each and Arrow packs one bit each

@@ -208,7 +208,7 @@ def test_predicate_pushdown_prunes_stripes(ray_session, tmp_path):
     lo, hi = 150, 180
     kept = sum(
         1 for mj in man.column("meta_json").to_pylist()
-        if (r := _stripe_stat_range(mj, "n_tok")) is None
+        if (r := _stripe_stat_range(json.loads(mj), "n_tok")) is None
         or (r[1] >= lo and r[0] <= hi)
     )
     assert kept < man.num_rows, "sorted input must allow stripe pruning"

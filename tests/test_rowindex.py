@@ -536,3 +536,23 @@ def test_plan_row_ranges_matches_reference_loop():
         for r0, cnt in ranges:
             assert plan_row_ranges(man, r0, cnt) == \
                 _plan_reference(man, r0, cnt), (trial, r0, cnt)
+
+
+def test_delta_decimal_range_read_seeks():
+    """A monotone decimal's DATA stream is coded rle2_delta; its seek
+    index records the re-base prefixes, so a 10-row read decodes from the
+    covering index entry and touches only part of the blob."""
+    n = 50_000
+    rng = np.random.default_rng(3)
+    lo = np.cumsum(rng.integers(1, 1000, n)).astype(np.int64)
+    dec = pa.Array.from_buffers(
+        pa.decimal128(18, 2), n,
+        [None, pa.py_buffer(np.column_stack(
+            [lo, np.zeros(n, dtype=np.int64)]).tobytes())])
+    t = pa.table({"d": dec})
+    blob, meta = encode_table(t, EncoderConfig())
+    data = next(s for s in meta["streams"] if s["kind"] == "DATA")
+    assert data["codec"] == "rle2_delta"
+    sub, touched = decode_blob_rows(blob, meta, 45_000, 10)
+    assert sub.equals(t.slice(45_000, 10))
+    assert touched < len(blob) / 2
