@@ -469,3 +469,147 @@ def test_chunked_kinds_share_framing():
     c2 = chunked.chunk_offsets(zcomp)[2]
     assert zstdchunk.decompress_chunks(
         zcomp[c2:], [csize, len(data) - 3 * csize]) == data[2 * csize:]
+
+
+# --- pinned hash and pack kernels -------------------------------------------
+
+def _pin_strings() -> pa.Array:
+    rng = np.random.default_rng(14)
+    alph = np.array(list("abcdefghij klmnop-_0123456789") + ["é", "中", "ß"])
+    vals = ["".join(rng.choice(alph, size=int(n)))
+            for n in rng.integers(0, 40, 400)]
+    vals[3] = None
+    vals[17] = ""
+    return pa.array(vals, pa.string())
+
+
+def _pin_texts() -> pa.Array:
+    rng = np.random.default_rng(15)
+    words = [f"w{j}" for j in range(60)] + ["", "alpha", "beta"]
+    texts = [" ".join(rng.choice(words, int(n))) for n in
+             rng.integers(0, 30, 200)]
+    texts[:3] = ["", "one", "one two"]
+    return pa.array(texts, pa.string())
+
+
+def _pin_long() -> pa.Array:
+    rng = np.random.default_rng(16)
+    big = [bytes(rng.integers(97, 123, n, dtype=np.uint8)).decode()
+           for n in (70_000, 2 * 65_536 + 5, 65_536)]
+    return pa.array(["x", big[0], "", big[1], "yz", big[2]], pa.string())
+
+
+def _pin_cases():
+    from orc_ray.codecs import bloom
+    from orc_ray.functions import dedup, texthash
+    from orc_ray.functions.text import fingerprint_batch
+    from orc_ray.sources.tokens import tokenize_text_column
+
+    s = _pin_strings()
+    texts = _pin_texts()
+    docs = pa.table({"doc_id": pa.array(np.arange(len(texts)), pa.int64()),
+                     "text": texts})
+    h64 = dictionary.string_hashes64
+    rng = np.random.default_rng(17)
+    ints = rng.integers(-2**63, 2**63, 3000, dtype=np.int64,
+                        endpoint=False)
+    return {
+        "hash_empty": lambda: (h64(pa.array([], pa.string())),
+                               h64(pa.chunked_array([], pa.string())),
+                               h64(pa.array(["", None, ""], pa.string()))),
+        "hash_plain": lambda: h64(s),
+        "hash_sliced": lambda: h64(s.slice(7, 300)),
+        "hash_chunked": lambda: h64(pa.chunked_array(
+            [s.slice(0, 50), s.slice(50, 1), s.slice(51)])),
+        "hash_large_string": lambda: h64(s.cast(pa.large_string())),
+        "hash_over_64k": lambda: h64(_pin_long()),
+        "hash_long_sliced": lambda: h64(_pin_long().slice(1, 4)),
+        "bloom_strings": lambda: bloom.build(bloom.hash_strings(s)),
+        "bloom_ints": lambda: bloom.build(bloom.hash_ints(ints)),
+        "shingle_sets": lambda: texthash.shingle_sets(texts),
+        "word_hashes31": lambda: texthash.word_hashes31(s),
+        "bpe_token_counts": lambda: texthash.bpe_token_counts(texts),
+        "band_rows": lambda: dedup.band_rows_batch(docs).column("bucket"),
+        "band_rows_sketched": lambda: dedup.band_rows_batch(
+            dedup.shingle_sketch_batch(docs)).column("bucket"),
+        "simhash_parts": lambda: dedup.simhash_chunk_rows(pa.table({
+            "doc_id": docs.column("doc_id"),
+            "simhash": pa.array(texthash.simhash_signatures(texts)
+                                .view(np.int64))})).column("part"),
+        "tokenize": lambda: tokenize_text_column(texts.slice(5)),
+        "rolling64": lambda: fingerprint_batch(docs).column("rolling64"),
+    }
+
+
+def _pin_bytes(x) -> bytes:
+    if isinstance(x, (bytes, bytearray)):
+        return bytes(x)
+    if isinstance(x, tuple):
+        return b"|".join(_pin_bytes(p) for p in x)
+    if isinstance(x, (pa.Array, pa.ChunkedArray)):
+        x = x.to_numpy(zero_copy_only=False)
+    return np.ascontiguousarray(x).tobytes()
+
+
+_KERNEL_PINS = {
+    "band_rows":
+        "38a5df44c49d1acdea4d42f96be3ca2a056c8b2d7b8ab879a8a0d90e1bf2bfc3",
+    "band_rows_sketched":
+        "38a5df44c49d1acdea4d42f96be3ca2a056c8b2d7b8ab879a8a0d90e1bf2bfc3",
+    "bloom_ints":
+        "2bfd8fe72f7363a2ed56cfe1d02612c101a61f828b56cf5fc4e06ba57a31a179",
+    "bloom_strings":
+        "f79381027457a0ab441b9c63f93e8eaf2c361206d91f3e2f82845bdb5327fd20",
+    "bpe_token_counts":
+        "86770332d18b2cd9fa1b288953aaaeae5345f84f49c67be56db40bf5c4f949cb",
+    "hash_chunked":
+        "0b69f9a6638d4f76b0e2116177e9774a686eb91c1af25d24af4873095d8d3424",
+    "hash_empty":
+        "115a8903e664ecb7b4239c02ddb86b1f2264737a77a810cd156031f9ae676149",
+    "hash_large_string":
+        "0b69f9a6638d4f76b0e2116177e9774a686eb91c1af25d24af4873095d8d3424",
+    "hash_long_sliced":
+        "3fca99d2137f3a84bc2eec3f949520e19a5e2702e7d5a739f9e55e8c0a292cb6",
+    "hash_over_64k":
+        "539a0dae6731df4a2307b1cc9b845efd4eb1b27aac19193d45f7d84807ff8056",
+    "hash_plain":
+        "0b69f9a6638d4f76b0e2116177e9774a686eb91c1af25d24af4873095d8d3424",
+    "hash_sliced":
+        "fea3e08b779029fbe163276aa9a6767ae6362542c262e7d60b9ab75daf13de43",
+    "pack_int64":
+        "9abc01d0a8bc8385af7f7bcaa131b727315788bd9c8e2df5325402d80a34d147",
+    "pack_uint32":
+        "6002f7ade10411415b32d946f74acdd39e618e18a62a960f4e6c623aa03cf6c6",
+    "pack_uint64":
+        "9abc01d0a8bc8385af7f7bcaa131b727315788bd9c8e2df5325402d80a34d147",
+    "rolling64":
+        "8d7c355f8679429261627f8ef1b0db00214c1d1291fa82b52d378454e278c966",
+    "shingle_sets":
+        "c7691ffe825b81dd5c394a35ace3aa8feb1699116ac92e53e57879fa87bc9f4f",
+    "simhash_parts":
+        "9d88ae8b89c1ccb6da9667f27467a8833cf5ffce0b55ce0e1638c54e0e407e3b",
+    "tokenize":
+        "d37ae48c2f293be2bc5d7c4e81a1c95a3b3ea595b1f8ccf53eb60bcdce19bcfc",
+    "word_hashes31":
+        "349f270b14f46ef848805c9e60a01bc5d1e4f6c03c6fe6e22b036e34783c514c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_PINS))
+def test_hash_and_pack_kernels_pinned(name):
+    """sha256 pins of the string hash (bloom filters written into blobs
+    depend on it), the bloom, shingle, band and simhash keys built on it
+    and the other byte-segment kernels, and pack_bits at every width. A
+    refactor of any of these kernels must leave every digest as it is."""
+    import hashlib
+
+    if name.startswith("pack_"):
+        dtype = np.dtype(name.split("_")[1])
+        rng = np.random.default_rng(18)
+        vals = rng.integers(0, 2**64, 1001, dtype=np.uint64,
+                            endpoint=False).astype(dtype)
+        got = b"".join(bitpack.pack_bits(vals[:n], w)
+                       for w in range(1, 65) for n in (0, 1, 7, 1001))
+    else:
+        got = _pin_bytes(_pin_cases()[name]())
+    assert hashlib.sha256(got).hexdigest() == _KERNEL_PINS[name]
