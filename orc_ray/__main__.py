@@ -73,30 +73,34 @@ def cmd_decode(args) -> int:
     if table is None:
         print("empty encoded dir", file=sys.stderr)
         return 1
-    if args.out.endswith(".parquet"):
+    return _write_table(table, args.out)
+
+
+def _write_table(table, out: str) -> int:
+    """Write ``table`` to ``out`` by its suffix: .parquet as it is, .csv
+    without the columns CSV cannot hold (nested and binary; noted on
+    stderr)."""
+    import pyarrow as pa
+
+    if out.endswith(".parquet"):
         import pyarrow.parquet as pq
 
-        pq.write_table(table, args.out)
-    elif args.out.endswith(".csv"):
+        pq.write_table(table, out)
+    elif out.endswith(".csv"):
         import pyarrow.csv as pacsv
 
-        drop = [f.name for f in table.schema if not _csv_ok(f.type)]
+        drop = [f.name for f in table.schema
+                if pa.types.is_nested(f.type) or pa.types.is_binary(f.type)
+                or pa.types.is_large_binary(f.type)]
         if drop:
             print(f"note: dropping non-csv columns {drop}", file=sys.stderr)
             table = table.drop_columns(drop)
-        pacsv.write_csv(table, args.out)
+        pacsv.write_csv(table, out)
     else:
         print("out must end in .csv or .parquet", file=sys.stderr)
         return 1
-    print(f"wrote {table.num_rows} rows to {args.out}")
+    print(f"wrote {table.num_rows} rows to {out}")
     return 0
-
-
-def _csv_ok(t) -> bool:
-    import pyarrow as pa
-
-    return not (pa.types.is_nested(t) or pa.types.is_binary(t)
-                or pa.types.is_large_binary(t))
 
 
 def cmd_export(args) -> int:
@@ -329,14 +333,7 @@ def cmd_import_orc(args) -> int:
             table = table.select(cols)
     else:
         table = f.read(columns=cols)
-    if args.out.endswith(".csv"):
-        import pyarrow.csv as pacsv
-        pacsv.write_csv(table, args.out)
-    else:
-        import pyarrow.parquet as pq
-        pq.write_table(table, args.out)
-    print(f"wrote {table.num_rows} rows -> {args.out}")
-    return 0
+    return _write_table(table, args.out)
 
 
 def main(argv=None) -> int:

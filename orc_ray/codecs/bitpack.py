@@ -31,7 +31,6 @@ _ENCODE_BW = np.zeros(65, dtype=np.int64)
 for _code, _w in enumerate(DECODE_BIT_WIDTH):
     _ENCODE_BW[_w] = _code
 # widths not directly encodable round up to the next encodable width's code
-_prev = 0
 for _w in range(1, 65):
     if _ENCODE_BW[_w] == 0 and _w != 1:
         # find next encodable width >= w
@@ -99,29 +98,29 @@ def percentile_bits(x_u64: np.ndarray, p: float) -> int:
     return 0
 
 
+# big-endian views for the widths that are whole machine words
+_BE_WORD = {8: np.dtype(">u1"), 16: np.dtype(">u2"), 32: np.dtype(">u4"),
+            64: np.dtype(">u8")}
+
+
 def pack_bits(vals: np.ndarray, width: int) -> bytes:
     """Pack the low ``width`` bits of each value, MSB-first, contiguous
-    across bytes. Accepts uint32 input natively for width <= 32 (half the
-    memory traffic on int32 token streams); other dtypes go through uint64.
-    Caller guarantees values fit in ``width`` bits (excess bits masked)."""
-    if vals.dtype == np.uint32 and width <= 32:
-        return _pack_bits_u32(np.ascontiguousarray(vals), width)
-    vals = np.ascontiguousarray(vals, dtype=_U64)
+    across bytes. uint32 input stays uint32 for width <= 32 (half the
+    memory traffic on int32 token streams); other dtypes go through
+    uint64. Bits above ``width`` are masked off."""
+    wide = _U64 if vals.dtype != np.uint32 or width > 32 else np.uint32
+    vals = np.ascontiguousarray(vals, dtype=wide)
     n = len(vals)
     if n == 0:
         return b""
-    if width >= 64:
-        return vals.byteswap().tobytes()
-    vals = vals & ((_U64(1) << _U64(width)) - _U64(1))
-    if width == 8:
-        return vals.astype(_U8).tobytes()
-    if width == 16:
-        return vals.astype(">u2").tobytes()
-    if width == 32:
-        return vals.astype(">u4").tobytes()
+    size = vals.itemsize
+    if width < 8 * size:
+        vals = vals & wide((1 << width) - 1)
+    word = _BE_WORD.get(width)
+    if word is not None:
+        return vals.astype(word).tobytes()
     if width % 8 == 0:
-        k = width // 8
-        be = vals.byteswap().view(_U8).reshape(n, 8)[:, 8 - k:]
+        be = vals.byteswap().view(_U8).reshape(n, size)[:, size - width // 8:]
         return np.ascontiguousarray(be).tobytes()
     return _pack_odd(vals, width)
 
@@ -151,24 +150,6 @@ def _pack_odd(vals: np.ndarray, width: int) -> bytes:
     return out.tobytes()[: (n * width + 7) // 8]
 
 
-def _pack_bits_u32(vals: np.ndarray, width: int) -> bytes:
-    n = len(vals)
-    if n == 0:
-        return b""
-    if width < 32:
-        vals = vals & np.uint32((1 << width) - 1)
-    if width == 8:
-        return vals.astype(_U8).tobytes()
-    if width == 16:
-        return vals.astype(">u2").tobytes()
-    if width == 32:
-        return vals.astype(">u4").tobytes()
-    if width % 8 == 0:  # 24
-        be = vals.byteswap().view(_U8).reshape(n, 4)[:, 4 - width // 8:]
-        return np.ascontiguousarray(be).tobytes()
-    return _pack_odd(vals, width)
-
-
 def unpack_bits(buf, width: int, count: int, offset: int = 0) -> tuple[np.ndarray, int]:
     """Unpack ``count`` uint64 values of ``width`` bits from ``buf`` starting
     at byte ``offset``. Returns (values, new_offset). The bit stream always
@@ -178,9 +159,6 @@ def unpack_bits(buf, width: int, count: int, offset: int = 0) -> tuple[np.ndarra
     return unpack_rows(raw.reshape(1, nbytes), width, count)[0], offset + nbytes
 
 
-# big-endian views for the widths that are whole machine words
-_BE_WORD = {8: np.dtype(">u1"), 16: np.dtype(">u2"), 32: np.dtype(">u4"),
-            64: np.dtype(">u8")}
 # a matrix of at most this many bytes per group-loop pass (g, below)
 # unpacks one bit per byte and sums the bits against these weights
 # (2^63 .. 2^0): a few array calls in all, where the group loop makes

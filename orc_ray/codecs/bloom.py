@@ -29,16 +29,23 @@ DEFAULT_BITS_PER_VALUE = 10  # fpp ~0.9% at k=7
 DEFAULT_K = 7
 
 
-def _splitmix(h: np.ndarray) -> np.ndarray:
-    h = h + _U64(0x9E3779B97F4A7C15)
-    h = (h ^ (h >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    h = (h ^ (h >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return h ^ (h >> _U64(31))
+_GAMMA = _U64(0x9E3779B97F4A7C15)  # splitmix64's state increment
+
+
+def splitmix64(h: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, a bijective 64-bit mix of a uint64
+    array (the input is left as it is)."""
+    h = h ^ (h >> _U64(30))
+    h *= _U64(0xBF58476D1CE4E5B9)
+    h ^= h >> _U64(27)
+    h *= _U64(0x94D049BB133111EB)
+    h ^= h >> _U64(31)
+    return h
 
 
 def hash_ints(vals: np.ndarray) -> np.ndarray:
     """64-bit hashes of an int array (any int dtype)."""
-    return _splitmix(vals.astype(np.int64).view(_U64))
+    return splitmix64(vals.astype(np.int64).view(_U64) + _GAMMA)
 
 
 def hash_strings(arr: pa.Array) -> np.ndarray:
@@ -50,7 +57,7 @@ def hash_strings(arr: pa.Array) -> np.ndarray:
 
 def _probe_positions(h: np.ndarray, m_bits: int, k: int) -> np.ndarray:
     h1 = h.astype(_U64)
-    h2 = _splitmix(h1 ^ _U64(0xD6E8FEB86659FD93)) | _U64(1)
+    h2 = splitmix64((h1 ^ _U64(0xD6E8FEB86659FD93)) + _GAMMA) | _U64(1)
     steps = np.arange(k, dtype=_U64)
     idx = h1[:, None] + steps[None, :] * h2[:, None]
     return (idx & _U64(m_bits - 1)).astype(np.int64)

@@ -311,10 +311,6 @@ def train(blob: np.ndarray, offsets: np.ndarray, iterations: int = 5,
         ident = np.where(tok_esc, 256 + tok_lit, tok_code)
         gains: dict[bytes, int] = {}
 
-        def tok_bytes_of(i: int) -> bytes:
-            iv = int(ident[i])
-            return bytes([iv - 256]) if iv >= 256 else table.symbols[iv]
-
         # single-token frequencies
         uniq, counts = np.unique(ident, return_counts=True)
         for u, c in zip(uniq.tolist(), counts.tolist()):

@@ -36,6 +36,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..codecs.bloom import splitmix64
+from ..codecs.dictionary import string_bytes
 from ..pipelines.encode import cluster_cpus, work_units
 from .texthash import (
     mix64,
@@ -78,16 +80,6 @@ _SKIPPED_RUNS: list[tuple[str, int]] = []
 _rng = np.random.default_rng(12345)
 _A = (_rng.integers(1, _MERSENNE, NUM_HASHES, dtype=np.int64)).astype(np.uint64)
 _B = (_rng.integers(0, _MERSENNE, NUM_HASHES, dtype=np.int64)).astype(np.uint64)
-
-
-def _splitmix(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> _U64(30)
-    x *= _U64(0xBF58476D1CE4E5B9)
-    x ^= x >> _U64(27)
-    x *= _U64(0x94D049BB133111EB)
-    x ^= x >> _U64(31)
-    return x
 
 
 # --- stage 1: sketches (doc_id, shingle set) -------------------------------
@@ -186,7 +178,7 @@ def band_rows_batch(batch: pa.Table, k: int = 3) -> pa.Table:
     key = np.arange(BANDS, dtype=np.uint64)[None, :] + _U64(0x9E3779B9)
     for r in range(ROWS_PER_BAND):
         key = key * P + bands[:, :, r]
-    key = _splitmix(key)
+    key = splitmix64(key)
     return pa.table({
         "doc_id": pa.array(np.repeat(ids, BANDS), type=pa.int64()),
         "bucket": pa.array(key.reshape(-1).view(np.int64), type=pa.int64()),
@@ -287,17 +279,8 @@ def _pair_intersections(sv_a, off_a, sv_b, off_b):
 def _binary_sets(col) -> tuple[np.ndarray, np.ndarray]:
     """Zero-copy (flat uint64 values, offsets) view of a binary column of
     packed little-endian uint64 sets."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    bufs = col.buffers()
-    byte_off = np.frombuffer(bufs[1], dtype=np.int32)[
-        col.offset: col.offset + len(col) + 1
-    ].astype(np.int64)
-    data = (np.frombuffer(bufs[2], dtype=np.uint8)
-            if bufs[2] is not None else np.empty(0, np.uint8))
-    blob = data[byte_off[0]: byte_off[-1]]
-    sv = np.frombuffer(np.ascontiguousarray(blob), dtype=np.uint64)
-    return sv, (byte_off - byte_off[0]) // 8
+    blob, byte_off = string_bytes(col)
+    return np.frombuffer(np.ascontiguousarray(blob), dtype=np.uint64), byte_off // 8
 
 
 def verify_pairs_batch(batch: pa.Table, threshold: float = 0.8) -> pa.Table:
@@ -349,7 +332,7 @@ def _with_pair_part(b: pa.Table, col_a: str = "doc_a",
                     col_b: str = "doc_b") -> pa.Table:
     a = b.column(col_a).to_numpy(zero_copy_only=False).astype(np.uint64)
     c = b.column(col_b).to_numpy(zero_copy_only=False).astype(np.uint64)
-    key = _splitmix(a * _U64(0x100000001B3) + c)
+    key = splitmix64(a * _U64(0x100000001B3) + c)
     return b.append_column(
         "pair_part", pa.array((key % _U64(N_PARTS)).astype(np.int64)))
 
@@ -695,7 +678,7 @@ def simhash_chunk_rows(batch: pa.Table) -> pa.Table:
         "doc_id": pa.array(np.tile(d, 4), type=pa.int64()),
         "simhash": pa.array(np.tile(s.view(np.int64), 4), type=pa.int64()),
         "chunk_key": pa.array(key.view(np.int64), type=pa.int64()),
-        "part": pa.array((_splitmix(key) % _U64(N_PARTS)).astype(np.int64),
+        "part": pa.array((splitmix64(key) % _U64(N_PARTS)).astype(np.int64),
                          type=pa.int64()),
     })
 

@@ -16,6 +16,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..codecs.dictionary import _poly_hash_segments, string_bytes
+
 # --- token counting --------------------------------------------------------
 
 # BPE-ish pre-tokenizer: word pieces or single non-space punctuation
@@ -81,10 +83,6 @@ def quality_batch(batch: pa.Table) -> pa.Table:
     })
 
 
-_sw_sql = " + ".join(
-    f"len(text) - len(replace(text, ' {w} ', '')) "
-    f"-- {w}\n      " for w in []
-)
 # count_substring(text, pat) == (len(text)-len(replace(text,pat,'')))/len(pat)
 _stop_terms = " + ".join(
     f"(len(text) - len(replace(text, ' {w} ', ''))) // {len(w) + 2}"
@@ -182,27 +180,8 @@ def fingerprint_batch(batch: pa.Table) -> pa.Table:
 
 
 def _rolling_hash(text: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    if isinstance(text, pa.ChunkedArray):
-        text = text.combine_chunks()
-    bufs = text.buffers()
-    off_dtype = np.int64 if pa.types.is_large_string(text.type) else np.int32
-    offsets = np.frombuffer(bufs[1], dtype=off_dtype)[
-        text.offset: text.offset + len(text) + 1
-    ].astype(np.int64)
-    data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None else np.empty(0, np.uint8)
-    blob = data[offsets[0]: offsets[-1]]
-    off = offsets - offsets[0]
-    lengths = np.diff(off)
-    P = np.uint64(1099511628211)
-    pos = np.arange(len(blob), dtype=np.int64) - np.repeat(off[:-1], lengths)
-    from ..pipelines.verify import _pow_mod64
-
-    terms = (blob.astype(np.uint64) + np.uint64(0x9E37)) * _pow_mod64(P, pos)
-    out = np.zeros(len(lengths), dtype=np.uint64)
-    nz = lengths > 0
-    if nz.any():
-        out[nz] = np.add.reduceat(terms, off[:-1][nz])
-    return out
+    """Per-doc sum((byte + 0x9E37) * P^pos) mod 2^64, P = 1099511628211."""
+    return _poly_hash_segments(*string_bytes(text), np.uint64(0x9E37))
 
 
 SQL_FINGERPRINT = "SELECT doc_id, md5(text) AS md5 FROM documents"

@@ -1,12 +1,14 @@
 """Vectorized text hashing kernels shared by the dedup / text-analysis
 operators (no Python-per-row loops — everything runs over the batch's
-concatenated Arrow string buffers).
+concatenated Arrow string buffers, read through
+``codecs.dictionary.string_bytes``).
 
 Two word-hash families:
 
-- ``word_hashes64``: full 64-bit polynomial hash (reuses the
-  ``string_hashes64`` kernel from codecs/dictionary.py). Used where only
-  internal consistency matters (MinHash shingles).
+- ``string_hashes64`` (codecs/dictionary.py): the engine's one 64-bit
+  polynomial byte-segment kernel, ``_poly_hash_segments``, with an FNV
+  seed and an avalanche. Used where only internal consistency matters
+  (MinHash shingles).
 - ``word_hashes31`` + ``mix64``: a 31-bit polynomial hash mod (2^31-1)
   expanded to 64 bits by a multiply+xor-shift mix. Deliberately simple so
   a DuckDB oracle can reproduce it bit-for-bit over ASCII text (the SQL
@@ -24,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..codecs.dictionary import string_hashes64
+from ..codecs.dictionary import one_chunk, string_bytes, string_hashes64
 
 P31 = (1 << 31) - 1
 MIX_K = 0x9E3779B97F4A7C15
@@ -41,41 +43,13 @@ def _pow131(n: int) -> np.ndarray:
     return _POW131
 
 
-def _as_array(texts) -> pa.Array:
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    return texts
-
-
 def flat_words(texts) -> tuple[pa.Array, np.ndarray]:
     """Split every doc on single spaces (same semantics as Python's
     ``s.split(' ')``, including empty words for runs of spaces) and return
     (flat word array over the whole batch, words-per-doc counts)."""
-    lst = pc.split_pattern(_as_array(texts), " ")
-    if isinstance(lst, pa.ChunkedArray):
-        lst = lst.combine_chunks()
+    lst = pc.split_pattern(one_chunk(texts), " ")
     counts = pc.list_value_length(lst).to_numpy(zero_copy_only=False).astype(np.int64)
     return lst.flatten(), counts
-
-
-def _string_bytes(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """(concatenated utf-8 bytes, per-value lengths) of a string array,
-    straight from the Arrow buffers."""
-    arr = _as_array(arr)
-    bufs = arr.buffers()
-    off_dtype = np.int64 if pa.types.is_large_string(arr.type) else np.int32
-    offsets = np.frombuffer(bufs[1], dtype=off_dtype)[
-        arr.offset: arr.offset + len(arr) + 1
-    ].astype(np.int64)
-    data = (np.frombuffer(bufs[2], dtype=np.uint8)
-            if bufs[2] is not None else np.empty(0, np.uint8))
-    blob = data[offsets[0]: offsets[-1]]
-    return blob, np.diff(offsets - offsets[0])
-
-
-def word_hashes64(flat: pa.Array) -> np.ndarray:
-    """64-bit hash per word (vectorized, internal-use only)."""
-    return string_hashes64(flat)
 
 
 HASH_MAX_WORD = 256  # positions beyond this are ignored on BOTH sides
@@ -91,12 +65,11 @@ def word_hashes31(flat: pa.Array) -> np.ndarray:
     equals the DuckDB mirror's codepoint-wise ``ord()`` only for ASCII
     text (the sandbox corpus is ASCII; the oracle compare would surface
     any drift)."""
-    blob, lengths = _string_bytes(flat)
+    blob, off = string_bytes(flat)
+    lengths = np.diff(off)
     n = len(lengths)
     if len(blob) == 0:
         return np.zeros(n, dtype=np.uint64)
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=off[1:])
     pos = np.arange(len(blob), dtype=np.int64) - np.repeat(off[:-1], lengths)
     pows = _pow131(min(int(lengths.max()), HASH_MAX_WORD))
     # (byte+7) < 2^9, pow < 2^31, word len <= 256 -> sum < 2^48: no overflow
@@ -161,7 +134,7 @@ def shingle_sets(texts, k: int = 3) -> tuple[np.ndarray, np.ndarray]:
     empty set (they can never pair — mirrors the SQL oracle's behavior).
     """
     flat, counts = flat_words(texts)
-    wh = word_hashes64(flat)
+    wh = string_hashes64(flat)
     ndocs = len(counts)
     woff = np.zeros(ndocs + 1, dtype=np.int64)
     np.cumsum(counts, out=woff[1:])
@@ -250,8 +223,9 @@ def bpe_token_counts(texts) -> np.ndarray:
     computed as (# word-char runs) + (# non-word non-space chars) over the
     batch's concatenated byte buffer. ASCII-only fast path; non-ASCII
     batches fall back to the compiled regex per doc."""
-    arr = _as_array(texts)
-    blob, lengths = _string_bytes(arr)
+    arr = one_chunk(texts)
+    blob, off = string_bytes(arr)
+    lengths = np.diff(off)
     n = len(lengths)
     if len(blob) == 0:
         return np.zeros(n, dtype=np.int64)
@@ -261,8 +235,6 @@ def bpe_token_counts(texts) -> np.ndarray:
         rx = re.compile(r"[A-Za-z0-9_]+|[^A-Za-z0-9_\s]")
         return np.array([len(rx.findall(t)) for t in arr.to_pylist()],
                         dtype=np.int64)
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=off[1:])
     isw = _WORDCHAR[blob]
     punct = ~isw & ~_SPACE[blob]
     run_start = isw.copy()

@@ -18,6 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..codecs.dictionary import one_chunk, value_offsets
 from ..config import EncoderConfig
 from ..sources.tokens import DOC_ID_SQL_EXPR, TOKENIZE_SQL_EXPR, tokenize_documents
 from ..state import manifest as mf
@@ -106,12 +107,8 @@ SQL_TOKENIZE_STATS = (
 def _row_summaries(batch: pa.Table) -> pa.Table:
     """Per-row scalar fingerprints of the tokens list (sum/min/max/first/
     last) — list columns summarized so the oracle compare stays scalar."""
-    col = batch.column("tokens")
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    offsets = np.frombuffer(col.buffers()[1], dtype=np.int32)[
-        col.offset: col.offset + batch.num_rows + 1
-    ].astype(np.int64)
+    col = one_chunk(batch.column("tokens"))
+    offsets = value_offsets(col)
     vals = col.values.slice(int(offsets[0]), int(offsets[-1] - offsets[0]))
     v = vals.to_numpy(zero_copy_only=False).astype(np.int64)
     off = offsets - offsets[0]

@@ -10,6 +10,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..codecs.dictionary import string_hashes64
 from ..functions import ann, dedup, multimodal
 from ..functions.text import (
     SQL_FINGERPRINT,
@@ -454,9 +455,7 @@ def q_group_topk(sf_dir: str):
     def add_part(b: pa.Table) -> pa.Table:
         # deterministic vectorized hash: Python's hash() is salted per
         # process and would scatter one source across partitions
-        from ..functions.texthash import string_hashes64
-
-        h = string_hashes64(b.column("source").combine_chunks())
+        h = string_hashes64(b.column("source"))
         return b.append_column(
             "part", pa.array((h % _GROUP_TOPK_PARTS).astype(np.int64)))
 
@@ -501,10 +500,8 @@ def _vocab_part_counts(parts, num_parts: int):
     distinct words inside each partition independently: a word lands in
     exactly ONE partition, so the per-partition counts sum exactly and no
     single task ever holds the full vocabulary."""
-    from ..codecs.dictionary import string_hashes64
-
     def add_part(b: pa.Table) -> pa.Table:
-        h = string_hashes64(b.column("word").combine_chunks())
+        h = string_hashes64(b.column("word"))
         part = (h % np.uint64(num_parts)).astype(np.int64)
         return b.append_column("part", pa.array(part))
 
@@ -585,7 +582,7 @@ def q_approx_distinct_words(sf_dir: str):
     the exact count asserted in pytest (HLL p=12 -> ~1.6% rse)."""
     import ray.data
 
-    from ..functions.texthash import flat_words, word_hashes64
+    from ..functions.texthash import flat_words
     from ..selector import CardinalitySketch
 
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
@@ -594,7 +591,7 @@ def q_approx_distinct_words(sf_dir: str):
     def sketch_batch(b: pa.Table) -> pa.Table:
         flat, _ = flat_words(b.column("text"))
         sk = CardinalitySketch(p=_HLL_P)
-        sk.add_hashes(word_hashes64(flat))
+        sk.add_hashes(string_hashes64(flat))
         return pa.table({"regs": pa.array([sk.regs.tobytes()],
                                           type=pa.binary())})
 

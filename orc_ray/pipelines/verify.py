@@ -18,120 +18,20 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-_U64 = np.uint64
-_P = _U64(0x100000001B3)  # FNV-ish odd multiplier
-_K = _U64(0x9E3779B97F4A7C15)
-_PINV = _U64(pow(int(_P), -1, 1 << 64))  # P is odd => invertible mod 2^64
-
-# row hashes run in L2-sized tiles against tile-sized tables: position i =
-# t*T + r has P^i = PB^t * POW[r] with PB = P^T, so one tile's products sit
-# in a scratch buffer and only per-segment sums leave it. No value-count
-# sized array is built: each would cost a DRAM pass per stripe, and cached
-# power tables grow to hundreds of MB per process. POW/INV/GEO hold P^r,
-# P^-r and sum_{i<r} P^i for r <= T: 1.5 MB in all.
-_SHIFT = 16
-_T = 1 << _SHIFT
-
-
-def _pow_mod64(base: np.uint64, exp: np.ndarray) -> np.ndarray:
-    """base**exp mod 2^64, vectorized binary exponentiation."""
-    result = np.ones(len(exp), dtype=_U64)
-    b = int(base)
-    e = exp.astype(_U64)
-    maxe = int(e.max()) if len(e) else 0
-    bit = 0
-    while (1 << bit) <= maxe:
-        mask = (e >> _U64(bit)) & _U64(1) == 1
-        result[mask] *= _U64(b)
-        b = (b * b) & 0xFFFFFFFFFFFFFFFF
-        bit += 1
-    return result
-
-
-def _powers(base: np.uint64, n: int) -> np.ndarray:
-    """[base^0 .. base^(n-1)] mod 2^64."""
-    out = np.ones(n, dtype=_U64)
-    np.cumprod(np.full(n - 1, base, dtype=_U64), out=out[1:])
-    return out
-
-
-_POW = _powers(_P, _T + 1)
-_INV = _powers(_PINV, _T + 1)
-_GEO = np.zeros(_T + 1, dtype=_U64)
-np.cumsum(_POW[:-1], out=_GEO[1:])
-
-
-def _poly_hash_segments(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment hash sum((v+K) * P^pos_in_segment) mod 2^64.
-
-    Computed as P^(-start) * sum(v_i * P^i) over GLOBAL positions i plus
-    K * sum_{j<len} P^j — bit-identical to the per-segment formulation (P
-    odd => P^-1 exists mod 2^64) with no per-value position gather. The
-    global sums are built tile by tile: each tile's products are reduced
-    at the segment starts inside it (plus the head of a segment the tile
-    opens inside) and scaled by PB^t."""
-    n = len(offsets) - 1
-    m = len(values)
-    out = np.zeros(n, dtype=_U64)
-    if m == 0:
-        return out
-    lengths = np.diff(offsets)
-    nz = lengths > 0
-    starts = offsets[:-1][nz]
-    lengths = lengths[nz]
-    # per call: PB^q, PB^-q and sum_{q'<q} PB^q' for every block q <= m/T
-    nt = (m + _T - 1) // _T
-    blk = _powers(_POW[_T], nt + 1)
-    blk_inv = _powers(_INV[_T], nt + 1)
-    blk_geo = np.zeros(nt + 1, dtype=_U64)
-    np.cumsum(blk[:-1], out=blk_geo[1:])
-    # segments [first[t], first[t+1]) start inside tile t
-    first = np.searchsorted(starts, np.arange(nt + 1) * _T).tolist()
-    seg = np.zeros(len(starts), dtype=_U64)
-    scratch = np.empty(min(_T, m), dtype=_U64)
-    for t in range(nt):
-        s = t * _T
-        buf = scratch[: min(m - s, _T)]
-        # the cast-assign sign-extends signed values mod 2^64; a separate
-        # in-L2 multiply beats one casting multiply
-        buf[...] = values[s: s + len(buf)]
-        buf *= _POW[: len(buf)]
-        i0, i1 = first[t], first[t + 1]
-        local = starts[i0:i1] - s
-        # a tile that opens inside segment i0-1 adds its head to it
-        head = int(i0 == i1 or local[0] != 0)
-        if head:
-            local = np.concatenate(([0], local))
-        sums = np.add.reduceat(buf, local)
-        sums *= blk[t]
-        seg[i0 - head: i1] += sums
-    seg *= blk_inv[starts >> _SHIFT] * _INV[starts & (_T - 1)]
-    q = lengths >> _SHIFT
-    seg += _K * (_GEO[_T] * blk_geo[q] + blk[q] * _GEO[lengths & (_T - 1)])
-    out[nz] = seg
-    return out
-
-
-def _one_chunk(col):
-    """The column as one Arrow array, copying only when it has 0 or 2+
-    chunks (combine_chunks copies even a single chunk)."""
-    if isinstance(col, pa.ChunkedArray):
-        return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
-    return col
-
-
-def _string_hashes(arr: pa.Array) -> np.ndarray:
-    arr = _one_chunk(arr)
-    if pa.types.is_dictionary(arr.type):
-        arr = arr.cast(pa.string())
-    off_dtype = np.int64 if pa.types.is_large_string(arr.type) else np.int32
-    bufs = arr.buffers()
-    offsets = np.frombuffer(bufs[1], dtype=off_dtype)[
-        arr.offset: arr.offset + len(arr) + 1
-    ].astype(np.int64)
-    data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None else np.empty(0, np.uint8)
-    blob = data[offsets[0]: offsets[-1]]
-    return _poly_hash_segments(blob, offsets - offsets[0])
+# the polynomial kernel and its constants live with the string hash in
+# codecs.dictionary; the row-hash tests reach _T, _PINV and _pow_mod64 here
+from ..codecs.dictionary import (  # noqa: F401
+    _K,
+    _P,
+    _PINV,
+    _T,
+    _U64,
+    _poly_hash_segments,
+    _pow_mod64,
+    one_chunk,
+    string_bytes,
+    value_offsets,
+)
 
 
 def row_hashes(batch: pa.Table) -> np.ndarray:
@@ -139,11 +39,8 @@ def row_hashes(batch: pa.Table) -> np.ndarray:
     n = batch.num_rows
     h = np.full(n, _K, dtype=_U64)
     if "tokens" in batch.column_names:
-        col = _one_chunk(batch.column("tokens"))
-        off_dtype = np.int64 if pa.types.is_large_list(col.type) else np.int32
-        offsets = np.frombuffer(col.buffers()[1], dtype=off_dtype)[
-            col.offset: col.offset + n + 1
-        ].astype(np.int64)
+        col = one_chunk(batch.column("tokens"))
+        offsets = value_offsets(col)
         vals_arr = col.values.slice(int(offsets[0]), int(offsets[-1] - offsets[0]))
         # native dtype flows straight into the hash: int32 sign-extends to
         # the same uint64 terms as the old int64 widening, at half the
@@ -152,7 +49,7 @@ def row_hashes(batch: pa.Table) -> np.ndarray:
         h = h * _P + _poly_hash_segments(vals, offsets - offsets[0])
     for name in ("doc_id", "source"):
         if name in batch.column_names:
-            h = h * _P + _string_hashes(batch.column(name))
+            h = h * _P + _poly_hash_segments(*string_bytes(batch.column(name)))
     if "n_tok" in batch.column_names:
         v = batch.column("n_tok").to_numpy(zero_copy_only=False).astype(np.int64)
         h = h * _P + v.view(_U64)

@@ -29,6 +29,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..codecs.dictionary import string_bytes
+
 VOCAB = 50257
 
 TOKENIZE_SQL_EXPR = (
@@ -47,17 +49,8 @@ def tokenize_text_column(text: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     ``0 if len(w)==0 else (len(w)*131 + first_byte(w)) % VOCAB``.
     Returns (token_values int32, n_tok int64 per row).
     """
-    if isinstance(text, pa.ChunkedArray):
-        text = text.combine_chunks()
-    buffers = text.buffers()
-    off_dtype = np.int64 if pa.types.is_large_string(text.type) else np.int32
-    offsets = np.frombuffer(buffers[1], dtype=off_dtype)[
-        text.offset: text.offset + len(text) + 1
-    ].astype(np.int64)
-    data = np.frombuffer(buffers[2], dtype=np.uint8) if buffers[2] is not None else np.empty(0, np.uint8)
-    blob = data[offsets[0]: offsets[-1]]
-    offsets = offsets - offsets[0]
-    n = len(text)
+    blob, offsets = string_bytes(text)
+    n = len(offsets) - 1
 
     space_pos = np.flatnonzero(blob == 32)
     # word k spans [starts[k], ends[k]) after merging doc and space boundaries

@@ -38,7 +38,7 @@ from . import schema as _schema_mod
 from .codecs import (CHUNKED_KINDS, byterle, chunked, forpack, fsst,
                      outer_kind, planar, rle2)
 from .codecs.dictionary import (DICTIONARY_THRESHOLD, dictionary_encode,
-                                string_blob, strings_from_blob)
+                                string_blob, strings_from_blob, value_offsets)
 from .config import EncoderConfig
 from .selector import SelectorState, decode_int_stream, encode_int_stream
 from .state import storage
@@ -542,10 +542,7 @@ def _encode_list_column(name, arr, valid, w, config, selector, group, meta) -> d
     is_map = pa.types.is_map(t)
     if valid is not None:
         arr = arr.drop_null()
-    off_dtype = np.int64 if pa.types.is_large_list(t) else np.int32
-    offsets = np.frombuffer(arr.buffers()[1], dtype=off_dtype)[
-        arr.offset: arr.offset + len(arr) + 1
-    ].astype(np.int64)
+    offsets = value_offsets(arr)
     e0, n_elems = int(offsets[0]), int(offsets[-1] - offsets[0])
     lengths = np.diff(offsets)
     _int_stream(w, selector, group, name, "LENGTH", lengths, False, _SIDE)

@@ -215,6 +215,24 @@ def test_cli_import_orc(tmp_path, capsys):
     assert pq.read_table(out).num_rows == 10
 
 
+def test_cli_import_orc_csv_drops_nested(tmp_path, capsys):
+    """import-orc to .csv writes the file once, through decode's writer:
+    a list column is dropped with a note instead of failing the export."""
+    import pyarrow.csv as pacsv
+
+    src = pa.table({"a": pa.array([1, 2, 3], pa.int64()),
+                    "l": pa.array([[1], [2, 3], []], pa.list_(pa.int64())),
+                    "s": pa.array(["x", "y", "z"])})
+    dst = str(tmp_path / "nested.orc")
+    paorc.write_table(src, dst)
+    out = str(tmp_path / "nested.csv")
+    assert main(["import-orc", dst, "--out", out]) == 0
+    cap = capsys.readouterr()
+    assert "dropping non-csv columns ['l']" in cap.err
+    assert cap.out.count("wrote 3 rows") == 1
+    assert pacsv.read_csv(out).equals(src.drop_columns(["l"]))
+
+
 def test_read_orc_many_files_distributed_plan(ray_session, tmp_path):
     """Above _PLAN_INLINE_MAX paths the tail-parse planning itself runs as
     a map_batches stage; result must equal the concatenation, pruning must

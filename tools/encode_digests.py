@@ -10,7 +10,9 @@ in ``perfbench.session.WORKLOADS`` it builds the shards the way
 with ``split_stripes`` and encodes every stripe with ``encode_table``,
 one ``SelectorState`` per shard and the stripe's dominant source as the
 selector group, as an encode job's task does. That runs under
-``EncoderConfig()`` and ``EncoderConfig.size_priority()``.
+``EncoderConfig()``, ``EncoderConfig.size_priority()`` and (``bloom``)
+``EncoderConfig(bloom_columns=("doc_id", "source", "n_tok"))``, so the
+string and int bloom-filter streams are digested too.
 
 Prints one line per corpus and config: the sha256 over every stripe's
 (blob sha256, compact ``meta_json`` sha256) in order, the stripe count,
@@ -42,7 +44,9 @@ def main() -> None:
     from perfbench.session import SHARDS, WORKLOADS
 
     configs = {"default": EncoderConfig(),
-               "size_priority": EncoderConfig.size_priority()}
+               "size_priority": EncoderConfig.size_priority(),
+               "bloom": EncoderConfig(
+                   bloom_columns=("doc_id", "source", "n_tok"))}
     print(f"checkout {root}")
     for workload, spec in WORKLOADS.items():
         per = spec["rows"] // SHARDS
