@@ -1,5 +1,6 @@
-"""Every functions/ stage and the broadcast-using queries finish on a
-1-CPU Ray cluster.
+"""Every functions/ stage, the broadcast-using queries and the encode,
+checksum, fsck, compaction and decode stages finish on a 1-CPU Ray
+cluster.
 
 A stage that holds its CPU for the whole job (an actor pool) starves the
 read that feeds it when the cluster has one CPU, and the job never ends.
@@ -7,8 +8,8 @@ The checks run in a subprocess with ``ray.init(num_cpus=1)`` under a hard
 timeout, on tiny generated inputs, and each result is compared with a
 local or DuckDB computation of the same thing.
 
-Run directly: ``python tests/test_one_cpu.py DIR`` writes the inputs to
-DIR and runs every check.
+Run directly: ``python tests/test_one_cpu.py DIR [stages|encode]`` writes
+the inputs to DIR and runs that group of checks (default ``stages``).
 """
 
 import os
@@ -185,7 +186,73 @@ def _check_all(d: str) -> None:
     ray.shutdown()
 
 
-def test_stages_finish_at_one_cpu(tmp_path):
+def _check_encode(d: str) -> None:
+    """The encode-side stages on a multi-partition token corpus. encode_job's
+    blobs must equal an in-process encode of the same plan, partition by
+    partition in order, through one selector state."""
+    import hashlib
+
+    import ray
+
+    from orc_ray.config import EncoderConfig
+    from orc_ray.pipelines.compact import compact_job
+    from orc_ray.pipelines.decode import decode_dataset
+    from orc_ray.pipelines.encode import encode_job, encode_partitions
+    from orc_ray.pipelines.verify import (checksum_encoded, checksum_table,
+                                          fsck_encoded)
+    from orc_ray.sources.planner import plan_partitions
+    from orc_ray.sources.tokens import synthesize_tokens
+    from orc_ray.state import manifest as mf
+
+    table = synthesize_tokens(600, seed=17, mean_log=4.0)
+    paths = []
+    for k in range(3):
+        paths.append(os.path.join(d, f"tokens-{k}.parquet"))
+        pq.write_table(table.slice(200 * k, 200), paths[-1],
+                       row_group_size=50)
+    cfg = EncoderConfig(stripe_target_tokens=6_000)
+    part_tokens = 12_000
+    want = checksum_table(table)
+    ray.init(address="local", num_cpus=1, include_dashboard=False)
+    t0 = time.perf_counter()
+
+    def done(name: str) -> None:
+        print(f"{name} ok {time.perf_counter() - t0:.1f}s", flush=True)
+
+    def digests(out: str) -> dict:
+        bdir = mf.blobs_dir(out)
+        return {f: hashlib.sha256(open(os.path.join(bdir, f), "rb").read())
+                .hexdigest() for f in sorted(os.listdir(bdir))}
+
+    out = os.path.join(d, "enc")
+    summary = encode_job(paths, out, cfg, partition_target_tokens=part_tokens)
+    assert summary["planned_partitions"] >= 6, summary
+    done("encode_job")
+    assert checksum_encoded(out) == want
+    done("checksum_encoded")
+    fsck = fsck_encoded(out)
+    assert fsck["bad"] == 0 and fsck["ok"] == fsck["blobs"] > 0, fsck
+    done("fsck_encoded")
+    dst = os.path.join(d, "compacted")
+    comp = compact_job(out, dst, cfg, target_tokens=4 * part_tokens)
+    assert comp["stripes_after"] > 0 and checksum_encoded(dst) == want, comp
+    done("compact_job")
+    assert decode_dataset(out).count() == table.num_rows
+    done("decode_dataset")
+    ray.shutdown()
+
+    ref = os.path.join(d, "ref")
+    mf.ensure_dirs(ref)
+    specs = pa.Table.from_pylist(
+        [s.to_dict() for s in plan_partitions(paths, part_tokens)])
+    encode_partitions(specs, ref, cfg, job="in-process")
+    assert digests(out) == digests(ref)
+    done("blob digests")
+
+
+def _run_at_one_cpu(tmp_path, group: str) -> str:
+    """Run a check group in a fresh interpreter under TIMEOUT_S; its
+    stdout."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
@@ -193,7 +260,7 @@ def test_stages_finish_at_one_cpu(tmp_path):
     env.pop("RAY_ADDRESS", None)
     try:
         res = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), str(tmp_path)],
+            [sys.executable, os.path.abspath(__file__), str(tmp_path), group],
             cwd=root, env=env, capture_output=True, text=True,
             timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired as e:
@@ -202,8 +269,17 @@ def test_stages_finish_at_one_cpu(tmp_path):
             f"not finished in {TIMEOUT_S} s at 1 CPU; passed so far:\n"
             f"{out or ''}") from None
     assert res.returncode == 0, res.stdout + res.stderr
-    assert res.stdout.count(" ok ") == 11, res.stdout
+    return res.stdout
+
+
+def test_stages_finish_at_one_cpu(tmp_path):
+    assert _run_at_one_cpu(tmp_path, "stages").count(" ok ") == 11
+
+
+def test_encode_stages_at_one_cpu(tmp_path):
+    assert _run_at_one_cpu(tmp_path, "encode").count(" ok ") == 6
 
 
 if __name__ == "__main__":
-    _check_all(sys.argv[1])
+    {"stages": _check_all, "encode": _check_encode}[
+        sys.argv[2] if len(sys.argv) > 2 else "stages"](sys.argv[1])
