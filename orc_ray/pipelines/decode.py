@@ -5,7 +5,8 @@ manifest parquet directory is the footer; ``decode_dataset`` fans the
 per-partition manifest FILES out to task-compute ``map_batches`` (each
 task reads its tiny manifest parquets, then decodes the stripes they
 list; ``encode.work_units`` gives each file its own block up to 8 blocks
-per CPU). Feeding file paths instead of
+per CPU, and a one-CPU cluster one block for all). Feeding file paths
+instead of
 ``ray.data.read_parquet`` rows matters at scale: a run with thousands of
 partitions would otherwise spend seconds fanning out sub-megabyte
 ReadParquet tasks whose block layout (one coarse block per read task) also
@@ -159,7 +160,13 @@ def _value_hashes(values: list):
     if not values:
         raise ValueError("point lookup: values must not be empty")
     if isinstance(values[0], str):
-        return bloom.hash_strings(pa.array(values, type=pa.string()))
+        h = bloom.hash_strings(pa.array(values, type=pa.string()))
+        if "" in values:
+            # a stripe hashes "" to 0 when its column holds no byte, else
+            # to the seed hash: probe both (the exact filter drops extras)
+            h = np.concatenate([h, bloom.hash_strings(pa.array([""])),
+                                bloom.hash_strings(pa.array(["", "."]))[:1]])
+        return h
     return bloom.hash_ints(np.asarray(values, dtype=np.int64))
 
 

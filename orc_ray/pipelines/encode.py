@@ -5,7 +5,9 @@ Two paths share the stripe encoder core (stripe.py):
 1. ``encode_job`` — the flagship checkpointable path. A deterministic
    size-aware plan (sources/planner.py, reads only ``n_tok``) yields
    partition specs; ``work_units(specs)`` fans them out to task-compute
-   ``map_batches`` (one block per spec, up to 8 blocks per CPU).
+   ``map_batches`` (one block per spec, up to 8 blocks per CPU; a single
+   block on a one-CPU cluster, where each extra task only adds launch
+   cost).
    Codec-selector state (SURVEY.md §2.3 T4) lives in a per-process slot
    keyed by a job id, so it carries across one job's tasks on a worker
    and never into the next job. Each task reads its row range (only
@@ -47,25 +49,29 @@ STRIPE_TARGET_ROWS = 1_048_576
 
 
 def cluster_cpus() -> int:
-    """CPUs in the Ray cluster; 8 when Ray is not initialized yet (the
-    first Dataset a stage builds starts it)."""
+    """CPUs in the Ray cluster; before Ray is initialized, the count
+    ``ray.init()`` would detect (the first Dataset a stage builds starts
+    it)."""
     import ray
 
-    try:
-        return int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        return 8
+    if ray.is_initialized():
+        return int(ray.cluster_resources().get("CPU", 1))
+    from ray._private.utils import get_num_cpus
+
+    return get_num_cpus()
 
 
 def work_units(items: list[dict]):
-    """``from_items`` Dataset of a stage's work units: one block, so one
-    task, per unit, up to 8 blocks per cluster CPU; past that a block
-    carries several units. Launching a task costs a few ms, so one task
-    per unit would make a many-unit job on a small cluster mostly launch
-    overhead; 8 per CPU still keeps the tail short."""
+    """``from_items`` Dataset of a stage's work units. A one-CPU cluster
+    gets one block, so one task that loops over every unit: its tasks run
+    one at a time anyway, and each extra Ray Data task cost about 25-37 ms
+    of launch and hand-off there. Bigger clusters get one block per unit,
+    up to 8 blocks per CPU; past that a block carries several units, and
+    8 per CPU keeps the tail short."""
     import ray.data
 
-    blocks = max(1, min(len(items), 8 * cluster_cpus()))
+    cpus = cluster_cpus()
+    blocks = 1 if cpus <= 1 else max(1, min(len(items), 8 * cpus))
     return ray.data.from_items(items, override_num_blocks=blocks)
 
 

@@ -118,3 +118,36 @@ def test_point_lookup_rejects_empty_values(tmp_path):
     for lookup in (point_lookup, point_lookup_local):
         with pytest.raises(ValueError, match="values"):
             lookup(out, "doc_id", [])
+
+
+def test_point_lookup_empty_string(ray_session, tmp_path):
+    """A bloom filter holds "" as 0 when its stripe's column has no byte at
+    all and as the seed hash otherwise; a lookup for "" finds both kinds of
+    stripe, alone or next to a value that is absent."""
+    from orc_ray.pipelines.decode import point_lookup
+    from orc_ray.pipelines.encode import _encode_stripes
+    from orc_ray.selector import SelectorState
+
+    mixed = synthesize_tokens(200, seed=25)
+    src = mixed.column("source").to_pylist()
+    src[7] = ""
+    mixed = mixed.set_column(3, "source", pa.array(src, pa.string()))
+    empty = synthesize_tokens(30, seed=26)
+    empty = empty.set_column(3, "source", pa.array([""] * 30, pa.string()))
+    out = str(tmp_path / "enc")
+    cfg = EncoderConfig(bloom_columns=("source",))
+    mf.ensure_dirs(out)
+    for pid, t in enumerate((mixed, empty)):
+        mf.commit_partition(out, pid, _encode_stripes(
+            t, pid, out, cfg, SelectorState(cfg), {}))
+    assert mf.read_manifest(out).num_rows == 2
+    want = sorted([mixed.column("doc_id")[7].as_py()]
+                  + empty.column("doc_id").to_pylist())
+    for values in ([""], ["", "zzz-none"]):
+        got, counts = point_lookup_local(out, "source", values,
+                                         columns=["doc_id"])
+        assert sorted(got.column("doc_id").to_pylist()) == want, values
+        assert counts == {"stats": 0, "bloom": 0, "decoded": 2}, values
+        rows = point_lookup(out, "source", values,
+                            columns=["doc_id"]).take_all()
+        assert sorted(r["doc_id"] for r in rows) == want, values

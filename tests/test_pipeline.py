@@ -460,3 +460,40 @@ def test_work_units_block_per_unit_up_to_cap(ray_session):
     ds = work_units(items)
     assert ds.num_blocks() == cap
     assert sorted(r["i"] for r in ds.take_all()) == list(range(cap + 50))
+
+
+def test_work_units_one_block_at_one_cpu(ray_session, monkeypatch):
+    """A one-CPU cluster gets a single block, so one task, for all of a
+    stage's units, and every unit is still in it."""
+    from orc_ray.pipelines import encode
+
+    monkeypatch.setattr(encode, "cluster_cpus", lambda: 1)
+    for n in (1, 9, 500):
+        ds = encode.work_units([{"i": i} for i in range(n)])
+        assert ds.num_blocks() == 1
+        assert sorted(r["i"] for r in ds.take_all()) == list(range(n))
+
+
+def test_cluster_cpus_before_ray_starts():
+    """Before Ray starts, cluster_cpus is the CPU count ray.init detects."""
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import ray\n"
+        "from orc_ray.pipelines.encode import cluster_cpus\n"
+        "assert not ray.is_initialized()\n"
+        "before = cluster_cpus()\n"
+        "ray.init(address='local', include_dashboard=False)\n"
+        "print(before, int(ray.cluster_resources()['CPU']), cluster_cpus())\n"
+        "ray.shutdown()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                  if p]))
+    res = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    before, after, again = res.stdout.split()[-3:]
+    assert before == after == again
