@@ -150,6 +150,33 @@ def test_planes_sharing_a_chunk_decompress_it_once(monkeypatch):
     assert len(calls) == len(chunks) == 1
 
 
+def test_string_payload_range_read_decompresses_small_chunks(monkeypatch):
+    """A 1-64-row read of a zstd direct string column decompresses at most
+    two payload chunks of at most 16 KiB each, not the whole payload."""
+    from orc_ray.codecs import zstdchunk
+    from orc_ray.sources.tokens import synthesize_tokens
+    from orc_ray.stripe import _stream_dir
+
+    t = synthesize_tokens(20_000, seed=2, mean_log=1.0).select(["doc_id"])
+    # no outer kind: every zstd block decompressed is a payload chunk
+    blob, meta = encode_table(t, EncoderConfig(outer_compression="none"))
+    rec = _stream_dir(meta)[("doc_id", "DATA")]
+    assert rec["codec"] == "zstd" and "byte_index" in rec
+    assert rec["blob_raw_length"] > 64 * 1024
+    calls = []
+    real = zstdchunk._decompress_block
+    monkeypatch.setattr(zstdchunk, "_decompress_block",
+                        lambda p, raw_n: calls.append(raw_n) or real(p, raw_n))
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        n = int(rng.integers(1, 65))
+        lo = int(rng.integers(0, t.num_rows - n + 1))
+        calls.clear()
+        sub, _ = decode_blob_rows(blob, meta, lo, n)
+        assert sub.column("doc_id").equals(t.column("doc_id").slice(lo, n))
+        assert 1 <= len(calls) <= 2 and max(calls) <= 16 * 1024, (lo, calls)
+
+
 def test_range_decode_is_byte_sparse(big_stripe):
     t, blob, meta = big_stripe
     sub, touched = decode_blob_rows(blob, meta, 612345, 10000)
