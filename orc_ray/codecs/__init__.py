@@ -22,7 +22,10 @@ id              kernel
 
 The three chunked kinds share one framing (:mod:`chunked`) and one module
 interface, ``compress(data, chunk_size)``, ``compress_parts(parts,
-chunk_size)`` and ``decompress(data, raw_length, chunk_size)``.
+chunk_size)`` and ``decompress(data, raw_length, chunk_size)``. Three
+chunk sizes are in use: 256 KiB for streams without a seek index, the
+kind's ``seek_chunk`` for seekable outer streams and :data:`BLOB_CHUNK`
+for string payloads.
 :data:`CHUNKED_KINDS` is the one place their names are listed; every
 writer, reader and the selector look a kind up there.
 """
@@ -50,8 +53,17 @@ CHUNKED_KINDS = {
     # seekable streams compress in smaller chunks so a row-range read
     # rounds to 64 KiB per covered plane/slice instead of 256 KiB —
     # measured +0.4% size on token planes for ~4x tighter range reads
+    # (16 KiB would cost them +1.1% on long-docs)
     "zstd": ChunkedKind(zstdchunk, 5, 64 * 1024, True),
 }
+
+# raw chunk size of a string payload (a direct column's DATA, a
+# dictionary's DICT_DATA) under every chunked kind: a 1-64-row long-docs
+# read decompresses 16.9 KB of doc_id instead of the 209.5 KB one 256 KiB
+# chunk held, and the encoded bytes fell (-0.04% long-docs, -0.78%
+# short-docs). Streams that record no chunk_size were written with
+# chunked.DEFAULT_CHUNK.
+BLOB_CHUNK = 16 * 1024
 
 # "auto" compresses with this kind and keeps it only where it shrinks the
 # stream; "none" never compresses

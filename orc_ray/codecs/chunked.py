@@ -1,10 +1,11 @@
 """ORC chunked block-compression framing, shared by every compression kind.
 
 Every ORC CompressionKind cuts a stream into chunks of at most
-``chunk_size`` raw bytes (256 KiB by default, writer.go:25) and puts each
-behind a 3-byte little-endian header ``(stored_len << 1) | isOriginal``
-(compressioncodec.go:302-314); a chunk whose compressed form is not
-smaller is stored as is. Only the per-chunk block codec differs between
+``chunk_size`` raw bytes (256 KiB by default, writer.go:25; this engine
+writes smaller chunks where reads seek: ``ChunkedKind.seek_chunk`` and
+``codecs.BLOB_CHUNK``) and puts each behind a 3-byte little-endian header
+``(stored_len << 1) | isOriginal`` (compressioncodec.go:302-314); a chunk
+whose compressed form is not smaller is stored as is. Only the per-chunk block codec differs between
 kinds, so the codec modules (:mod:`zlibchunk`, :mod:`zstdchunk`,
 :mod:`snappyblock`) supply block functions and build their public
 ``compress``/``compress_parts``/``decompress`` on the two loops here.

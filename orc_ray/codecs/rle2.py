@@ -600,14 +600,14 @@ def decode(buf: bytes, signed: bool, n: int | None = None,
     raw = np.frombuffer(buf, dtype=np.uint8)
     tags, pos_a, cnt_a, w_a, e1, e2 = _scan_runs(buf, n)
     starts = np.zeros(len(tags) + 1, dtype=np.int64)
-    np.cumsum(cnt_a, out=starts[1:])
+    np.add.accumulate(cnt_a, out=starts[1:])
     total = int(starts[-1])
     out = np.empty(total, dtype=out_dtype)
     # a tag the stream does not use costs one bincount slot, no array pass
     present = np.bincount(tags, minlength=4)
     # DIRECT: one unpack per (width, count) group
     if present[DIRECT]:
-        direct_idx = np.flatnonzero(tags == DIRECT)
+        direct_idx = (tags == DIRECT).nonzero()[0]
         for w, c, sel in _groups(w_a[direct_idx], cnt_a[direct_idx]):
             grp = direct_idx[sel]
             nb = (c * w + 7) // 8
@@ -618,7 +618,7 @@ def decode(buf: bytes, signed: bool, n: int | None = None,
     # DELTA: batch the header varints, then one unpack + row-cumsum per
     # (width, count) group
     if present[DELTA]:
-        di = np.flatnonzero(tags == DELTA)
+        di = (tags == DELTA).nonzero()[0]
         u1 = _batch_vulongs(raw, pos_a[di] + 2, e1)
         first_vals = zigzag_decode(u1) if signed else u1.view(_I64)
         delta_bases = zigzag_decode(_batch_vulongs(raw, e1 + 1, e2))
@@ -645,7 +645,7 @@ def decode(buf: bytes, signed: bool, n: int | None = None,
     # SHORT_REPEAT: batch big-endian value gather per byte-width, then one
     # ragged repeat/scatter for all runs
     if present[SHORT_REPEAT]:
-        sr_idx = np.flatnonzero(tags == SHORT_REPEAT)
+        sr_idx = (tags == SHORT_REPEAT).nonzero()[0]
         vals_u = np.zeros(len(sr_idx), dtype=_U64)
         srw = w_a[sr_idx]
         for w in _distinct(srw):
@@ -665,7 +665,7 @@ def decode(buf: bytes, signed: bool, n: int | None = None,
         out[pos0 + intra] = np.repeat(dec, cnts)
     # PATCHED_BASE (rare), per run
     if present[PATCHED_BASE]:
-        for i in np.flatnonzero(tags == PATCHED_BASE):
+        for i in (tags == PATCHED_BASE).nonzero()[0]:
             s = starts[i]
             arr, _ = _read_patched_base(buf, int(pos_a[i]))
             out[s: s + len(arr)] = arr

@@ -35,8 +35,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import schema as _schema_mod
-from .codecs import (CHUNKED_KINDS, byterle, chunked, forpack, fsst,
-                     outer_kind, planar, rle2)
+from .codecs import (BLOB_CHUNK, CHUNKED_KINDS, byterle, chunked, forpack,
+                     fsst, outer_kind, planar, rle2)
 from .codecs.dictionary import (DICTIONARY_THRESHOLD, dictionary_encode,
                                 string_blob, strings_from_blob, value_offsets)
 from .config import EncoderConfig
@@ -142,12 +142,14 @@ class _BlobWriter:
             if codec in _RANGE_CODECS:
                 rec[f"{codec}_header"] = [
                     int(x) for x in _RANGE_CODECS[codec].parse_header(head[:24])]
-        # codec-level chunked compression (string blobs): chunk index
-        # enables raw range reads when paired with a byte_index
+        # codec-level chunked compression (string payloads): the chunk
+        # size is recorded on every such stream, and the chunk index,
+        # paired with a byte_index, enables raw range reads
         blob_kind = CHUNKED_KINDS.get(codec)
-        if blob_kind is not None and "byte_index" in extra:
-            rec["chunk_offsets"] = chunked.chunk_offsets(head)
-            rec["chunk_size"] = chunked.DEFAULT_CHUNK
+        if blob_kind is not None:
+            if "byte_index" in extra:
+                rec["chunk_offsets"] = chunked.chunk_offsets(head)
+            rec["chunk_size"] = BLOB_CHUNK
         outer = "none"
         # fsst and chunked-blob payloads are already entropy-coded AND were
         # already measured against block compression in _encode_blob —
@@ -184,7 +186,9 @@ def _encode_blob(
 ) -> tuple[str, bytes, np.ndarray]:
     """Choose fsst, a chunked kind or none for a string byte payload by size.
     Returns (codec, payload, lengths_for_stream) — with FSST the LENGTH
-    stream carries compressed lengths. The FSST trial gets a size limit
+    stream carries compressed lengths. A chunked kind compresses in
+    ``BLOB_CHUNK`` chunks, so a row-range read decompresses about its
+    rows' bytes. The FSST trial gets a size limit
     from raw and the chunked kinds and is abandoned once it cannot win, so
     the choice equals encoding every candidate in full. When selector
     state is present the trained FSST symbol table is reused across chunks
@@ -206,7 +210,8 @@ def _encode_blob(
     # which may then stop as soon as it cannot win. Candidates still rank
     # in list order, a later one replacing the best only when strictly
     # smaller, and everything must beat raw.
-    sized = {cand: (CHUNKED_KINDS[cand].module.compress(blob), lengths)
+    sized = {cand: (CHUNKED_KINDS[cand].module.compress(blob, BLOB_CHUNK),
+                    lengths)
              for cand in candidates if cand in CHUNKED_KINDS}
     if "fsst" in candidates:
         at = candidates.index("fsst")
@@ -225,17 +230,6 @@ def _encode_blob(
     if cached is None:
         selector.record_blob_choice(group, column, best[0])
     return best[0], best[1], best[2]
-
-
-def _decode_blob(codec: str, payload: bytes, lengths: np.ndarray) -> tuple[bytes, np.ndarray]:
-    if codec == "none":
-        return payload, lengths
-    if codec in CHUNKED_KINDS:
-        return (CHUNKED_KINDS[codec].module.decompress(
-            payload, int(np.sum(lengths))), lengths)
-    if codec == "fsst":
-        return fsst.decompress(payload, lengths)
-    raise ValueError(f"unknown blob codec {codec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +787,28 @@ def _out_dtype(codec: str, t: pa.DataType):
     return np.int64
 
 
+def _payload(reader: RangeReader, rec: dict, raw_length: int | None,
+             lo: int = 0, hi: int | None = None):
+    """Raw bytes [lo, hi) of a string payload stream of ``raw_length``
+    decoded bytes. A payload of a chunked kind is read as if the kind were
+    the stream's outer stage (the framing is the same), so it decompresses
+    only its covering chunks, at the stream's recorded ``chunk_size``; any
+    other payload is read as stored."""
+    if rec["codec"] in CHUNKED_KINDS:
+        rec = dict(rec, outer=rec["codec"], raw_length=raw_length)
+    return _raw_range(reader, rec, lo, hi)
+
+
+def _decode_blob(reader: RangeReader, rec: dict,
+                 lengths: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """A whole string payload stream decoded: (value bytes, value
+    lengths); ``lengths`` are the LENGTH stream's values (compressed
+    lengths under fsst)."""
+    if rec["codec"] == "fsst":
+        return fsst.decompress(_raw_range(reader, rec), lengths)
+    return _payload(reader, rec, int(lengths.sum())), lengths
+
+
 def _strings_range(reader: RangeReader, data_rec: dict, len_rec: dict,
                    lo: int, hi: int, n: int, stride: int) -> pa.Array:
     """Strings [lo, hi) of a direct string column's ``n`` values. With a
@@ -803,8 +819,8 @@ def _strings_range(reader: RangeReader, data_rec: dict, len_rec: dict,
     bindex = data_rec.get("byte_index")
     if bindex is None:
         lens = _int_range(reader, len_rec, 0, n, n)
-        blob, lens = _decode_blob(codec, _raw_range(reader, data_rec), lens)
-        return strings_from_blob(blob, lens).slice(lo, hi - lo)
+        return strings_from_blob(*_decode_blob(reader, data_rec, lens)).slice(
+            lo, hi - lo)
     # byte_index entries are per stride VALUES (== rows when the column
     # has no nulls)
     k = min(lo // stride, len(bindex) - 1)
@@ -813,14 +829,7 @@ def _strings_range(reader: RangeReader, data_rec: dict, len_rec: dict,
     lens = both[lo - base:]
     b0 = bindex[k] + int(both[: lo - base].sum())
     b1 = b0 + int(lens.sum())
-    if codec in CHUNKED_KINDS:
-        # a block-compressed payload ranges through its chunk index, read
-        # as if it were the stream's outer stage (the framing is the same)
-        blob = _raw_range(reader, dict(data_rec, outer=codec,
-                                       raw_length=data_rec["blob_raw_length"]),
-                          b0, b1)
-    else:
-        blob = _raw_range(reader, data_rec, b0, b1)
+    blob = _payload(reader, data_rec, data_rec.get("blob_raw_length"), b0, b1)
     if codec != "fsst":
         return strings_from_blob(blob, lens)
     # symbol table (a small header) + only the covering token bytes; lens
@@ -894,15 +903,16 @@ def _decode_column_rows(reader: RangeReader, streams: dict, stride: int,
             dict_rec = streams[(name, "DICT_DATA")]
             size = dict_rec["dict_size"]
             lens = _int_range(reader, streams[(name, "LENGTH")], 0, size, size)
-            dictionary = strings_from_blob(*_decode_blob(
-                dict_rec["codec"], _raw_range(reader, dict_rec), lens))
-            vals = dictionary.take(_int_array(indexes, pa.int64(), None))
+            dictionary = strings_from_blob(*_decode_blob(reader, dict_rec,
+                                                         lens))
+            # one gather builds exactly the rows read, nulls included
+            vals = dictionary.take(_int_array(indexes, pa.int64(), valid))
         else:
             vals = _strings_range(reader, streams[(name, "DATA")],
                                   streams[(name, "LENGTH")], vlo, vhi,
                                   n_vals, stride)
-        if valid is not None:
-            vals = _scatter_generic(vals, valid)
+            if valid is not None:
+                vals = _scatter_generic(vals, valid)
         return vals if vals.type == t else vals.cast(t)
     if enc == "decimal":
         lo64 = _int_range(reader, streams[(name, "DATA")], vlo, vhi, n_vals)

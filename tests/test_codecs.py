@@ -235,8 +235,9 @@ def test_fsst_limit_is_exact(name):
 def _parent_encode_blob(blob, lengths, candidates):
     """The string-blob selection before size-limited FSST: every candidate
     encoded in full, in list order, a later one replacing the best only
-    when strictly smaller."""
-    from orc_ray.codecs import CHUNKED_KINDS
+    when strictly smaller. The chunked kinds compress in the encoder's
+    string payload chunks."""
+    from orc_ray.codecs import BLOB_CHUNK, CHUNKED_KINDS
 
     arr = np.frombuffer(blob, dtype=np.uint8)
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
@@ -244,7 +245,7 @@ def _parent_encode_blob(blob, lengths, candidates):
     best = ("none", blob, lengths, len(blob))
     for cand in candidates:
         if cand in CHUNKED_KINDS:
-            z = CHUNKED_KINDS[cand].module.compress(blob)
+            z = CHUNKED_KINDS[cand].module.compress(blob, BLOB_CHUNK)
             if len(z) < best[3]:
                 best = (cand, z, lengths, len(z))
         elif cand == "fsst":

@@ -23,23 +23,23 @@ from orc_ray.stripe import decode_blob, decode_blob_rows, encode_table
 PINNED = {
     "default": [
         ("d65c13f1e72fe443ae2d19d81029af0dcf49808ac8b3d963677ebcf5de9b34ac",
-         "e9bd7c4e4abf3c436216e9a04ee6cfa6e6979a579321d8539fc6a358d39ad264"),
+         "5fc5b85d89350e96384cfc77878335fb7953c9330dfec3cbfd018e4f4a4541e9"),
         ("baff56ce0609c286684a930985fc701ca5d964e74fb97c687db4f25a7e912797",
-         "5c567aadd026b4ebe32dd2df8ddc16de02cfc89a33922602e0820467ee29fd5f"),
+         "32c9fb131690fa4c551e1cd48e522949ec0fa9dc5d092f73d353b6da621d58d4"),
         ("b605a19dbd19da05b9d8b0c9a5bfa03914bc016d2487cfe657857032d5ea6330",
-         "3504398f01e851cad94b82958282aa91f19edb1708e54afb06587d27a768aacc"),
+         "af05c4cd00566c175ea13658acb4baf03b7db63db305386a141b884efe07bf35"),
         ("85bdf7549fe9125f413cd389bb8f2dea22f91c16bac414b8b680b8f56e1a94d3",
-         "eca973867eb81889cae956b461a09061f782f039ede7734eee23d86429aa180c"),
+         "6c75e2b80f041e73ad463ef936bb66495e4f262824fa131d4563e6df0a186e7e"),
     ],
     "size_priority": [
         ("d616c9d7a1747eaa913684faf1272c087964d574150189558b1fd69616d8d91b",
-         "d73264f3df60b59ccb8e432f040308097b2f9ff642cd70a87b7f53a0c3008bc5"),
+         "a091ed9fd7880d2d0b0fade673627f2434e0fd2ef440b69283f391cd2d99ced4"),
         ("e339b0c99279bc7076ed7ba9d5f890280d89a5c70ec2872c8156809fe4579738",
-         "7dc57a0749745f5b4dfb55e0b1f156dd759b8b5d2379a888d6ea76153a8834cc"),
+         "191c2473c7c4d3b8c3eea268a818bf5eec4553962f2651fea88c7626211eb8ed"),
         ("d31b90bd24291b4089ddb7b60681f2b5c7217423a026e023464c967210682bda",
-         "2ee989c0cbe00ff15ef6a4f99670854c8b4238cf9cb6a0b62a476d7a7f036204"),
+         "20ccaea49d36b50d5334b92337a1ded5f8ab988893e1721cdbc4f6182fbdba98"),
         ("be147d80a33d5c99d131886a1c1cd1f849ff9abff9b5642336f418cc89789f1f",
-         "3458999b0883c88a42642518814e55332953d3b1a1cdab933937b6c461651d7f"),
+         "e362b32f3e1faeb62d73ee9fd83037bd9739e43841386c04929fa965b0e90878"),
     ],
     # FSST against raw only, so doc_id's DATA stream is an FSST stream
     "fsst": [
@@ -118,8 +118,8 @@ PINNED_ALL_KINDS = {
     "default/none": [
         ("71160a2348012a39891d37c4064792664f21258b17d0d7ee2d6af5acdf6dfc9d",
          "77113618e0f19fc91aed92acc69bf13fe42afe4548114752d3bf346253464972"),
-        ("93b7a698eaa805a7e579cf303c00fc75d773db4d687fecfdc114e06753ebb8e3",
-         "12b8c3053bb1f8fdcdad184c64dedc0d81724431c58e2a0828bf36d73c169898"),
+        ("67724a52ecae948899701876648ca6bb9f3440f0dd27ae1c1875baa7fdfbb2bc",
+         "e3ed1d546e3a9a049f949aae2ec154cb76e0013078308663a10f42290279ca56"),
     ],
     "default/selector": [
         ("71160a2348012a39891d37c4064792664f21258b17d0d7ee2d6af5acdf6dfc9d",
@@ -130,8 +130,8 @@ PINNED_ALL_KINDS = {
     "size_priority/none": [
         ("150cd87fc11f5c10d103d50e1b1185ca4ab28b64c2b08dbc94f52b8a3e0cef67",
          "0963b6e3401a74ffe864f2f782f31662bfc892ade7647cf20aeabc84a7c08764"),
-        ("037f7067b615a121d34e47341b0a4a37fbda0ac602956a9c4faa597cf0b46b23",
-         "141afaa719305ff3a5ee8fab4b7e81714443b5be729cf646412ecbaee1b6cb33"),
+        ("b890bc44a34e5322e5b1b5c856eb6ccc581aa187eb838c2d12914366718a6ce0",
+         "c4440cda402ca0044845a33e826f56934f3a4932d552f50b0d5ba08622931340"),
     ],
     "size_priority/selector": [
         ("150cd87fc11f5c10d103d50e1b1185ca4ab28b64c2b08dbc94f52b8a3e0cef67",
@@ -142,8 +142,8 @@ PINNED_ALL_KINDS = {
     "snappy/none": [
         ("1736c48552e41ae366c171ec7ac04b3144f6b1ffed21ec7fc2985d3f6d519172",
          "4d9e17e68c6732c80bf833e449c9227e401c4b51dc75f58a6a37d1f92b5b8729"),
-        ("3e2d7ad3c1191aae521fcc79b357f1c34cfce147dd0a6762d8f27e5ba49658e8",
-         "a3da1c5336baeae57b7b7adc4a7cae19d63baf20856a303b013e64daf4a0491e"),
+        ("0690752e2763dcaa3d767f50ab8e8543072f6a18d1b3a5ba80df272544e3d652",
+         "83d71bb63c71b980382e4ec07909f002cc756870fd21143657c363a4be03abc3"),
     ],
     "snappy/selector": [
         ("1736c48552e41ae366c171ec7ac04b3144f6b1ffed21ec7fc2985d3f6d519172",

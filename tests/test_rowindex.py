@@ -177,6 +177,48 @@ def test_string_payload_range_read_decompresses_small_chunks(monkeypatch):
         assert 1 <= len(calls) <= 2 and max(calls) <= 16 * 1024, (lo, calls)
 
 
+@pytest.mark.parametrize("stride", [10_000, 0])
+def test_string_payloads_in_256k_chunks_still_decode(monkeypatch, stride):
+    """Stripes written with 256 KiB string payload chunks, as older
+    writers wrote them: ``chunk_size`` 262144 where the payload has a
+    byte_index, no ``chunk_size`` elsewhere (every dictionary payload, and
+    every payload at stride 0). A direct and a nullable dictionary column
+    decode whole and by row range to exactly the input."""
+    from orc_ray import stripe
+    from orc_ray.codecs import CHUNKED_KINDS, chunked
+
+    rng = np.random.default_rng(9)
+    n = 30_000
+    vocab = np.array([f"word-{i:05d}-{'x' * (i % 13)}" for i in range(8000)])
+    t = pa.table({
+        "title": pa.array([f"title-{v:09d}" for v in rng.integers(0, 10**9, n)]),
+        "word": pa.array(vocab[rng.integers(0, len(vocab), n)],
+                         mask=rng.random(n) < 0.05),
+    })
+    cfg = EncoderConfig(string_blob_candidates=("zstd", "none"),
+                        row_index_stride=stride)
+    monkeypatch.setattr(stripe, "BLOB_CHUNK", chunked.DEFAULT_CHUNK)
+    blob, meta = encode_table(t, cfg)
+    monkeypatch.undo()
+    payloads = [r for r in meta["streams"] if r["codec"] in CHUNKED_KINDS]
+    assert {(r["column"], r["kind"]) for r in payloads} == {
+        ("title", "DATA"), ("word", "DICT_DATA")}
+    for rec in payloads:
+        if "byte_index" not in rec:
+            del rec["chunk_size"]
+    title = stripe._stream_dir(meta)[("title", "DATA")]
+    assert ("byte_index" in title) == bool(stride)
+    if stride:
+        # two 256 KiB chunks, read back through the recorded chunk size
+        assert title["chunk_size"] == chunked.DEFAULT_CHUNK
+        assert len(title["chunk_offsets"]) == 2
+    assert decode_blob(blob, meta).equals(t)
+    for r0, cnt in [(0, 1), (1000, 64), (16_380, 40), (17_470, 9),
+                    (n - 33, 33), (5, n - 10)]:
+        sub, _ = decode_blob_rows(blob, meta, r0, cnt)
+        assert sub.equals(t.slice(r0, cnt)), (r0, cnt)
+
+
 def test_range_decode_is_byte_sparse(big_stripe):
     t, blob, meta = big_stripe
     sub, touched = decode_blob_rows(blob, meta, 612345, 10000)

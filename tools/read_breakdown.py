@@ -10,8 +10,9 @@ start and length are drawn as perfbench's ``read_plan`` draws them.
 It prints the median microseconds per read of the whole read, of planning
 and of each top-level column (its ``_decode_column_rows`` call), then per
 stream (``column:KIND``) the mean per read of ``RangeReader.read`` calls,
-bytes those calls touched and raw bytes decompressed (the output of
-``chunked.decompress``, which every outer kind goes through).
+bytes those calls touched, raw bytes decompressed (the output of
+``chunked.decompress``, which every outer kind and every chunked string
+payload goes through) and microseconds spent in ``chunked.decompress``.
 
 The engine functions are wrapped in this process only; no engine code
 changes. The first 20 reads warm caches and are not counted.
@@ -45,7 +46,8 @@ class Ledger:
 
     def __init__(self):
         self.us = defaultdict(float)      # layer -> microseconds
-        self.io = defaultdict(lambda: [0, 0, 0])  # stream -> calls, bytes, raw
+        # stream -> calls, bytes, raw bytes, decompress microseconds
+        self.io = defaultdict(lambda: [0, 0, 0, 0.0])
         self.stream: list[str] = []       # the _raw_range calls now open
         self.last = "?"                   # the stream _raw_range read last
         self.depth = 0                    # _decode_column_rows nesting
@@ -90,8 +92,11 @@ def install(led: Ledger) -> None:
 
     def counted_decompress(*a, **k):
         # a string blob's own codec decompresses after _raw_range returns
+        t0 = time.perf_counter()
         out = decompress(*a, **k)
-        led.io[led.stream[-1] if led.stream else led.last][2] += len(out)
+        c = led.io[led.stream[-1] if led.stream else led.last]
+        c[2] += len(out)
+        c[3] += (time.perf_counter() - t0) * 1e6
         return out
 
     decode.plan_row_ranges = timed_plan
@@ -151,11 +156,13 @@ def main(argv=None) -> int:
         print(f"{name:<32}{med:>10.1f}")
     print()
     print(f"{'stream':<32}{'reads/read':>12}{'KB touched':>12}"
-          f"{'KB raw':>12}")
+          f"{'KB raw':>12}{'us inflate':>12}")
     streams = sorted({s for _, _, io in per_read for s in io})
     for s in streams:
-        c = np.mean([io.get(s, [0, 0, 0]) for _, _, io in per_read], axis=0)
-        print(f"{s:<32}{c[0]:>12.2f}{c[1] / 1e3:>12.1f}{c[2] / 1e3:>12.1f}")
+        c = np.mean([io.get(s, [0, 0, 0, 0.0]) for _, _, io in per_read],
+                    axis=0)
+        print(f"{s:<32}{c[0]:>12.2f}{c[1] / 1e3:>12.1f}{c[2] / 1e3:>12.1f}"
+              f"{c[3]:>12.1f}")
     return 0
 
 
