@@ -53,14 +53,13 @@ CHUNKED_KINDS = {
     # seekable streams compress in smaller chunks so a row-range read
     # rounds to 64 KiB per covered plane/slice instead of 256 KiB —
     # measured +0.4% size on token planes for ~4x tighter range reads
-    # (16 KiB would cost them +1.1% on long-docs)
     "zstd": ChunkedKind(zstdchunk, 5, 64 * 1024, True),
 }
 
 # raw chunk size of a string payload (a direct column's DATA, a
 # dictionary's DICT_DATA) under every chunked kind: a 1-64-row long-docs
 # read decompresses 16.9 KB of doc_id instead of the 209.5 KB one 256 KiB
-# chunk held, and the encoded bytes fell (-0.04% long-docs, -0.78%
+# chunk held, and the encoded bytes fell (-0.04% long-docs, -0.77%
 # short-docs). Streams that record no chunk_size were written with
 # chunked.DEFAULT_CHUNK.
 BLOB_CHUNK = 16 * 1024
