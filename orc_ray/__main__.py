@@ -309,12 +309,7 @@ def cmd_import_orc(args) -> int:
             return v
 
         lo, hi = _coerce(lo), _coerce(hi)
-        keep = [i for i in range(len(f.stripes))
-                if f._stripe_may_match(i, col, lo, hi)]
-        n_stat = len(f.stripes) - len(keep)
-        if lo == hi:  # point lookup: bloom streams too (kind 9 converts
-            # datetime predicates to UTC-ms inside bloom_might_contain)
-            keep = [i for i in keep if f.bloom_might_contain(i, col, lo)]
+        keep, n_stat = f.prune_stripes(col, lo, hi)
         print(f"pruned {len(f.stripes) - len(keep)}/{len(f.stripes)} "
               f"stripes ({n_stat} by statistics, "
               f"{len(f.stripes) - len(keep) - n_stat} by bloom)",

@@ -16,8 +16,8 @@ id              kernel
 ``byterle``     ORC byte-level RLE
 ``boolrle``     boolean bitstream over byte RLE (validity/PRESENT)
 ``zlib``        ORC chunked zlib (default outer kind of size-priority mode)
-``zstd``        ORC chunked zstd (default outer kind)
-``snappy``      ORC chunked snappy (opt-in outer kind)
+``zstd``        ORC chunked zstd, pyarrow's codec (default outer kind)
+``snappy``      ORC chunked snappy, pyarrow's codec (opt-in outer kind)
 ==============  =============================================================
 
 The three chunked kinds share one framing (:mod:`chunked`) and one module
@@ -40,20 +40,22 @@ from .chunked import DEFAULT_CHUNK
 
 
 class ChunkedKind(NamedTuple):
+    """One chunked compression kind. Every kind's blocks run in native
+    code (zlib, or pyarrow's zstd and snappy), so the selector measures
+    int codecs under whichever kind the writer compresses with."""
+
     module: ModuleType  # looked up per call, so wrapped attributes are seen
     orc_kind: int       # CompressionKind id in orc.proto
     seek_chunk: int     # raw chunk size of streams that get a chunk index
-    trial: bool         # the selector measures int codecs under this kind
 
 
 CHUNKED_KINDS = {
-    "zlib": ChunkedKind(zlibchunk, 1, DEFAULT_CHUNK, True),
-    # pure-Python blocks: too slow to run once per selector candidate
-    "snappy": ChunkedKind(snappyblock, 2, DEFAULT_CHUNK, False),
+    "zlib": ChunkedKind(zlibchunk, 1, DEFAULT_CHUNK),
+    "snappy": ChunkedKind(snappyblock, 2, DEFAULT_CHUNK),
     # seekable streams compress in smaller chunks so a row-range read
     # rounds to 64 KiB per covered plane/slice instead of 256 KiB —
     # measured +0.4% size on token planes for ~4x tighter range reads
-    "zstd": ChunkedKind(zstdchunk, 5, 64 * 1024, True),
+    "zstd": ChunkedKind(zstdchunk, 5, 64 * 1024),
 }
 
 # raw chunk size of a string payload (a direct column's DATA, a

@@ -5,10 +5,14 @@ Every ORC CompressionKind cuts a stream into chunks of at most
 writes smaller chunks where reads seek: ``ChunkedKind.seek_chunk`` and
 ``codecs.BLOB_CHUNK``) and puts each behind a 3-byte little-endian header
 ``(stored_len << 1) | isOriginal`` (compressioncodec.go:302-314); a chunk
-whose compressed form is not smaller is stored as is. Only the per-chunk block codec differs between
-kinds, so the codec modules (:mod:`zlibchunk`, :mod:`zstdchunk`,
-:mod:`snappyblock`) supply block functions and build their public
-``compress``/``compress_parts``/``decompress`` on the two loops here.
+whose compressed form is not smaller is stored as is. Only the per-chunk
+block codec differs between kinds, so the codec modules (:mod:`zlibchunk`
+over Python's zlib, :mod:`zstdchunk` and :mod:`snappyblock` over
+pyarrow's native codecs) supply block functions and build their public
+``compress``/``compress_parts``/``decompress`` on the two loops here. A
+block function must return exactly the bytes its chunk holds: the loops
+below reject a chunk whose size disagrees with the stream's
+``raw_length``.
 Every chunk can be found through :func:`chunk_offsets` and decoded on its
 own, which is what range reads rely on.
 """

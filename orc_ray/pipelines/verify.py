@@ -15,6 +15,8 @@ Small-scale tests additionally do exact row-by-row comparison after a sort.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pyarrow as pa
 
@@ -153,7 +155,6 @@ def _check_blobs(man: pa.Table, blobs_dir: str):
     """fsck rows for the blobs one manifest lists. Reads blob BYTES only
     (no decode) — the lake health check is pure sequential I/O + crc32
     (~2 GB/s/core), an order of magnitude cheaper than a decode pass."""
-    import json
     import zlib
 
     from ..state import storage
@@ -218,8 +219,6 @@ def fsck_encoded(out_dir: str, max_bad: int = 100) -> dict:
     checked = task_stage(items, fsck_shards, out_dir=out_dir)
 
     def _summarize(batch: pa.Table) -> pa.Table:
-        import json as _json
-
         status = batch.column("status").to_pylist()
         bad = [i for i, s in enumerate(status)
                if s not in ("ok", "no_crc")]
@@ -228,12 +227,10 @@ def fsck_encoded(out_dir: str, max_bad: int = 100) -> dict:
             "ok": pa.array([status.count("ok")], type=pa.int64()),
             "no_crc": pa.array([status.count("no_crc")], type=pa.int64()),
             "bad": pa.array([len(bad)], type=pa.int64()),
-            "bad_rows_json": pa.array([_json.dumps(
+            "bad_rows_json": pa.array([json.dumps(
                 [batch.slice(i, 1).to_pylist()[0] for i in bad[:max_bad]]
             )], type=pa.string()),
         })
-
-    import json as _json
 
     parts = checked.map_batches(_summarize, batch_format="pyarrow").take_all()
     out = {"blobs": 0, "ok": 0, "no_crc": 0, "bad": 0, "bad_rows": []}
@@ -244,5 +241,5 @@ def fsck_encoded(out_dir: str, max_bad: int = 100) -> dict:
         out["bad"] += int(p["bad"])
         if len(out["bad_rows"]) < max_bad:
             out["bad_rows"].extend(
-                _json.loads(p["bad_rows_json"])[: max_bad - len(out["bad_rows"])])
+                json.loads(p["bad_rows_json"])[: max_bad - len(out["bad_rows"])])
     return out

@@ -160,7 +160,7 @@ def choose_int_codec(
         try:
             enc = encode_int_stream(s, c, signed)
             size = len(enc)
-            if kind is not None and kind.trial:
+            if kind is not None:
                 size = min(size, len(kind.module.compress(enc)))
         except Exception:
             continue

@@ -815,6 +815,19 @@ class ORCFile:
         hashes = probe_hashes(value, kind, idx.lineage)
         return idx.might_contain(hashes) if hashes else True
 
+    def prune_stripes(self, column: str, lo, hi) -> tuple[list[int], int]:
+        """(stripes that may hold a row with ``lo <= column <= hi``, the
+        number pruned by statistics). Stripe statistics prune first; a
+        point predicate (lo == hi) then probes the survivors' bloom
+        filters (``bloom_might_contain`` converts datetime-likes to the
+        UTC-ms floor and only trusts the pinned utf8 lineage)."""
+        keep = [i for i in range(len(self.stripes))
+                if self._stripe_may_match(i, column, lo, hi)]
+        n_stats = len(self.stripes) - len(keep)
+        if lo == hi:
+            keep = [i for i in keep if self.bloom_might_contain(i, column, lo)]
+        return keep, n_stats
+
     def _decode_rows(self, i: int, columns: list[str] | None, n: int,
                      seek: dict | None = None,
                      skips: dict | None = None) -> pa.Table:
@@ -1350,18 +1363,9 @@ def read_orc(paths: str | list[str], columns: list[str] | None = None,
         stripe == -1 is the typed-empty sentinel (a stripeless file, or
         schema anchoring when everything was pruned)."""
         f._select(need)
-        # timestamp point predicates probe too: bloom_might_contain
-        # converts datetime-likes to the UTC-ms floor and only trusts
-        # the pinned utf8 lineage (never skips otherwise)
-        point = predicate is not None and predicate[1] == predicate[2]
-        items: list[dict] = []
-        for i in range(len(f.stripes)):
-            if predicate and not f._stripe_may_match(i, *predicate):
-                continue  # stats prove no row can match
-            if point and not f.bloom_might_contain(i, pcol, predicate[1]):
-                continue  # bloom filters prove no row can match
-            items.append(f.stripe_spec(i))
-        return items
+        keep = (f.prune_stripes(*predicate)[0] if predicate
+                else range(len(f.stripes)))
+        return [f.stripe_spec(i) for i in keep]
 
     def _decode(batch: pa.Table) -> pa.Table:
         tables = []

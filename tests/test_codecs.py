@@ -349,7 +349,19 @@ def test_cardinality_sketch_accuracy():
         assert abs(est - true_n) / true_n < 0.15, (true_n, est)
 
 
-# --- snappy block decoder (decode-only, compressioncodec.go:222-284) -------
+# --- snappy blocks (pyarrow's native codec) in ORC chunk framing --------
+# The handcrafted blocks below hold tag forms pyarrow's encoder may never
+# write, but old or foreign streams may.
+
+def _snappy_varint(n):
+    out = bytearray()
+    while True:
+        b = n & 0x7F
+        n >>= 7
+        out.append(b | (0x80 if n else 0))
+        if not n:
+            return out
+
 
 def test_snappy_literal_only():
     from orc_ray.codecs import snappyblock
@@ -357,7 +369,7 @@ def test_snappy_literal_only():
     payload = b"hello world"
     # varint len + literal tag ((len-1)<<2) + bytes
     raw = bytes([len(payload)]) + bytes([(len(payload) - 1) << 2]) + payload
-    assert snappyblock.decompress_raw(raw) == payload
+    assert bytes(snappyblock._decompress_block(raw, None)) == payload
 
 
 def test_snappy_copy_with_overlap():
@@ -370,7 +382,7 @@ def test_snappy_copy_with_overlap():
     raw = bytes([len(out)])
     raw += bytes([(3 - 1) << 2]) + b"abc"
     raw += bytes([((9 - 4) << 2) | 1 | ((3 >> 8) << 5), 3 & 0xFF])
-    assert snappyblock.decompress_raw(raw) == out
+    assert bytes(snappyblock._decompress_block(raw, None)) == out
 
 
 def test_snappy_two_byte_offset_and_long_literal():
@@ -378,20 +390,35 @@ def test_snappy_two_byte_offset_and_long_literal():
 
     lit = bytes(range(256)) * 2  # 512-byte literal needs the 60+ length form
     out = lit + lit[:64]
-    raw = bytearray()
-    n = len(out)
-    while True:  # varint
-        b = n & 0x7F
-        n >>= 7
-        raw.append(b | (0x80 if n else 0))
-        if not n:
-            break
+    raw = _snappy_varint(len(out))
     raw.append((61 << 2))  # literal, 2 extra length bytes
     raw += (len(lit) - 1).to_bytes(2, "little")
     raw += lit
     raw.append(((64 - 1) << 2) | 2)  # copy, 2-byte offset (max len 64)
     raw += (512).to_bytes(2, "little")
-    assert snappyblock.decompress_raw(bytes(raw)) == out
+    assert bytes(snappyblock._decompress_block(bytes(raw), None)) == out
+
+
+def test_snappy_four_byte_offset_copy():
+    from orc_ray.codecs import snappyblock
+
+    # tag kind 3: copy with a 4-byte little-endian offset, reaching past
+    # the 64 KiB a 2-byte offset can address
+    head = b"0123456789abcdef"
+    filler = bytes(range(256)) * 300  # 76,800 literal bytes
+    out = head + filler + head
+    raw = _snappy_varint(len(out))
+    raw.append(15 << 2)  # literal of 16
+    raw += head
+    raw.append(62 << 2)  # literal, 3 extra length bytes
+    raw += (len(filler) - 1).to_bytes(3, "little")
+    raw += filler
+    raw.append(((16 - 1) << 2) | 3)
+    raw += (len(head) + len(filler)).to_bytes(4, "little")
+    assert bytes(snappyblock._decompress_block(bytes(raw), None)) == out
+    framed = chunked.header(len(raw), False) + bytes(raw)
+    assert bytes(snappyblock.decompress(framed)) == out
+    assert bytes(snappyblock.decompress(framed, len(out), 2 ** 17)) == out
 
 
 def test_snappy_orc_framing():
@@ -402,6 +429,41 @@ def test_snappy_orc_framing():
     h = (len(payload) << 1) | 1
     framed = bytes([h & 0xFF, (h >> 8) & 0xFF, (h >> 16) & 0xFF]) + payload
     assert snappyblock.decompress(framed) == payload
+
+
+def test_snappy_corrupt_chunk_raises():
+    from orc_ray.codecs import snappyblock
+
+    data = b"The quick brown fox " * 200
+    framed = snappyblock.compress(data)
+    length, original = chunked._read_header(memoryview(framed), 0)
+    assert not original and 3 + length == len(framed)
+    block = framed[3:]
+    assert block[:2] == bytes(_snappy_varint(len(data)))
+    for bad in (block[:-5],                                # truncated
+                block[:2] + b"\xff" * (len(block) - 2),    # garbled tags
+                b"\xff" * 9 + b"\x01" + block[2:]):        # garbled size
+        bad_framed = chunked.header(len(bad), False) + bad
+        with pytest.raises((OSError, ValueError)):
+            snappyblock.decompress(bad_framed, len(data))
+        with pytest.raises((OSError, ValueError)):
+            snappyblock.decompress(bad_framed)
+
+
+def test_snappy_raw_length_mismatch_raises():
+    from orc_ray.codecs import snappyblock
+
+    # pyarrow pads a snappy block to any size it is asked for; a stream
+    # whose recorded raw_length disagrees with its blocks must fail, not
+    # read as padded bytes
+    data = b"hello world, hello world! " * 40
+    framed = snappyblock.compress(data)
+    assert bytes(snappyblock.decompress(framed, len(data))) == data
+    with pytest.raises(ValueError):
+        snappyblock.decompress(framed, len(data) + 10)
+    two = snappyblock.compress(data * 30, 4096)  # several chunks
+    with pytest.raises(ValueError):
+        snappyblock.decompress(two, len(data) * 30 + 10, 4096)
 
 
 def test_snappy_encoder_roundtrips():
@@ -418,19 +480,20 @@ def test_snappy_encoder_roundtrips():
         bytes(rng.integers(0, 256, 5000, dtype=np.uint8)),   # incompressible
         b"x" * 67,                           # the 65..67 copy-split edge
         b"The quick brown fox " * 37,
-        # far-back match (> 64 KiB offset => 4-byte-offset copies)
+        # far-back match (> 64 KiB offset)
         b"PATTERN-0123456789" * 4
         + bytes(rng.integers(0, 256, 70000, dtype=np.uint8))
         + b"PATTERN-0123456789" * 4,
     ]
     for data in cases:
-        assert sb.decompress_raw(sb.compress_raw(data)) == data
-        assert sb.decompress(sb.compress(data)) == data
+        assert bytes(sb.decompress(sb.compress(data))) == data
+        assert bytes(sb.decompress(sb.compress(data), len(data))) == data
     rep = b"hello world, hello world, hello world! " * 500
-    assert len(sb.compress_raw(rep)) < len(rep) // 2
+    assert len(sb.compress(rep)) < len(rep) // 2
     # multi-chunk framing
     big = (b"seed" + bytes(rng.integers(0, 256, 300_000, dtype=np.uint8))) * 2
     assert sb.decompress(sb.compress(big)) == big
+    assert sb.decompress(sb.compress(big), len(big)) == big
 
 
 def test_snappy_outer_stripe_roundtrip():

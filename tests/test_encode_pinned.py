@@ -2,7 +2,11 @@
 bytes under both shipped configs and under the opt-in snappy outer kind,
 and exported ORC files must not change under any compression kind.
 Refactors of the write path are judged by these digests — a change here
-means the on-disk format moved."""
+means the on-disk format moved. The snappy digests are the output of
+pyarrow's bundled snappy encoder (the selector also measures int codecs
+under snappy, as under every kind), so a pyarrow whose snappy emits other
+blocks moves them too: snappy output is valid under more than one
+encoding, and the readers accept any of them."""
 
 import hashlib
 import io
@@ -58,10 +62,10 @@ PINNED = {
 # on seekable streams without the stored bytes moving
 PINNED_BLOBS = {
     "snappy": [
-        "549b6b2c8a6201badc1d42f822031e7023b462b85ea8ce3a38d6e1b5da9c4a4a",
-        "d538d2aadd6a7cc841f6e3249cfdace03dc730b4681d31d17e2a7e4cb5d23edf",
-        "2089fa4ce1cd58e50c37a8aa57f831f57a2950e2856b9a921e6ec01bcdec0864",
-        "3859489ee9e1d79dfb01e7447d7048656ef6a0b45b0a62fa87139ada31aae52b",
+        "ffae26184eaaaa949349518ff636661819c13ddec1c33f2b414eacce38cbcc76",
+        "5e93c19969d89ba0dc8f595ed02116116df13678a88d1b46b0875abc5c9b801d",
+        "af9a490feacd8ff887df92e9bf13d22de0de908003660872efed4c193e06c759",
+        "6090ba7f6d07b2b938129be9ec2c922a680f509645395537bede306b7ff4618e",
     ],
 }
 
@@ -69,7 +73,7 @@ PINNED_BLOBS = {
 PINNED_ORC = {
     "none": "e156d2322a3438c396b296de896d8f8c9796d05321740959a19efd7dce2c776e",
     "zlib": "9cd8e29b66e6de89886fd74881c1bae9c5937352a59dd07cdd8a28a666d614d4",
-    "snappy": "d36ebdd81313e5a681e38e6d4027a85664769aa5751dca65508df011ed4ed8e9",
+    "snappy": "c4717346e24ab7286ba49a666400506c2fdf865b3dbba0ead4dc86e612eb761e",
     "zstd": "74c6245f429b5286ed173880b878c4cf08446ab1895d696d9f29543960cf03d0",
 }
 
@@ -140,16 +144,16 @@ PINNED_ALL_KINDS = {
          "ee4e4a71f8490050504db7239d0aec5610166b49797c39e10adef3a8b12cd225"),
     ],
     "snappy/none": [
-        ("1736c48552e41ae366c171ec7ac04b3144f6b1ffed21ec7fc2985d3f6d519172",
-         "4d9e17e68c6732c80bf833e449c9227e401c4b51dc75f58a6a37d1f92b5b8729"),
-        ("0690752e2763dcaa3d767f50ab8e8543072f6a18d1b3a5ba80df272544e3d652",
-         "83d71bb63c71b980382e4ec07909f002cc756870fd21143657c363a4be03abc3"),
+        ("d5bc61b0a86dc6ab5fb8832cdc0e1defe5973736ced1e7b7cc53cae46772161c",
+         "8c3708bc29b6b118f65d8270d1b77897e2c9d6fc7636aad98cc4814c57f98321"),
+        ("949fa87e93ca2fa364121032afee39d7d9b7814d6ed43db16b39f6740448a7a2",
+         "daf1f93613a3bd7f64545147ff60d13eb1d7dd254572dc5cfd15901e7bb06b06"),
     ],
     "snappy/selector": [
-        ("1736c48552e41ae366c171ec7ac04b3144f6b1ffed21ec7fc2985d3f6d519172",
-         "4d9e17e68c6732c80bf833e449c9227e401c4b51dc75f58a6a37d1f92b5b8729"),
-        ("3f291c228d2fdb36212501554e4616428d8e151d78e5f353cbf611aedaf994a1",
-         "01aeaab344a1d67b2935610ad1fef2a8b74c359b7db220482b808dfddac06f06"),
+        ("d5bc61b0a86dc6ab5fb8832cdc0e1defe5973736ced1e7b7cc53cae46772161c",
+         "8c3708bc29b6b118f65d8270d1b77897e2c9d6fc7636aad98cc4814c57f98321"),
+        ("b5ec0e7c12861206bb3327673866c96ca16338887b51ab7f238ed11a82867865",
+         "b4101f4f552e35e0be78899a0d69f26a09473e473297923683c125a8c3709a80"),
     ],
 }
 

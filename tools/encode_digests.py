@@ -10,9 +10,10 @@ in ``perfbench.session.WORKLOADS`` it builds the shards the way
 with ``split_stripes`` and encodes every stripe with ``encode_table``,
 one ``SelectorState`` per shard and the stripe's dominant source as the
 selector group, as an encode job's task does. That runs under
-``EncoderConfig()``, ``EncoderConfig.size_priority()`` and (``bloom``)
+``EncoderConfig()``, ``EncoderConfig.size_priority()``, (``bloom``)
 ``EncoderConfig(bloom_columns=("doc_id", "source", "n_tok"))``, so the
-string and int bloom-filter streams are digested too.
+string and int bloom-filter streams are digested too, and (``snappy``)
+``EncoderConfig(outer_compression="snappy")``.
 
 Prints one line per corpus and config: the sha256 over every stripe's
 (blob sha256, compact ``meta_json`` sha256) in order, the stripe count,
@@ -46,7 +47,8 @@ def main() -> None:
     configs = {"default": EncoderConfig(),
                "size_priority": EncoderConfig.size_priority(),
                "bloom": EncoderConfig(
-                   bloom_columns=("doc_id", "source", "n_tok"))}
+                   bloom_columns=("doc_id", "source", "n_tok")),
+               "snappy": EncoderConfig(outer_compression="snappy")}
     print(f"checkout {root}")
     for workload, spec in WORKLOADS.items():
         per = spec["rows"] // SHARDS
