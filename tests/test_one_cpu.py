@@ -1,6 +1,6 @@
-"""Every functions/ stage, the broadcast-using queries and the encode,
-checksum, fsck, compaction and decode stages finish on a 1-CPU Ray
-cluster.
+"""Every functions/ stage, the broadcast-using queries, the keyed-exchange
+joins and the encode, checksum, fsck, compaction and decode stages finish
+on a 1-CPU Ray cluster.
 
 A stage that holds its CPU for the whole job (an actor pool) starves the
 read that feeds it when the cluster has one CPU, and the job never ends.
@@ -8,8 +8,9 @@ The checks run in a subprocess with ``ray.init(num_cpus=1)`` under a hard
 timeout, on tiny generated inputs, and each result is compared with a
 local or DuckDB computation of the same thing.
 
-Run directly: ``python tests/test_one_cpu.py DIR [stages|encode]`` writes
-the inputs to DIR and runs that group of checks (default ``stages``).
+Run directly: ``python tests/test_one_cpu.py DIR [stages|encode|joins]``
+writes the inputs to DIR and runs that group of checks (default
+``stages``).
 """
 
 import os
@@ -22,6 +23,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 TIMEOUT_S = 240
+# TPC-H-shaped tables and documents for the queries checked against DuckDB
+SF = "/root/testdata/sf0.001"
 
 _WORDS = (["the", "and", "of", "is", "el", "la", "de", "que", "der", "die",
            "und", "ist", "le", "et", "est"] + [f"w{i}" for i in range(60)])
@@ -186,6 +189,81 @@ def _check_all(d: str) -> None:
     ray.shutdown()
 
 
+def _chain_graph() -> tuple[np.ndarray, np.ndarray]:
+    """20 stars plus a 30-node chain (its diameter forces several label
+    propagation rounds), as (doc_a, doc_b) with doc_a < doc_b."""
+    rng = np.random.default_rng(3)
+    edges = [(c * 100, c * 100 + i) for c in range(20) for i in range(1, 8)]
+    edges += [(5000 + i, 5000 + i + 1) for i in range(30)]
+    rng.shuffle(edges)
+    return (np.array([min(e) for e in edges], np.int64),
+            np.array([max(e) for e in edges], np.int64))
+
+
+def _check_joins(d: str) -> None:
+    """Every query and stage that joins two keyed sides (or counts per key
+    across blocks), each compared with DuckDB or a local computation."""
+    import duckdb
+    import ray
+    import ray.data
+
+    from orc_ray.functions import dedup
+    from orc_ray.pipelines import queries_extras as qe
+    from orc_ray.pipelines import queries_relational as qr
+
+    _write_inputs(d)
+    ray.init(address="local", num_cpus=1, include_dashboard=False)
+    docs = pq.read_table(os.path.join(d, "documents.parquet"))
+    t0 = time.perf_counter()
+
+    def done(name: str) -> None:
+        print(f"{name} ok {time.perf_counter() - t0:.1f}s", flush=True)
+
+    def docs_ds():
+        return ray.data.read_parquet(os.path.join(d, "documents.parquet"))
+
+    sf = duckdb.connect()
+    for name in ("customer", "orders", "documents"):
+        sf.sql(f"CREATE VIEW {name} AS SELECT * FROM "
+               f"read_parquet('{os.path.join(SF, name + '.parquet')}')")
+    for name, fn, sql in [
+            ("q_dormant_customers", qr.q_dormant_customers,
+             qr.SQL_Q_DORMANT_CUSTOMERS),
+            ("q_prepare_corpus", qe.q_prepare_corpus,
+             qe.SQL_Q_PREPARE_CORPUS)]:
+        assert _rows(fn(SF)) == _rows(sf.sql(sql).arrow()), name
+        done(name)
+
+    con = duckdb.connect()
+    con.sql("CREATE VIEW documents AS SELECT * FROM "
+            f"read_parquet('{os.path.join(d, 'documents.parquet')}')")
+    got = qe.q_word_df_score(d, max_broadcast_vocab=0)
+    assert _rows(got) == _rows(con.sql(qe.SQL_Q_WORD_DF_SCORE).arrow())
+    done("q_word_df_score")
+
+    exact = _exact_minhash_pairs(docs, 0.8)
+    pairs = dedup.minhash_dedup_pairs(docs_ds(), threshold=0.8,
+                                      verify="join")
+    assert _rows(pairs, ["doc_a", "doc_b", "jaccard_x1000"]) == exact
+    done("minhash_dedup_pairs")
+    members, reps = dedup._component_reps(
+        np.array([p[0] for p in exact]), np.array([p[1] for p in exact]))
+    rep_of = dict(zip(members.tolist(), reps.tolist()))
+    reps_ds = dedup.dedup_cluster_reps(docs_ds(), pairs, max_driver_pairs=0)
+    assert _rows(reps_ds, ["doc_id", "rep_doc_id"]) == sorted(
+        (i, rep_of.get(i, i)) for i in range(docs.num_rows))
+    done("dedup_cluster_reps")
+
+    a, b = _chain_graph()
+    labels = dedup.component_labels_ds(ray.data.from_arrow(pa.table({
+        "doc_a": pa.array(a), "doc_b": pa.array(b)})))
+    ids, reps = dedup._component_reps(a, b)
+    assert _rows(labels, ["node", "label"]) == sorted(
+        zip(ids.tolist(), reps.tolist()))
+    done("component_labels_ds")
+    ray.shutdown()
+
+
 def _check_encode(d: str) -> None:
     """The encode-side stages on a multi-partition token corpus. encode_job's
     blobs must equal an in-process encode of the same plan, partition by
@@ -280,6 +358,10 @@ def test_encode_stages_at_one_cpu(tmp_path):
     assert _run_at_one_cpu(tmp_path, "encode").count(" ok ") == 6
 
 
+def test_joins_finish_at_one_cpu(tmp_path):
+    assert _run_at_one_cpu(tmp_path, "joins").count(" ok ") == 6
+
+
 if __name__ == "__main__":
-    {"stages": _check_all, "encode": _check_encode}[
+    {"stages": _check_all, "encode": _check_encode, "joins": _check_joins}[
         sys.argv[2] if len(sys.argv) > 2 else "stages"](sys.argv[1])
