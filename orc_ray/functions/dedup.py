@@ -10,8 +10,8 @@ nothing text-amplified, no driver-side compute.
               the metadata-sized candidate set dedupes on the driver, its
               sketches are recomputed for just those docs, broadcast once,
               and verified vectorized; verify="join" keeps everything
-              distributed (fixed-partition pair dedup + two Ray hash joins
-              against the sketch table). Output equals the exact
+              distributed (keyed pair dedup + two keyed co-groups with
+              the sketch table). Output equals the exact
               >= threshold pair set (band-miss probability < 1e-7 at 0.8).
 - simhash:    64-bit simhash over a SQL-mirrorable word hash
               (texthash.word_hashes31 + mix64) -> 4x16-bit chunk banding
@@ -23,7 +23,8 @@ nothing text-amplified, no driver-side compute.
               operator), plus an IVF-bucketed approximate scale path.
 
 Scale notes: candidate/pair tables are metadata-sized; the only wide ops
-are the fixed-partition bucket groupbys and the sketch hash-join. Skewed
+are ``by_key`` exchanges (pipelines/encode.py) on band partitions and
+pairs. Skewed
 buckets (giant runs of one band key) are processed vectorized with bounded
 block temporaries; only degenerate runs (identical clusters larger than
 MAX_RUN for minhash, 16x that for simhash — where the pair OUTPUT itself
@@ -38,7 +39,7 @@ import pyarrow.compute as pc
 
 from ..codecs.bloom import splitmix64
 from ..codecs.dictionary import string_bytes
-from ..pipelines.encode import cluster_cpus, work_units
+from ..pipelines.encode import by_key, work_units
 from .texthash import (
     mix64,
     popcount64,
@@ -53,8 +54,8 @@ BANDS = 32
 ROWS_PER_BAND = NUM_HASHES // BANDS
 _MERSENNE = (1 << 61) - 1
 _U64 = np.uint64
-# fixed partition count for bucket-key shuffles: groups the (tiny) band
-# rows into a bounded number of map_groups calls, each processed vectorized
+# partitions of the band-key rows: the bucket shuffle keys on them, so
+# the (tiny) band rows meet in a bounded number of vectorized calls
 N_PARTS = 64
 # skew guard: a band-bucket run larger than this is almost certainly a
 # degenerate constant column, not a dup cluster; far above test-scale sizes
@@ -87,8 +88,8 @@ _B = (_rng.integers(0, _MERSENNE, NUM_HASHES, dtype=np.int64)).astype(np.uint64)
 def shingle_sketch_batch(batch: pa.Table, k: int = 3) -> pa.Table:
     """documents batch -> (doc_id, shingles:binary) — the per-doc
     sorted-unique k-word-shingle hash set as raw uint64 little-endian
-    bytes (binary, because Arrow's hash join can carry binary payloads
-    but not list columns), fully vectorized."""
+    bytes (one flat binary value per doc, cheap to shuffle and slice),
+    fully vectorized."""
     sv, off = shingle_sets(batch.column("text"), k=k)
     byte_off = (off * 8).astype(np.int32)
     shingles = pa.BinaryArray.from_buffers(
@@ -328,15 +329,6 @@ def _sketch_candidates(batch: pa.Table, wanted: np.ndarray) -> pa.Table:
     return shingle_sketch_batch(batch.filter(pa.array(mask)))
 
 
-def _with_pair_part(b: pa.Table, col_a: str = "doc_a",
-                    col_b: str = "doc_b") -> pa.Table:
-    a = b.column(col_a).to_numpy(zero_copy_only=False).astype(np.uint64)
-    c = b.column(col_b).to_numpy(zero_copy_only=False).astype(np.uint64)
-    key = splitmix64(a * _U64(0x100000001B3) + c)
-    return b.append_column(
-        "pair_part", pa.array((key % _U64(N_PARTS)).astype(np.int64)))
-
-
 def _dedupe_pair_partition(g: pa.Table, col_a: str = "doc_a",
                            col_b: str = "doc_b") -> pa.Table:
     a = g.column(col_a).to_numpy(zero_copy_only=False)
@@ -346,8 +338,22 @@ def _dedupe_pair_partition(g: pa.Table, col_a: str = "doc_a",
                      col_b: pa.array(key[:, 1], type=pa.int64())})
 
 
+def _sketch_of_key(g: pa.Table) -> tuple[pa.Table, pa.Array]:
+    """One partition of a (key, other, sh_a, sh) co-group of pair rows
+    (``other`` set) and sketch rows (``sh`` set) -> the pair rows whose
+    key has a sketch, and that sketch."""
+    is_pair = pc.is_valid(g.column("other"))
+    pairs, sk = g.filter(is_pair), g.filter(pc.invert(is_pair))
+    ids = sk.column("key").to_numpy(zero_copy_only=False)
+    order = np.argsort(ids, kind="stable")
+    keys = pairs.column("key").to_numpy(zero_copy_only=False)
+    pos = np.minimum(np.searchsorted(ids[order], keys), max(len(ids) - 1, 0))
+    hit = ids[order][pos] == keys if len(ids) else np.zeros(len(keys), bool)
+    return (pairs.filter(pa.array(hit)),
+            sk.column("sh").take(pa.array(order[pos[hit]])))
+
+
 def minhash_dedup_pairs(ds, threshold: float = 0.8,
-                        num_partitions: int | None = None,
                         verify: str = "broadcast"):
     """Scale-safe LSH near-dup pipeline (see module docstring). Returns a
     Dataset of (doc_a, doc_b, jaccard_x1000) with doc_a < doc_b (an
@@ -358,58 +364,59 @@ def minhash_dedup_pairs(ds, threshold: float = 0.8,
     candidate pair set (metadata-sized: O(near-dup docs)) is deduped on
     the driver, the candidates' sketches are recomputed for just those
     docs and broadcast once (the verify stage's ``fn_kwargs``), and
-    verification is a plain vectorized map_batches. verify="join": two
-    Ray Data hash joins against the full sketch table instead — no broadcast at all; use when
-    the dup rate is so extreme the candidate store itself would be
-    large."""
+    verification is a plain vectorized map_batches. verify="join": the
+    pairs co-group with the full sketch table twice instead, once keyed
+    on doc_a and once on doc_b, and the second co-group verifies — no
+    broadcast at all; use when the dup rate is so extreme the candidate
+    store itself would be large."""
     import ray.data as rd
 
     if verify == "join":
-        if num_partitions is None:
-            # each hash-join partition pins an aggregator actor; two joins
-            # run in the same streaming pipeline, so stay well under the
-            # CPU count
-            num_partitions = max(2, min(16, cluster_cpus() // 4))
-        # sketches are consumed by bands AND both joins: compute once,
-        # keep in the (spillable) object store
-        sketches = ds.map_batches(shingle_sketch_batch,
-                                  batch_format="pyarrow",
+        # sketches are consumed by bands AND both co-groups: compute once,
+        # keep in the (spillable) object store, in the co-group schema
+        # (key, other, sh_a, sh): a sketch row has only key and sh
+        def sketch_rows(b: pa.Table) -> pa.Table:
+            t = shingle_sketch_batch(b)
+            return pa.table({
+                "key": t.column("doc_id"),
+                "other": pa.nulls(t.num_rows, pa.int64()),
+                "sh_a": pa.nulls(t.num_rows, pa.binary()),
+                "sh": t.column("shingles"),
+            })
+
+        sketches = ds.map_batches(sketch_rows, batch_format="pyarrow",
                                   batch_size=1024).materialize()
-        bands = sketches.map_batches(band_rows_batch, batch_format="pyarrow",
-                                     batch_size=1024)
-        cand = bands.groupby("part").map_groups(
-            partition_candidates, batch_format="pyarrow")
-        # distributed pair dedup: partition_candidates deduped within its
-        # band partition; a second fixed-partition pass keyed on a pair
-        # hash dedupes across partitions (no hash-aggregate actor spin-up)
-        cand = cand.map_batches(_with_pair_part, batch_format="pyarrow") \
-            .groupby("pair_part").map_groups(_dedupe_pair_partition,
-                                             batch_format="pyarrow")
-        # materialize the (metadata-sized by contract) pair set: with ZERO
-        # candidates the groupby emits no transformed block and the raw
-        # band schema would reach the join ("no field doc_a"); this also
-        # pins the join input instead of re-running the band subtree
-        cand = cand.materialize()
+        bands = sketches.map_batches(
+            lambda b: band_rows_batch(pa.table({
+                "doc_id": b.column("key"), "shingles": b.column("sh")})),
+            batch_format="pyarrow", batch_size=1024)
+        cand = by_key(bands, "part", partition_candidates)
+        # partition_candidates deduped within its band partition; a
+        # keyed pass on doc_a dedupes across partitions
+        cand = by_key(cand, "doc_a", _dedupe_pair_partition)
         if cand.count() == 0:
             return rd.from_arrow(_pairs_table([], [], []))
-        j1 = cand.join(
-            sketches, "inner", num_partitions=num_partitions,
-            on=("doc_a",), right_on=("doc_id",),
-        ).map_batches(
-            lambda b: b.select(["doc_a", "doc_b", "shingles"]).rename_columns(
-                ["doc_a", "doc_b", "sh_a"]),
-            batch_format="pyarrow",
-        )
-        j2 = j1.join(
-            sketches, "inner", num_partitions=num_partitions,
-            on=("doc_b",), right_on=("doc_id",),
-        ).map_batches(
-            lambda b: b.select(["doc_a", "doc_b", "sh_a", "shingles"])
-            .rename_columns(["doc_a", "doc_b", "sh_a", "sh_b"]),
-            batch_format="pyarrow",
-        )
-        return j2.map_batches(
-            lambda b: verify_pairs_batch(b, threshold), batch_format="pyarrow")
+
+        def with_sh_a(g: pa.Table) -> pa.Table:
+            pairs, sh = _sketch_of_key(g)
+            return pa.table({"key": pairs.column("other"),
+                             "other": pairs.column("key"), "sh_a": sh,
+                             "sh": pa.nulls(pairs.num_rows, pa.binary())})
+
+        def verify_b(g: pa.Table) -> pa.Table:
+            pairs, sh = _sketch_of_key(g)
+            return verify_pairs_batch(pa.table({
+                "doc_a": pairs.column("other"), "doc_b": pairs.column("key"),
+                "sh_a": pairs.column("sh_a"), "sh_b": sh}), threshold)
+
+        by_a = cand.map_batches(
+            lambda b: pa.table({
+                "key": b.column("doc_a"), "other": b.column("doc_b"),
+                "sh_a": pa.nulls(b.num_rows, pa.binary()),
+                "sh": pa.nulls(b.num_rows, pa.binary())}),
+            batch_format="pyarrow")
+        by_b = by_key(by_a.union(sketches), "key", with_sh_a)
+        return by_key(by_b.union(sketches), "key", verify_b)
 
     # broadcast (default): one streaming pass docs -> bands -> per-part
     # candidates; pair dedup on the driver over the metadata-sized
@@ -417,8 +424,7 @@ def minhash_dedup_pairs(ds, threshold: float = 0.8,
     # broadcast store, so no distributed dedup op is spun up)
     bands = ds.map_batches(band_rows_batch, batch_format="pyarrow",
                            batch_size=1024)
-    cand_parts = bands.groupby("part").map_groups(
-        partition_candidates, batch_format="pyarrow")
+    cand_parts = by_key(bands, "part", partition_candidates)
     ct = pa.concat_tables(
         list(cand_parts.iter_batches(batch_format="pyarrow", batch_size=None))
         or [pa.table({"doc_a": pa.array([], pa.int64()),
@@ -527,65 +533,85 @@ def _attach_rep(batch: pa.Table, ids: np.ndarray,
     })
 
 
-def component_labels_ds(pairs_ds, num_partitions: int | None = None,
-                        max_rounds: int = 64):
+def _propagate(g: pa.Table) -> pa.Table:
+    """One partition of a label round: edge rows (node, nbr) and label
+    rows (node, label). Each node takes the min label offered to it,
+    keeps it (an ``own`` row) and offers it to every neighbor."""
+    node = g.column("node").to_numpy(zero_copy_only=False)
+    is_edge = pc.is_valid(g.column("nbr")).to_numpy(zero_copy_only=False)
+    lbl = g.column("label").fill_null(0).to_numpy(zero_copy_only=False)
+    ln, ll = node[~is_edge], lbl[~is_edge]
+    order = np.lexsort((ll, ln))
+    ln, ll = ln[order], ll[order]
+    first = np.r_[True, ln[1:] != ln[:-1]] if len(ln) else np.zeros(0, bool)
+    uk, ul = ln[first], ll[first]
+    en = node[is_edge]
+    enbr = g.column("nbr").to_numpy(zero_copy_only=False)[is_edge]
+    # every edge's node has a label row: the seed offers each node itself
+    offer = ul[np.searchsorted(uk, en)] if len(uk) else ul[:0]
+    return _label_rows(np.concatenate([uk, enbr]),
+                       np.concatenate([ul, offer]),
+                       np.arange(len(uk) + len(en)) < len(uk))
+
+
+def _label_rows(node, label, own) -> pa.Table:
+    n = len(node)
+    return pa.table({
+        "node": pa.array(node, type=pa.int64()),
+        "nbr": pa.nulls(n, pa.int64()),
+        "label": pa.array(label, type=pa.int64()),
+        "own": pa.array(own, type=pa.bool_()),
+    })
+
+
+def component_labels_ds(pairs_ds, max_rounds: int = 64):
     """Distributed connected components over a pair Dataset by iterated
-    hash-partitioned min-label propagation: each round hash-joins the
-    symmetric edge set against the current labels and takes the per-node
-    min — only (node, label) int64 rows ever shuffle, never doc payloads.
+    min-label propagation: each round co-groups the symmetric edge set
+    with the labels offered in the round before (one ``by_key`` on the
+    node), and each node keeps the min it was offered and offers it to
+    its neighbors — only int64 rows ever shuffle, never doc payloads.
     Converges in O(component diameter) rounds (2-3 for the star/clique
-    graphs near-dup pair sets form); the label sum is the fixpoint
-    detector (strictly decreasing until converged). Returns a Dataset
-    (node, label) where label = min doc_id of the node's component,
-    covering every node that appears in a pair.
+    graphs near-dup pair sets form); the sum of the kept labels is the
+    fixpoint detector (strictly decreasing until converged). Returns a
+    Dataset (node, label) where label = min doc_id of the node's
+    component, covering every node that appears in a pair.
 
     This is the open-ended-scale path for ``dedup_cluster_reps``: a
     pathologically dup-heavy corpus makes the pair set proportional to
     the corpus, where a driver-side union-find would OOM."""
-    from ray.data.aggregate import Min, Sum
-
-    if num_partitions is None:
-        num_partitions = max(2, min(16, cluster_cpus() // 4))
-
-    def symmetrize(b: pa.Table) -> pa.Table:
-        a = b.column("doc_a").cast(pa.int64())
-        c = b.column("doc_b").cast(pa.int64())
+    def edge_rows(b: pa.Table) -> pa.Table:
+        a = b.column("doc_a").cast(pa.int64()).combine_chunks()
+        c = b.column("doc_b").cast(pa.int64()).combine_chunks()
+        n = 2 * b.num_rows
         return pa.table({
-            "node": pa.concat_arrays([a.combine_chunks(), c.combine_chunks()]),
-            "nbr": pa.concat_arrays([c.combine_chunks(), a.combine_chunks()]),
+            "node": pa.concat_arrays([a, c]),
+            "nbr": pa.concat_arrays([c, a]),
+            "label": pa.nulls(n, pa.int64()),
+            "own": pa.array(np.zeros(n, dtype=bool)),
         })
 
-    edges = pairs_ds.map_batches(symmetrize, batch_format="pyarrow").materialize()
+    def seed_rows(b: pa.Table) -> pa.Table:
+        # round 0 offers: every node itself and each of its neighbors
+        node = b.column("node").to_numpy(zero_copy_only=False)
+        nbr = b.column("nbr").to_numpy(zero_copy_only=False)
+        return _label_rows(np.concatenate([node, node]),
+                           np.concatenate([node, nbr]),
+                           np.zeros(2 * len(node), dtype=bool))
 
-    def _rename(b: pa.Table) -> pa.Table:
-        return pa.table({"node": b.column("node"),
-                         "label": b.column("min(label)").cast(pa.int64())})
-
-    # round 0: label(v) = min(v, min neighbor)
-    seed = edges.map_batches(
-        lambda b: pa.table({
-            "node": pa.concat_arrays([b.column("node").combine_chunks()] * 2),
-            "label": pa.concat_arrays([b.column("node").combine_chunks(),
-                                       b.column("nbr").combine_chunks()]),
-        }), batch_format="pyarrow")
-    labels = seed.groupby("node").aggregate(Min("label")).map_batches(
-        _rename, batch_format="pyarrow").materialize()
-    prev_sum = labels.aggregate(Sum("label"))["sum(label)"]
-
+    edges = pairs_ds.map_batches(edge_rows, batch_format="pyarrow") \
+        .materialize()
+    # a union feeding by_key keeps the blocks of both sides, so the
+    # offers are cut back to the edges' block count every round
+    nblocks = max(1, edges.num_blocks())
+    offers = edges.map_batches(seed_rows, batch_format="pyarrow")
+    prev_sum = None
     for _ in range(max_rounds):
-        j = edges.join(labels, "inner", num_partitions=num_partitions,
-                       on=("nbr",), right_on=("node",),
-                       left_suffix="", right_suffix="_r")
-        prop = j.map_batches(
-            lambda b: pa.table({"node": b.column("node"),
-                                "label": b.column("label")}),
+        offers = by_key(edges.union(offers), "node", _propagate) \
+            .repartition(nblocks).materialize()
+        labels = offers.map_batches(
+            lambda b: b.filter(b.column("own")).select(["node", "label"]),
             batch_format="pyarrow")
-        labels_new = prop.union(
-            labels
-        ).groupby("node").aggregate(Min("label")).map_batches(
-            _rename, batch_format="pyarrow").materialize()
-        new_sum = labels_new.aggregate(Sum("label"))["sum(label)"]
-        labels = labels_new
+        new_sum = labels.sum("label")
         if new_sum == prev_sum:
             break
         prev_sum = new_sum
@@ -622,20 +648,26 @@ def dedup_cluster_reps(docs_ds, pairs_ds,
         logging.getLogger(__name__).info(
             "dedup_cluster_reps: %d pairs > %d, using distributed "
             "connected components", n_pairs, max_driver_pairs)
-        labels = component_labels_ds(pairs)
-        joined = docs_ds.select_columns(["doc_id"]).join(
-            labels, "left_outer",
-            num_partitions=max(2, min(16, cluster_cpus() // 4)),
-            on=("doc_id",), right_on=("node",))
+        # co-group docs (label null) with the labels; a doc in no pair
+        # is its own representative
+        labels = component_labels_ds(pairs).map_batches(
+            lambda b: pa.table({"doc_id": b.column("node"),
+                                "label": b.column("label")}),
+            batch_format="pyarrow")
+        docs = docs_ds.select_columns(["doc_id"]).map_batches(
+            lambda b: pa.table({"doc_id": b.column("doc_id").cast(pa.int64()),
+                                "label": pa.nulls(b.num_rows, pa.int64())}),
+            batch_format="pyarrow")
 
-        def finish(b: pa.Table) -> pa.Table:
-            doc = b.column("doc_id").cast(pa.int64())
-            lbl = b.column("label").cast(pa.int64())
-            import pyarrow.compute as _pc
-            return pa.table({"doc_id": doc,
-                             "rep_doc_id": _pc.coalesce(lbl, doc)})
+        def attach(g: pa.Table) -> pa.Table:
+            is_doc = pc.is_null(g.column("label"))
+            lbl = g.filter(pc.invert(is_doc))
+            ids = lbl.column("doc_id").to_numpy(zero_copy_only=False)
+            order = np.argsort(ids)
+            return _attach_rep(g.filter(is_doc), ids[order], lbl.column(
+                "label").to_numpy(zero_copy_only=False)[order])
 
-        return joined.map_batches(finish, batch_format="pyarrow")
+        return by_key(docs.union(labels), "doc_id", attach)
 
     tbls = list(pairs.iter_batches(batch_format="pyarrow", batch_size=None))
     if tbls:
@@ -759,21 +791,18 @@ def _dedupe_simhash_partition(g: pa.Table) -> pa.Table:
 
 
 def simhash_dedup_pairs(ds, max_hamming: int = 3):
-    """Distributed simhash near-dup: signatures -> chunk banding groupby ->
+    """Distributed simhash near-dup: signatures -> chunk banding exchange ->
     vectorized per-run hamming -> distributed pair dedup. Exact (the
     banding is lossless for hamming <= 3 over 4 chunks); output is an
-    unordered pair set. Cross-partition pair dedup is a second
-    fixed-partition pass (hamming is a pure function of the pair, so a
-    plain unique suffices — no hash-aggregate actor spin-up)."""
+    unordered pair set. Cross-partition pair dedup is a keyed pass on
+    doc_a (hamming is a pure function of the pair, so a plain unique
+    suffices)."""
     sigs = ds.map_batches(
         lambda b: simhash_chunk_rows(simhash_batch(b)),
         batch_format="pyarrow")
-    pairs = sigs.groupby("part").map_groups(
-        lambda g: partition_simhash_pairs(g, max_hamming),
-        batch_format="pyarrow")
-    return pairs.map_batches(_with_pair_part, batch_format="pyarrow") \
-        .groupby("pair_part").map_groups(_dedupe_simhash_partition,
-                                         batch_format="pyarrow")
+    pairs = by_key(sigs, "part",
+                   lambda g: partition_simhash_pairs(g, max_hamming))
+    return by_key(pairs, "doc_a", _dedupe_simhash_partition)
 
 
 def simhash_near_pairs(table: pa.Table, max_hamming: int = 3) -> pa.Table:
@@ -926,13 +955,14 @@ def embedding_near_pairs_ivf(ds, threshold: float = 0.95, ncentroids: int = 16,
     index.train(s_emb)
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        unit, ids = _unit_matrix(group)
-        sims = unit @ unit.T
-        li, rj = np.nonzero(sims >= threshold)
-        a, b = ids[li], ids[rj]
-        keep = a < b
-        key = np.unique(np.stack([a[keep], b[keep]], axis=1), axis=0) \
-            if keep.any() else np.empty((0, 2), np.int64)
+        bucket = group.column("bucket").to_numpy(zero_copy_only=False)
+        keys = [np.empty((0, 2), np.int64)]
+        for k in np.unique(bucket):
+            unit, ids = _unit_matrix(group.filter(pa.array(bucket == k)))
+            li, rj = np.nonzero(unit @ unit.T >= threshold)
+            a, b = ids[li], ids[rj]
+            keys.append(np.stack([a[a < b], b[a < b]], axis=1))
+        key = np.unique(np.concatenate(keys), axis=0)
         return pa.table({"vec_a": pa.array(key[:, 0], type=pa.int64()),
                          "vec_b": pa.array(key[:, 1], type=pa.int64())})
 
@@ -941,16 +971,11 @@ def embedding_near_pairs_ivf(ds, threshold: float = 0.95, ncentroids: int = 16,
         fn_kwargs={"centroids": index.centroids, "nassign": nassign},
         batch_format="pyarrow")
 
-    pairs = assigned.groupby("bucket").map_groups(
-        bucket_pairs, batch_format="pyarrow")
+    pairs = by_key(assigned, "bucket", bucket_pairs)
     # cross-bucket pair dedup (multi-assign finds a pair in up to nassign^2
-    # buckets): fixed-partition unique, no hash-aggregate actor spin-up
-    return pairs.map_batches(
-        lambda b: _with_pair_part(b, "vec_a", "vec_b"),
-        batch_format="pyarrow",
-    ).groupby("pair_part").map_groups(
-        lambda g: _dedupe_pair_partition(g, "vec_a", "vec_b"),
-        batch_format="pyarrow")
+    # buckets): a keyed unique on vec_a
+    return by_key(pairs, "vec_a",
+                  lambda g: _dedupe_pair_partition(g, "vec_a", "vec_b"))
 
 
 def embedding_near_pairs(table: pa.Table, threshold: float = 0.95) -> pa.Table:

@@ -197,18 +197,23 @@ def _lookup_stripe(blobs_dir: str, blob_path: str, meta: dict, column: str,
     return (ft if ft.num_rows else None), "decoded"
 
 
+def _lookups(man: pa.Table, out_dir: str, column: str, values: list, hashes,
+             columns: list[str] | None):
+    """(matching table | None, prune reason) of each manifest row's
+    stripe, in manifest order."""
+    blobs_dir = mf.blobs_dir(out_dir)
+    for row in man.select(["blob_path", "meta_json"]).to_pylist():
+        yield _lookup_stripe(blobs_dir, row["blob_path"],
+                             json.loads(row["meta_json"]), column, values,
+                             hashes, columns)
+
+
 def lookup_stripes(man: pa.Table, out_dir: str, column: str, values: list,
                    hashes, columns: list[str] | None):
     """point_lookup's task function: manifest rows in, matching rows out.
     Pruning happens inside the task (distributed), never on the driver."""
-    blobs_dir = mf.blobs_dir(out_dir)
-    out = []
-    for row in man.select(["blob_path", "meta_json"]).to_pylist():
-        t, _ = _lookup_stripe(blobs_dir, row["blob_path"],
-                              json.loads(row["meta_json"]), column, values,
-                              hashes, columns)
-        if t is not None:
-            out.append(t)
+    out = [t for t, _ in _lookups(man, out_dir, column, values, hashes,
+                                  columns) if t is not None]
     if out:
         yield pa.concat_tables(out)
 
@@ -233,16 +238,11 @@ def point_lookup_local(out_dir: str, column: str, values: list,
                        columns: list[str] | None = None):
     """Driver-side point lookup with prune diagnostics (tests/CLI): returns
     (table | None, {"stats": n, "bloom": n, "decoded": n})."""
-    hashes = _value_hashes(values)
-    want = _with_column(columns, column)
-    man = mf.read_manifest(out_dir)
-    blobs_dir = mf.blobs_dir(out_dir)
     counts = {"stats": 0, "bloom": 0, "decoded": 0}
     out = []
-    for row in man.select(["blob_path", "meta_json"]).to_pylist():
-        t, reason = _lookup_stripe(blobs_dir, row["blob_path"],
-                                   json.loads(row["meta_json"]), column,
-                                   values, hashes, want)
+    for t, reason in _lookups(mf.read_manifest(out_dir), out_dir, column,
+                              values, _value_hashes(values),
+                              _with_column(columns, column)):
         counts[reason] += 1
         if t is not None:
             out.append(t)

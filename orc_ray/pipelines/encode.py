@@ -36,6 +36,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..codecs.dictionary import string_hashes64
 from ..config import EncoderConfig
 from ..selector import SelectorState
 from ..sources.planner import plan_partitions, read_partition
@@ -82,6 +83,50 @@ def task_stage(items: list[dict], fn, /, **fn_kwargs):
     return work_units(items).map_batches(
         fn, fn_kwargs=fn_kwargs, batch_size=None, batch_format="pyarrow",
         num_cpus=1)
+
+
+# hash partitions of a keyed exchange: the number of ``fn`` calls, each
+# vectorized over all the keys its partition holds
+KEY_PARTS = 64
+_PART = "_key_part"
+
+
+def key_parts(col, parts: int = KEY_PARTS) -> np.ndarray:
+    """Partition (0..parts-1) of each key: int keys through a
+    multiplicative hash, string keys through ``string_hashes64``. Neither
+    is salted, so a key lands in the same partition in every process."""
+    if pa.types.is_integer(col.type):
+        u = col.cast(pa.int64()).to_numpy(zero_copy_only=False) \
+            .astype(np.uint64)
+        h = (u * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
+    else:
+        h = string_hashes64(col)
+    return (h % np.uint64(parts)).astype(np.int64)
+
+
+def by_key(ds, key: str, fn, parts: int = KEY_PARTS):
+    """The one keyed exchange: ``fn(table)`` runs once per non-empty hash
+    partition of ``key``, so all rows with equal keys meet in one call (a
+    join is a co-group: map every side to one schema with typed null
+    columns, union, then ``by_key``). Ray's sort shuffle runs it as plain
+    tasks, so it finishes at one CPU; the output keeps the input's block
+    count. The result is materialized: Ray calls no function on an empty
+    input, so an empty result takes its schema from ``fn`` on the input's
+    empty table."""
+    import ray.data
+
+    def add_part(b: pa.Table) -> pa.Table:
+        return b.append_column(_PART, pa.array(key_parts(b.column(key),
+                                                         parts)))
+
+    def run(g: pa.Table) -> pa.Table:
+        return fn(g.drop_columns([_PART]))
+
+    out = ds.map_batches(add_part, batch_format="pyarrow") \
+        .groupby(_PART).map_groups(run, batch_format="pyarrow").materialize()
+    if out.schema() is None and ds.schema() is not None:
+        return ray.data.from_arrow(fn(ds.schema().base_schema.empty_table()))
+    return out
 
 
 # (job id, selector) of the job this process last encoded for

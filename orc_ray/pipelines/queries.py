@@ -63,7 +63,7 @@ def encoded_dir(sf_dir: str, fresh: bool = True) -> str:
 
 def q_tokenize_stats(sf_dir: str):
     """Per-source token stats: vectorized partial aggregation per batch
-    (combiner), distributed final merge via ds.groupby().aggregate() —
+    (combiner), then a tree-reduce final merge in one worker task —
     partials never materialize on the driver."""
     import ray.data
 

@@ -22,7 +22,7 @@ from ..functions.text import (
     quality_batch,
     token_count_batch,
 )
-from .encode import cluster_cpus
+from .encode import by_key, cluster_cpus
 
 
 def _docs_ds(sf_dir: str, columns: list[str]):
@@ -160,7 +160,7 @@ WORD_DF_BROADCAST_MAX_VOCAB = 1_000_000
 def q_word_df_score(sf_dir: str,
                     max_broadcast_vocab: int = WORD_DF_BROADCAST_MAX_VOCAB):
     """Corpus-statistics quality scoring (CCNet-style): pass 1 builds the
-    word -> document-frequency table with a distributed groupby over
+    word -> document-frequency table with a keyed exchange on word over
     per-batch-distinct (doc, word, cnt) triples.  The scoring pass is then
     auto-selected by the (now known) vocabulary cardinality:
 
@@ -169,15 +169,15 @@ def q_word_df_score(sf_dir: str,
       (unpickled once per task); every token resolves through per-batch
       ``dictionary_encode`` — the dict is probed once per DISTINCT word
       per batch.  No shuffle.
-    * open vocab: the df table STAYS distributed and the per-doc distinct
-      word-count triples hash-join against it on ``word``; per-doc means
-      come from a final groupby(doc_id) over (sum cnt*df, sum cnt)
-      partials.  Nothing vocabulary-sized ever lands on the driver.
+    * open vocab: the per-doc distinct word-count triples go through one
+      keyed exchange on ``word``, where each partition counts the df of
+      its words and emits (doc, cnt*df, cnt) partials; per-doc means come
+      from a second exchange on doc_id.  Nothing vocabulary-sized ever
+      lands on the driver.
 
     Both paths produce identical (doc_id, mean_df_x1000) rows (same SQL
-    oracle; pytest forces the join path and cross-checks)."""
+    oracle; pytest forces the open-vocabulary path and cross-checks)."""
     import pyarrow.compute as pc
-    import ray.data
 
     docs = _docs_ds(sf_dir, ["doc_id", "text"])
 
@@ -192,44 +192,41 @@ def q_word_df_score(sf_dir: str,
         # a doc lives in exactly one batch, so per-batch distinct == global
         return t.group_by(["doc_id", "word"]).aggregate([("word", "count")])
 
-    # (word, count()) = number of docs containing word; distributed groupby
-    df_ds = docs.map_batches(word_counts, batch_format="pyarrow") \
-        .select_columns(["doc_id", "word"]).groupby("word").count() \
-        .materialize()
+    def word_df(g: pa.Table) -> pa.Table:
+        # a (doc, word) pair occurs once, so a word's rows are its docs
+        t = g.group_by(["word"]).aggregate([("doc_id", "count")])
+        return pa.table({"word": t.column("word"),
+                         "df": t.column("doc_id_count")})
+
+    # (word, df) = number of docs containing word
+    wc = docs.map_batches(word_counts, batch_format="pyarrow")
+    df_ds = by_key(wc, "word", word_df)
     nvocab = df_ds.count()
 
     if nvocab > max_broadcast_vocab:
-        # --- open-vocabulary path: distributed hash-join on word --------
-        nparts = max(2, min(16, cluster_cpus() // 4))
-        wc = docs.map_batches(word_counts, batch_format="pyarrow")
-        joined = wc.join(df_ds, "inner", num_partitions=nparts,
-                         on=("word",))
-
-        def partials(b: pa.Table) -> pa.Table:
-            cnt = b.column("word_count").to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            df = b.column("count()").to_numpy(zero_copy_only=False) \
+        # --- open-vocabulary path: df counted next to the triples -------
+        def doc_partials(g: pa.Table) -> pa.Table:
+            codes = g.column("word").combine_chunks().dictionary_encode() \
+                .indices.to_numpy(zero_copy_only=False)
+            df = np.bincount(codes)[codes]
+            cnt = g.column("word_count").to_numpy(zero_copy_only=False) \
                 .astype(np.int64)
             return pa.table({
-                "doc_id": b.column("doc_id").cast(pa.int64()),
+                "doc_id": g.column("doc_id").cast(pa.int64()),
                 "s": pa.array(cnt * df), "n": pa.array(cnt),
-            })
+            }).group_by(["doc_id"]).aggregate([("s", "sum"), ("n", "sum")])
 
-        agg = joined.map_batches(partials, batch_format="pyarrow") \
-            .groupby("doc_id").aggregate(ray.data.aggregate.Sum("s"),
-                                         ray.data.aggregate.Sum("n"))
-
-        def finish(b: pa.Table) -> pa.Table:
-            s = b.column("sum(s)").to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            n = b.column("sum(n)").to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
+        def finish(g: pa.Table) -> pa.Table:
+            t = g.group_by(["doc_id"]).aggregate([("s_sum", "sum"),
+                                                  ("n_sum", "sum")])
+            s = t.column("s_sum_sum").to_numpy(zero_copy_only=False)
+            n = t.column("n_sum_sum").to_numpy(zero_copy_only=False)
             return pa.table({
-                "doc_id": b.column("doc_id").cast(pa.int64()),
+                "doc_id": t.column("doc_id").cast(pa.int64()),
                 "mean_df_x1000": pa.array(s * 1000 // n, type=pa.int64()),
             })
 
-        return agg.map_batches(finish, batch_format="pyarrow")
+        return by_key(by_key(wc, "word", doc_partials), "doc_id", finish)
 
     # --- bounded-vocabulary path: broadcast dict, zero shuffle ----------
     df_rows = df_ds.take_all()
@@ -254,7 +251,7 @@ def q_word_df_score(sf_dir: str,
         })
 
     return docs.map_batches(
-        score, fn_kwargs={"df": {r["word"]: r["count()"] for r in df_rows}},
+        score, fn_kwargs={"df": {r["word"]: r["df"] for r in df_rows}},
         batch_format="pyarrow")
 
 
@@ -290,14 +287,13 @@ def q_prepare_corpus(sf_dir: str):
     """The composed training-data-prep pipeline, end-to-end through the
     encoder: quality filter -> exact dedup -> tokenize -> stripe-encode ->
     file-level stats from the manifests (never a full decode). The dedup
-    keep-set is produced by a distributed groupby over (md5, doc_id) pairs
-    and re-attached with a Ray hash join keyed on doc_id — no driver-side
-    set, no broadcast assumption about the dup rate; document text crosses
-    exactly one partitioned exchange."""
+    is one keyed exchange on the md5 digest that keeps the min-doc_id row
+    of each digest — no driver-side set, no broadcast assumption about
+    the dup rate; document text crosses exactly one partitioned
+    exchange."""
     import shutil
 
     import pyarrow.compute as pc
-    import ray
     import ray.data
 
     from ..config import EncoderConfig
@@ -319,20 +315,19 @@ def q_prepare_corpus(sf_dir: str):
             "doc_id": t.column("doc_id").cast(pa.int64()),
             "text": t.column("text"),
             "source": t.column("source"),
+            "md5": fingerprint_batch(t).column("md5"),
         })
 
-    nparts = max(2, min(8, cluster_cpus() // 4))
-    filtered = docs.map_batches(filt, batch_format="pyarrow")
-    keys = filtered.map_batches(
-        lambda b: fingerprint_batch(b).select(["doc_id", "md5"]),
-        batch_format="pyarrow")
-    keep = keys.groupby("md5").aggregate(
-        ray.data.aggregate.Min("doc_id")
-    ).map_batches(
-        lambda b: pa.table({"doc_id": b.column("min(doc_id)").cast(pa.int64())}),
-        batch_format="pyarrow")
-    surviving = filtered.join(keep, "inner", num_partitions=nparts,
-                              on=("doc_id",))
+    def first_per_digest(g: pa.Table) -> pa.Table:
+        codes = g.column("md5").combine_chunks().dictionary_encode() \
+            .indices.to_numpy(zero_copy_only=False)
+        order = np.lexsort((g.column("doc_id").to_numpy(), codes))
+        sc = codes[order]
+        first = order[np.r_[True, sc[1:] != sc[:-1]]] if len(sc) else order
+        return g.take(pa.array(first)).drop_columns(["md5"])
+
+    surviving = by_key(docs.map_batches(filt, batch_format="pyarrow"),
+                       "md5", first_per_digest)
     tokens = surviving.map_batches(tokenize_documents, batch_format="pyarrow")
     cfg = EncoderConfig(stripe_target_tokens=500_000)
     encode_dataset_streaming(tokens, out, cfg, batch_rows=4096).materialize()
@@ -409,9 +404,6 @@ SQL_Q_SOURCE_QUANTILES = (
 )
 
 
-_GROUP_TOPK_PARTS = 32
-
-
 def _top3_per_source(b: pa.Table) -> pa.Table:
     """Keep the top-3 rows per source by (n_chars DESC, doc_id ASC),
     fully vectorized: one lexsort, group starts via flatnonzero, rank =
@@ -451,19 +443,7 @@ def q_group_topk(sf_dir: str):
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                                columns=["doc_id", "source", "n_chars"])
     partials = ds.map_batches(_top3_per_source, batch_format="pyarrow")
-
-    def add_part(b: pa.Table) -> pa.Table:
-        # deterministic vectorized hash: Python's hash() is salted per
-        # process and would scatter one source across partitions
-        h = string_hashes64(b.column("source"))
-        return b.append_column(
-            "part", pa.array((h % _GROUP_TOPK_PARTS).astype(np.int64)))
-
-    def final(g: pa.Table) -> pa.Table:
-        return _top3_per_source(g.drop_columns(["part"]))
-
-    return partials.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(final, batch_format="pyarrow")
+    return by_key(partials, "source", _top3_per_source)
 
 
 SQL_Q_GROUP_TOPK = (
@@ -495,22 +475,15 @@ SQL_Q_DISTINCT_PAIRS = "SELECT DISTINCT source, lang FROM documents"
 
 
 def _vocab_part_counts(parts, num_parts: int):
-    """Hash-partition word-set partials on a word-hash part key (the
-    _merge_partials pattern, specialized to a string key) and count
-    distinct words inside each partition independently: a word lands in
-    exactly ONE partition, so the per-partition counts sum exactly and no
-    single task ever holds the full vocabulary."""
-    def add_part(b: pa.Table) -> pa.Table:
-        h = string_hashes64(b.column("word"))
-        part = (h % np.uint64(num_parts)).astype(np.int64)
-        return b.append_column("part", pa.array(part))
-
+    """Hash-partition word-set partials on the word and count distinct
+    words inside each partition independently: a word lands in exactly
+    ONE partition, so the per-partition counts sum exactly and no single
+    task ever holds the full vocabulary."""
     def count_group(g: pa.Table) -> pa.Table:
         n = g.group_by(["word"]).aggregate([]).num_rows
         return pa.table({"part_vocab": pa.array([n], type=pa.int64())})
 
-    return parts.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(count_group, batch_format="pyarrow")
+    return by_key(parts, "word", count_group, parts=num_parts)
 
 
 def q_vocab_size(sf_dir: str, num_parts: int | None = None):
@@ -530,15 +503,7 @@ def q_vocab_size(sf_dir: str, num_parts: int | None = None):
 
     src = os.path.join(sf_dir, "documents.parquet")
     ds = ray.data.read_parquet(src, columns=["text"])
-    if num_parts is None:
-        import glob as _glob
-
-        sz = sum(os.path.getsize(p) for p in (_glob.glob(src)
-                                              if "*" in src else [src]))
-        if sz > _TWO_LEVEL_MERGE_BYTES:
-            num_parts = max(2, cluster_cpus())
-        else:
-            num_parts = 1
+    num_parts = _merge_parts(num_parts, _input_bytes(src))
 
     def uniq_words(b: pa.Table) -> pa.Table:
         flat, _ = flat_words(b.column("text"))
@@ -611,27 +576,23 @@ def q_approx_distinct_words(sf_dir: str):
 # --- dedup -----------------------------------------------------------------
 
 def q_dedup_exact(sf_dir: str):
-    """Exact dedup: md5 key -> distributed group-by, keep min(doc_id).
+    """Exact dedup: a keyed exchange on the md5 key, keep min(doc_id).
     Only (md5, doc_id) pairs shuffle — never the text."""
-    import ray.data
-
     def keys(b: pa.Table) -> pa.Table:
         t = fingerprint_batch(b)
         return t.select(["doc_id", "md5"])
 
-    ds = _docs_ds(sf_dir, ["doc_id", "text"]).map_batches(keys, batch_format="pyarrow")
-    agg = ds.groupby("md5").aggregate(
-        ray.data.aggregate.Min("doc_id"), ray.data.aggregate.Count()
-    )
-
-    def rename(b: pa.Table) -> pa.Table:
+    def keep_min(g: pa.Table) -> pa.Table:
+        t = g.group_by(["md5"]).aggregate([("doc_id", "min"),
+                                           ("doc_id", "count")])
         return pa.table({
-            "md5": b.column("md5"),
-            "keep_doc_id": b.column("min(doc_id)").cast(pa.int64()),
-            "dup_count": b.column("count()").cast(pa.int64()),
+            "md5": t.column("md5"),
+            "keep_doc_id": t.column("doc_id_min").cast(pa.int64()),
+            "dup_count": t.column("doc_id_count").cast(pa.int64()),
         })
 
-    return agg.map_batches(rename, batch_format="pyarrow")
+    ds = _docs_ds(sf_dir, ["doc_id", "text"]).map_batches(keys, batch_format="pyarrow")
+    return by_key(ds, "md5", keep_min)
 
 
 SQL_Q_DEDUP_EXACT = (
@@ -811,42 +772,33 @@ def _input_bytes(path: str) -> int:
     return os.path.getsize(path)
 
 
+def _merge_parts(num_parts: int | None, input_bytes: int | None) -> int:
+    """Partitions of a final merge: ``num_parts`` when given, else one
+    below _TWO_LEVEL_MERGE_BYTES of raw input and one per CPU (at least
+    two) above it."""
+    if num_parts is not None:
+        return num_parts
+    if input_bytes is not None and input_bytes > _TWO_LEVEL_MERGE_BYTES:
+        return max(2, cluster_cpus())
+    return 1
+
+
 def _merge_partials(parts, merge_fn, part_col: str,
                     num_parts: int | None = None,
                     input_bytes: int | None = None):
     """Final merge of already-combined partial-aggregate rows.
 
-    Level selection: with ``num_parts`` 1 (or raw input below
-    _TWO_LEVEL_MERGE_BYTES when auto), the partials — metadata-sized
-    after the in-batch combiner — tree-reduce inside ONE worker task
-    (`repartition(1)`), which beats a hash aggregate whose per-op actor
-    spin-up costs seconds at bench scale. Above the threshold the merge
-    hash-partitions the partials on ``part_col`` (deterministic
-    multiplicative hash — a key lands in exactly one partition) and
+    Level selection (``_merge_parts``): with one partition, the partials —
+    metadata-sized after the in-batch combiner — tree-reduce inside ONE
+    worker task (`repartition(1)`). With more, the merge is a ``by_key``
+    exchange on ``part_col`` (a key lands in exactly one partition) and
     merges each partition independently, so no single task ever holds
     the full (group x window) result and the output stays partitioned.
     """
-    if num_parts is None:
-        if input_bytes is not None and input_bytes > _TWO_LEVEL_MERGE_BYTES:
-            num_parts = max(2, cluster_cpus())
-        else:
-            num_parts = 1
+    num_parts = _merge_parts(num_parts, input_bytes)
     if num_parts <= 1:
         return parts.repartition(1).map_batches(merge_fn, batch_format="pyarrow")
-
-    mult = np.uint64(0x9E3779B97F4A7C15)
-
-    def add_part(b: pa.Table) -> pa.Table:
-        key = b.column(part_col).cast(pa.int64()).to_numpy(
-            zero_copy_only=False).astype(np.uint64)
-        part = ((key * mult) >> np.uint64(33)) % np.uint64(num_parts)
-        return b.append_column("part", pa.array(part.astype(np.int64)))
-
-    def merge_group(g: pa.Table) -> pa.Table:
-        return merge_fn(g.drop_columns(["part"]))
-
-    return parts.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(merge_group, batch_format="pyarrow")
+    return by_key(parts, part_col, merge_fn, parts=num_parts)
 
 
 def tumbling_window_agg(ds, num_parts: int | None = None,
@@ -912,26 +864,35 @@ SQL_Q_WINDOW_AGG = (
 
 # --- as-of (lag) join ------------------------------------------------------
 
-_LAG_PARTS = 64
+def _view_purchase(b: pa.Table) -> pa.Table:
+    """Events pruned to the view and purchase streams BEFORE the shuffle;
+    event_type becomes an int8 tag (0 = view, 1 = purchase) so no
+    strings move."""
+    import pyarrow.compute as pc
+
+    t = b.filter(pc.is_in(b.column("event_type"),
+                          value_set=pa.array(["view", "purchase"])))
+    return pa.table({
+        "event_id": t.column("event_id"),
+        "user_id": t.column("user_id"),
+        "ts": t.column("ts"),
+        "tag": pc.cast(pc.equal(t.column("event_type"), "purchase"),
+                       pa.int8()),
+    })
 
 
 def q_asof_lag(sf_dir: str):
     """Per-user as-of self-join: each event paired with the most recent
     prior event of the same user. NEVER group by the raw user_id (that
     calls Python once per user — tens of millions of interpreter calls at
-    scale); instead hash-partition on ``user_id % 64`` (the one wide
-    shuffle), then one lexsort per partition and a run-boundary-masked
+    scale); instead ``by_key`` on user_id (the one wide shuffle, 64
+    partitions), then one lexsort per partition and a run-boundary-masked
     vectorized lag — the canonical composition for as-of/range joins that
     Ray Data lacks natively."""
     import ray.data
 
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
                                columns=["event_id", "user_id", "ts"])
-
-    def add_part(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "part", pa.array((u % _LAG_PARTS).astype(np.int64)))
 
     def lag_partition(g: pa.Table) -> pa.Table:
         n = g.num_rows
@@ -953,8 +914,7 @@ def q_asof_lag(sf_dir: str):
             "prev_event_id": pa.array(prev, type=pa.int64(), mask=~has_prev),
         })
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(lag_partition, batch_format="pyarrow")
+    return by_key(ds, "user_id", lag_partition)
 
 
 SQL_Q_ASOF_LAG = (
@@ -971,28 +931,11 @@ def q_asof_join(sf_dir: str):
     at the read (nothing else shuffles), hash-partition on user, one
     lexsort + vectorized running-maximum per partition; Python is called
     64 times total, never per user."""
-    import pyarrow.compute as pc
     import ray.data
 
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
                                columns=["event_id", "user_id", "ts",
                                         "event_type"])
-
-    def add_part(b: pa.Table) -> pa.Table:
-        # prune to the two streams BEFORE the shuffle; event_type becomes
-        # an int8 tag so no strings move
-        keep = pc.is_in(b.column("event_type"),
-                        value_set=pa.array(["view", "purchase"]))
-        t = b.filter(keep)
-        tag = pc.cast(pc.equal(t.column("event_type"), "purchase"), pa.int8())
-        u = t.column("user_id").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "event_id": t.column("event_id"),
-            "user_id": t.column("user_id"),
-            "ts": t.column("ts"),
-            "tag": tag,  # 0 = view, 1 = purchase
-            "part": pa.array((u % _LAG_PARTS).astype(np.int64)),
-        })
 
     def asof_partition(g: pa.Table) -> pa.Table:
         n = g.num_rows
@@ -1027,8 +970,8 @@ def q_asof_join(sf_dir: str):
                                      mask=~valid[is_p]),
         })
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(asof_partition, batch_format="pyarrow")
+    return by_key(ds.map_batches(_view_purchase, batch_format="pyarrow"),
+                  "user_id", asof_partition)
 
 
 SQL_Q_ASOF_JOIN = (
@@ -1053,27 +996,12 @@ def q_range_join(sf_dir: str):
     and answer every purchase with two vectorized searchsorted calls over
     a (dense-user, time-offset) composite key whose per-user blocks the
     window can never cross. No per-user or per-purchase Python."""
-    import pyarrow.compute as pc
     import ray.data
 
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
                                columns=["event_id", "user_id", "ts",
                                         "event_type"])
     window_us = 2 * 3600 * 1_000_000
-
-    def add_part(b: pa.Table) -> pa.Table:
-        keep = pc.is_in(b.column("event_type"),
-                        value_set=pa.array(["view", "purchase"]))
-        t = b.filter(keep)
-        tag = pc.cast(pc.equal(t.column("event_type"), "purchase"), pa.int8())
-        u = t.column("user_id").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "event_id": t.column("event_id"),
-            "user_id": t.column("user_id"),
-            "ts": t.column("ts"),
-            "tag": tag,
-            "part": pa.array((u % _LAG_PARTS).astype(np.int64)),
-        })
 
     def count_window(g: pa.Table) -> pa.Table:
         empty = pa.table({"event_id": pa.array([], type=pa.int64()),
@@ -1109,8 +1037,8 @@ def q_range_join(sf_dir: str):
             "n_views_2h": pa.array(hi - lo, type=pa.int64()),
         })
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(count_window, batch_format="pyarrow")
+    return by_key(ds.map_batches(_view_purchase, batch_format="pyarrow"),
+                  "user_id", count_window)
 
 
 SQL_Q_RANGE_JOIN = (
@@ -1134,11 +1062,6 @@ def q_sessionize(sf_dir: str):
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
                                columns=["event_id", "user_id", "ts"])
     gap_us = 6 * 3600 * 1_000_000
-
-    def add_part(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "part", pa.array((u % _LAG_PARTS).astype(np.int64)))
 
     def sessionize(g: pa.Table) -> pa.Table:
         n = g.num_rows
@@ -1175,8 +1098,7 @@ def q_sessionize(sf_dir: str):
             "session_end": pa.array(sts[ends]).cast(pa.timestamp("us")),
         })
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(sessionize, batch_format="pyarrow")
+    return by_key(ds, "user_id", sessionize)
 
 
 SQL_Q_SESSIONIZE = (

@@ -1,6 +1,6 @@
 """Relational analytics over the TPC-H-shaped driver tables (lineitem,
-orders, customer, nation, region): distributed groupby-aggregate, hash
-join, broadcast dimension join, anti-join and join+top-k — the classic
+orders, customer, nation, region): distributed groupby-aggregate, keyed
+co-group join, broadcast dimension join, anti-join and join+top-k — the classic
 warehouse query shapes a data-processing engine must cover, each expressed
 Ray-Data-first with its DuckDB oracle.
 
@@ -9,6 +9,9 @@ Scale notes baked into each query:
   pushed-down filter — raw fact rows never enter a shuffle;
 - dimension tables (nation 25 rows, region 5) broadcast in a stage's
   ``fn_kwargs`` and resolve inside ``map_batches`` — never a shuffle join;
+- two fact-sized sides join as a co-group: each side maps to one tagged
+  schema, the union goes through ``by_key`` and each partition joins its
+  keys vectorized;
 - money sums use per-row integer cents (round half-away, matching DuckDB
   ``round()``) so the SQL mirror is bit-exact, never float accumulation
   whose value depends on reduction order.
@@ -21,7 +24,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from .encode import cluster_cpus
+from .encode import by_key
 
 _JOIN_DATE = "1998-01-01"
 _RECENT_DATE = "2000-01-01"
@@ -40,13 +43,6 @@ def _cents(arr) -> pa.Array:
 
     return pc.cast(pc.round(pc.multiply(arr, 100.0),
                             round_mode="half_towards_infinity"), pa.int64())
-
-
-def _join_parts() -> int:
-    """Hash-join aggregator count: must stay well under the CPU count or
-    the streaming pipeline deadlocks (aggregator actors pin CPUs for the
-    pipeline's lifetime)."""
-    return max(2, min(8, cluster_cpus() // 4))
 
 
 # --- pricing summary (TPC-H Q1 shape: wide scan + tiny-group aggregate) ----
@@ -115,16 +111,13 @@ SQL_Q_PRICING_SUMMARY = (
 )
 
 
-# --- order revenue (TPC-H Q3 shape: filter + hash join + agg + top-k) ------
-
-_REV_PARTS = 64
-
+# --- order revenue (TPC-H Q3 shape: filter + join + agg + top-k) -----------
 
 def q_order_revenue(sf_dir: str):
     """Top-10 open orders by revenue: both sides filtered AT THE READ,
     lineitem pre-aggregated per batch to (orderkey, revenue) partials,
-    then BOTH streams tagged, unioned and co-grouped through ONE
-    fixed-partition exchange (``part = key % 64``) — the join AND the
+    then BOTH streams tagged, unioned and co-grouped through ONE keyed
+    exchange (``by_key`` on the order key) — the join AND the
     final sum happen together in a vectorized merge inside each
     partition. One wide op where groupby-then-hash-join would cost two;
     only partial rows (not raw lineitem) and the filtered orders move.
@@ -146,26 +139,22 @@ def q_order_revenue(sf_dir: str):
         g = pa.table({"key": t.column("l_orderkey").cast(pa.int64()),
                       "rev100": _cents(rev)}) \
             .group_by(["key"]).aggregate([("rev100", "sum")])
-        key = g.column("key").to_numpy()
         return pa.table({
             "key": g.column("key"),
             "rev100": g.column("rev100_sum").cast(pa.int64()),
             "odate": pa.nulls(g.num_rows, type=ts_t),
             "tag": pa.array(np.zeros(g.num_rows, dtype=np.int8)),
-            "part": pa.array((key % _REV_PARTS).astype(np.int64)),
         })
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
 
     def o_rows(b: pa.Table) -> pa.Table:
         t = b.filter(pc.less(b.column("o_orderdate"), cut))
-        key = t.column("o_orderkey").to_numpy().astype(np.int64)
         return pa.table({
             "key": t.column("o_orderkey").cast(pa.int64()),
             "rev100": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
             "odate": t.column("o_orderdate").cast(ts_t),
             "tag": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-            "part": pa.array((key % _REV_PARTS).astype(np.int64)),
         })
 
     tagged = li.map_batches(li_partial, batch_format="pyarrow").union(
@@ -217,8 +206,7 @@ def q_order_revenue(sf_dir: str):
             "revenue_x100": b.column("revenue_x100").take(pa.array(top)),
         })
 
-    return tagged.groupby("part") \
-        .map_groups(rev_partition, batch_format="pyarrow") \
+    return by_key(tagged, "key", rev_partition) \
         .repartition(1).map_batches(final_top10, batch_format="pyarrow")
 
 
@@ -304,9 +292,9 @@ def q_dormant_customers(sf_dir: str):
     """Customers with NO order since 2000-01-01, counted per market
     segment: the right side is filtered at the read and pre-shrunk to its
     distinct keys per batch (bounded by key cardinality, not order count),
-    then a distributed ``left_anti`` hash join — Ray Data's native
-    anti-join — drops every customer with a recent order; a tiny combiner
-    counts survivors per segment."""
+    then both sides co-group on the customer key; each partition drops
+    every customer with a recent order (the anti-join) and counts its
+    survivors per segment, and a tiny combiner sums the counts."""
     import pyarrow.compute as pc
 
     cut = pa.scalar(np.datetime64(_RECENT_DATE, "us"))
@@ -314,21 +302,35 @@ def q_dormant_customers(sf_dir: str):
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
 
+    def cust_rows(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "key": b.column("c_custkey").cast(pa.int64()),
+            "c_mktsegment": b.column("c_mktsegment").cast(pa.string()),
+            "tag": pa.array(np.zeros(b.num_rows, dtype=np.int8)),
+        })
+
     def recent_keys(b: pa.Table) -> pa.Table:
         t = b.filter(pc.greater_equal(b.column("o_orderdate"), cut))
-        return pa.table({"o_custkey": t.column("o_custkey")}) \
-            .group_by(["o_custkey"]).aggregate([])
+        k = pa.table({"key": t.column("o_custkey").cast(pa.int64())}) \
+            .group_by(["key"]).aggregate([])
+        return pa.table({
+            "key": k.column("key"),
+            "c_mktsegment": pa.nulls(k.num_rows, type=pa.string()),
+            "tag": pa.array(np.ones(k.num_rows, dtype=np.int8)),
+        })
 
-    active = orders.map_batches(recent_keys, batch_format="pyarrow")
+    tagged = cust.map_batches(cust_rows, batch_format="pyarrow").union(
+        orders.map_batches(recent_keys, batch_format="pyarrow"))
 
-    dormant = cust.join(active, "left_anti", num_partitions=_join_parts(),
-                        on=("c_custkey",), right_on=("o_custkey",))
+    def partial(g: pa.Table) -> pa.Table:
+        tag = g.column("tag").to_numpy(zero_copy_only=False)
+        key = g.column("key").to_numpy(zero_copy_only=False)
+        dormant = (tag == 0) & ~np.isin(key, key[tag == 1])
+        return pa.table({
+            "c_mktsegment": g.column("c_mktsegment").filter(pa.array(dormant)),
+        }).group_by(["c_mktsegment"]).aggregate([([], "count_all")])
 
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.table({"c_mktsegment": b.column("c_mktsegment")}) \
-            .group_by(["c_mktsegment"]).aggregate([([], "count_all")])
-
-    parts = dormant.map_batches(partial, batch_format="pyarrow")
+    parts = by_key(tagged, "key", partial)
 
     def merge(b: pa.Table) -> pa.Table:
         agg = b.group_by(["c_mktsegment"]).aggregate([("count_all", "sum")])

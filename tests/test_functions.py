@@ -502,7 +502,7 @@ def test_component_labels_distributed_matches_unionfind(ray_session):
     pairs = ray.data.from_arrow(pa.table({
         "doc_a": pa.array(a), "doc_b": pa.array(b)}))
 
-    labels = dedup.component_labels_ds(pairs, num_partitions=2)
+    labels = dedup.component_labels_ds(pairs)
     got = {}
     for t in labels.iter_batches(batch_format="pyarrow", batch_size=None):
         got.update(zip(t.column("node").to_pylist(),
@@ -537,7 +537,7 @@ def test_component_labels_million_pair_graph(ray_session):
 
     pairs = ray.data.range(n_clusters, override_num_blocks=8).map_batches(
         make_edges, batch_format="pyarrow")
-    labels = dedup.component_labels_ds(pairs, num_partitions=4)
+    labels = dedup.component_labels_ds(pairs)
 
     assert labels.count() == n_clusters * 16
     got_sum = labels.aggregate(Sum("label"))["sum(label)"]
