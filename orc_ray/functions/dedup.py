@@ -554,6 +554,11 @@ def _propagate(g: pa.Table) -> pa.Table:
                        np.arange(len(uk) + len(en)) < len(uk))
 
 
+def _kept(b: pa.Table) -> pa.Table:
+    """The (node, label) rows a label round kept."""
+    return b.filter(b.column("own")).select(["node", "label"])
+
+
 def _label_rows(node, label, own) -> pa.Table:
     n = len(node)
     return pa.table({
@@ -608,14 +613,12 @@ def component_labels_ds(pairs_ds, max_rounds: int = 64):
     for _ in range(max_rounds):
         offers = by_key(edges.union(offers), "node", _propagate) \
             .repartition(nblocks).materialize()
-        labels = offers.map_batches(
-            lambda b: b.filter(b.column("own")).select(["node", "label"]),
-            batch_format="pyarrow")
-        new_sum = labels.sum("label")
+        new_sum = offers.map_batches(_kept, batch_format="pyarrow") \
+            .sum("label")
         if new_sum == prev_sum:
             break
         prev_sum = new_sum
-    return labels
+    return offers.map_batches(_kept, batch_format="pyarrow")
 
 
 # Above this many pairs the driver-side union-find flips to the
