@@ -289,19 +289,44 @@ def decompress_with_table(table: SymbolTable, data: np.ndarray,
 # training
 # ---------------------------------------------------------------------------
 
-def train(blob: np.ndarray, offsets: np.ndarray, iterations: int = 5,
-          sample_bytes: int = 1 << 16) -> SymbolTable:
-    """Train a symbol table bottom-up: encode the sample with the current
-    table, promote frequent tokens and frequent adjacent token pairs (concat
-    <= 8 bytes) into the next table, keep the top 255 by gain = freq * len."""
+def train_sample(blob: np.ndarray, offsets: np.ndarray,
+                 sample_bytes: int = 1 << 16):
+    """The strings ``train`` learns from: the first ones covering at most
+    ``sample_bytes`` (at least one), copied so the rest of ``blob`` can
+    be freed. Returns (blob, offsets)."""
     blob = np.ascontiguousarray(blob, dtype=_U8)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    # cap the sample: first strings covering <= sample_bytes
     if offsets[-1] > sample_bytes:
-        cut = int(np.searchsorted(offsets, sample_bytes))
-        cut = max(cut, 2)
-        offsets = offsets[:cut]
-        blob = blob[: offsets[-1]]
+        offsets = offsets[: max(int(np.searchsorted(offsets, sample_bytes)), 2)]
+    return blob[: offsets[-1]].copy(), offsets.copy()
+
+
+def may_fit(blob: np.ndarray, offsets: np.ndarray, limit: int) -> bool:
+    """False when ``compress`` returns None under every symbol table, so
+    a size-limited trial need not train one. Two lower bounds on the
+    output size hold for any table. A token byte covers at most
+    MAX_SYM_LEN string bytes, and the header takes at least one byte.
+    And a symbol stores its bytes in the header, so it saves bytes only
+    by repeating: at most one byte per string position whose byte pair
+    occurs at two or more positions, against one raw byte per position."""
+    lengths = np.diff(offsets)
+    if 1 + int((-(-lengths // MAX_SYM_LEN)).sum()) > limit:
+        return False
+    pairs = (blob[:-1].astype(np.int32) << 8) | blob[1:]
+    inner = np.ones(len(pairs), dtype=bool)  # both bytes in one string
+    cut = offsets[1:-1]
+    inner[cut[(cut > 0) & (cut < len(blob))] - 1] = False
+    counts = np.bincount(pairs[inner], minlength=1 << 16)
+    return len(blob) + 1 - int(counts[counts > 1].sum()) <= limit
+
+
+def train(blob: np.ndarray, offsets: np.ndarray, iterations: int = 5,
+          sample_bytes: int = 1 << 16) -> SymbolTable:
+    """Train a symbol table bottom-up on ``train_sample``: encode the
+    sample with the current table, promote frequent tokens and frequent
+    adjacent token pairs (concat <= 8 bytes) into the next table, keep
+    the top 255 by gain = freq * len."""
+    blob, offsets = train_sample(blob, offsets, sample_bytes)
     table = SymbolTable([])
     for _ in range(iterations):
         tok_str, tok_code, tok_lit, tok_esc = _tokenize(table, blob, offsets)

@@ -3,11 +3,13 @@
 From-scratch numpy re-creation of the reference's RLEv2 writer/reader
 (/root/reference/runlengthintegerwriterv2.go:9-788,
 /root/reference/runlengthintegerreaderv2.go:36-426). The reference is a
-per-value state machine; here the same segmentation semantics are derived
-up-front from the whole array (vectorized run detection), then every
+per-value state machine; here the same segmentation is derived up-front
+from the whole array in array passes (``_segment_bounds``), every
 variable scope goes through one vectorized determineEncoding pass
-(``_encode_var_ragged``). Output is byte-identical to the reference writer
-(validated against its test vectors in tests/test_rle2.py).
+(``_encode_var_ragged``), and every run's header and bit payload is
+built per width group, not per run. Output is byte-identical to the
+reference writer (validated against its test vectors in
+tests/test_rle2.py).
 
 Reading has one run-header walk (``_scan_runs``): ``decode`` unpacks the
 runs it lists, and ``run_index`` turns its run counts into seek points.
@@ -22,23 +24,26 @@ Segmentation semantics re-created (runlengthintegerwriterv2.go:87-212):
   joins the following variable run.
 - variable runs flush at 512 values; encoding chosen by determineEncoding
   (lines 265-402): fixed-delta / monotonic -> DELTA, 90th/100th percentile
-  zigzag width gap > 1 -> PATCHED_BASE (patch budget ~5%, lines 415-517),
-  else DIRECT at the aligned 100th-percentile width.
+  zigzag width gap > 1 -> PATCHED_BASE (patch budget ~5%, lines 415-517)
+  unless the scope's |min| needs more than 56 bits (ORC's
+  BASE_VALUE_LIMIT), else DIRECT at the aligned 100th-percentile width.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .bitpack import (
     DECODE_BIT_WIDTH,
     _CLOSEST_ALIGNED,
+    _CLOSEST_FIXED,
+    _ENCODE_BW,
+    bit_length_u64,
     decode_bit_width,
-    encode_bit_width,
-    get_closest_aligned_fixed_bits,
     get_closest_fixed_bits,
     pack_bits,
-    percentile_bits,
     unpack_bits,
     unpack_rows,
 )
@@ -57,8 +62,6 @@ _WIDTH_UPPER32 = np.array(
     dtype=np.uint32,
 )
 from .varint import (
-    write_vslong,
-    write_vulong,
     zigzag_decode,
     zigzag_encode,
     zigzag_encode32,
@@ -91,13 +94,23 @@ def _as_i64(v: int) -> int:
 # encode
 # ---------------------------------------------------------------------------
 
+# a run header is one row of this many bytes: 4 single bytes, a big-endian
+# value of up to 8 bytes (SHORT_REPEAT value, PATCHED_BASE base) and two
+# varints of up to 10 bytes (DELTA first value and delta)
+_BE, _V1, _V2, _HEAD_W = 4, 12, 22, 32
+# PATCHED_BASE stores the base in at most 8 bytes, sign bit included; a
+# scope with |min| at or above this goes DIRECT (ORC's BASE_VALUE_LIMIT)
+_BASE_LIMIT = _U64(1 << 56)
+
+
 def encode(values: np.ndarray, signed: bool) -> bytes:
     """Encode an int64 array into an RLEv2 byte stream.
 
-    Fixed runs are emitted by ``_emit_fixed``. Every variable scope, however
-    many there are, goes through ``_encode_var_ragged``: one pass over the
-    concatenated scope values classifies them all, then DIRECT and
-    monotonic DELTA scopes are bit-packed in per-width groups.
+    ``_segment_bounds`` cuts the stream into fixed runs and variable
+    scopes, and ``_encode_var_ragged`` classifies every variable scope at
+    once. Every run's header is a row of one byte matrix and every payload
+    is bit-packed in per-width groups, so encoding takes array passes
+    over values and runs, with Python steps per distinct width only.
 
     int32 inputs whose value range fits 32-bit delta arithmetic stay in
     32-bit end-to-end (identical output bytes, half the memory traffic —
@@ -112,27 +125,101 @@ def encode(values: np.ndarray, signed: bool) -> bytes:
             v = np.ascontiguousarray(values, dtype=_I64)
     else:
         v = np.ascontiguousarray(values, dtype=_I64)
-    segs = list(_segments(v))
-    pieces: list[bytes | None] = [None] * len(segs)
-    var_idx = [i for i, (k, s, e) in enumerate(segs) if k == 1]
-    if var_idx:
-        starts = np.array([segs[i][1] for i in var_idx], dtype=np.int64)
-        ends = np.array([segs[i][2] for i in var_idx], dtype=np.int64)
-        for idx, piece in zip(var_idx, _encode_var_ragged(v, starts, ends, signed)):
-            pieces[idx] = piece
-    for i, (kind, s, e) in enumerate(segs):
-        if kind == 0:
-            out = bytearray()
-            _emit_fixed(out, int(v[s]), e - s, signed)
-            pieces[i] = bytes(out)
-    return b"".join(pieces)
+    kind, starts, ends = _segment_bounds(v)
+    out = _RunWriter(len(kind))
+    # fixed runs: SHORT_REPEAT for 3..10 values, DELTA with fixed delta 0
+    # otherwise (writer Flush/variable-branch paths)
+    fixed = np.flatnonzero(kind == 0)
+    if len(fixed):
+        val = v[starts[fixed]].astype(_I64)
+        length = ends[fixed] - starts[fixed]
+        sr = length <= MAX_SHORT_REPEAT
+        rep = zigzag_encode(val[sr]) if signed else val[sr].view(_U64)
+        nbytes = np.maximum((bit_length_u64(rep) + 7) // 8, 1)
+        out.byte(fixed[sr], 0, (SHORT_REPEAT << 6) | ((nbytes - 1) << 3)
+                 | (length[sr] - MIN_REPEAT))
+        out.big_endian(fixed[sr], rep, nbytes)
+        out.delta(fixed[~sr], 0, length[~sr], val[~sr],
+                  np.zeros_like(val[~sr]), signed)
+    var = np.flatnonzero(kind == 1)
+    if len(var):
+        _encode_var_ragged(v, starts[var], ends[var], signed, out, var)
+    return out.bytes()
 
 
-def _encode_var_ragged(
-    v: np.ndarray, starts: np.ndarray, ends: np.ndarray, signed: bool
-) -> list[bytes]:
+class _RunWriter:
+    """Output of ``n`` runs in stream order: each run's header bytes are
+    the marked cells of its row of a byte matrix, followed by up to two
+    bit-packed payload ranges (data, then PATCHED_BASE patch entries)."""
+
+    def __init__(self, n: int):
+        self.head = np.zeros((n, _HEAD_W), dtype=np.uint8)
+        self.used = np.zeros((n, _HEAD_W), dtype=bool)
+        # (slot, run) -> (byte start, byte length) in the packed buffers
+        self.payload = np.zeros((2, n, 2), dtype=np.int64)
+        self.packed: list[bytes] = []
+        self.size = 0
+
+    def byte(self, rows, col: int, value) -> None:
+        self.head[rows, col] = value
+        self.used[rows, col] = True
+
+    def start(self, rows, tag: int, code, length) -> None:
+        """The two leading bytes: tag, width code and run length - 1."""
+        run = length - 1
+        self.byte(rows, 0, (tag << 6) | (code << 1) | (run >> 8))
+        self.byte(rows, 1, run & 0xFF)
+
+    def big_endian(self, rows, x: np.ndarray, nbytes: np.ndarray) -> None:
+        self.head[rows, _BE:_V1] = x.astype(">u8").view(np.uint8).reshape(-1, 8)
+        self.used[rows, _BE:_V1] = np.arange(8) >= 8 - nbytes[:, None]
+
+    def varint(self, rows, col: int, x: np.ndarray) -> None:
+        """Unsigned LEB128 of each uint64 in ``x``: 1-10 bytes."""
+        groups = x[:, None] >> (7 * np.arange(10)).astype(_U64)
+        more = groups[:, 1:] != 0
+        self.head[rows, col: col + 10] = groups & _U64(0x7F)
+        self.head[rows, col: col + 9] |= np.uint8(0x80) * more
+        self.used[rows, col] = True
+        self.used[rows, col + 1: col + 10] = more
+
+    def delta(self, rows, code, length, first, delta, signed: bool) -> None:
+        """DELTA header: first value and first delta as varints."""
+        if not len(rows):
+            return
+        self.start(rows, DELTA, code, length)
+        self.varint(rows, _V1, zigzag_encode(first) if signed
+                    else first.view(_U64))
+        self.varint(rows, _V2, zigzag_encode(delta))
+
+    def pack(self, slot: int, rows, values, starts, lens, widths) -> None:
+        """Bit-pack each run's ``values[start: start + len]`` at its width,
+        byte-aligned per run, one ``pack_bits`` call per distinct width."""
+        for fb in np.unique(widths).tolist():
+            sel = widths == fb
+            packed, at, nbytes = _group_pack(values, starts[sel], lens[sel], fb)
+            self.payload[slot, rows[sel]] = np.stack(
+                [self.size + at, nbytes], axis=1)
+            self.packed.append(packed)
+            self.size += len(packed)
+
+    def bytes(self) -> bytes:
+        hlen = self.used.sum(axis=1)
+        hstart = self.size + np.cumsum(hlen) - hlen
+        src = np.concatenate([np.frombuffer(b"".join(self.packed), np.uint8),
+                              self.head[self.used]])
+        starts = np.stack([hstart, self.payload[0, :, 0],
+                           self.payload[1, :, 0]], axis=1).ravel()
+        lens = np.stack([hlen, self.payload[0, :, 1],
+                         self.payload[1, :, 1]], axis=1).ravel()
+        return src[_ragged_arange(starts, lens)].tobytes()
+
+
+def _encode_var_ragged(v, starts, ends, signed: bool, out: _RunWriter,
+                       rows: np.ndarray) -> None:
     """Vectorized determineEncoding + emit for k >= 1 variable scopes of
-    any sizes. Stats follow runlengthintegerwriterv2.go:265-402 exactly."""
+    any sizes, written to ``out`` as its runs ``rows``. Stats follow
+    runlengthintegerwriterv2.go:265-402 exactly."""
     k = len(starts)
     narrow = v.dtype == np.int32
     lengths = ends - starts
@@ -140,11 +227,8 @@ def _encode_var_ragged(
     off = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(lengths, out=off[1:])
     seg_of = np.repeat(np.arange(k, dtype=np.int32), lengths)
-    if total == len(v):
-        V = v  # scopes tile the whole array: no gather needed
-    else:
-        flat_idx = starts[seg_of] + (np.arange(total, dtype=np.int64) - off[:-1][seg_of])
-        V = v[flat_idx]
+    # scopes that tile the whole array need no gather
+    V = v if total == len(v) else v[_ragged_arange(starts, lengths)]
     if narrow:
         ZZ = zigzag_encode32(V) if signed else V.view(np.uint32)
     else:
@@ -158,7 +242,8 @@ def _encode_var_ragged(
         _WIDTH_UPPER32 if narrow else _WIDTH_UPPER, ZZ, side="left"
     ).astype(np.int32, copy=False)
     hist = np.bincount(seg_of * np.int32(32) + codes, minlength=k * 32).reshape(k, 32)
-    zz100, zz90 = _pct_from_hist_ragged(hist, lengths)
+    zz100 = _pct_width(hist, lengths, 1.0)
+    zz90 = _pct_width(hist, lengths, 0.9)
 
     # delta stats: boundary gaps neutralized per reduction
     is_first = np.zeros(total, dtype=bool)
@@ -171,7 +256,7 @@ def _encode_var_ragged(
     initial = np.zeros(k, dtype=V.dtype)
     first_pos = off[:-1]
     initial[has2] = D[first_pos[has2] + 1]
-    # is_fixed: every in-scope delta equals initial
+    # is_fixed: every in-scope delta equals initial (a constant scope too)
     eq_init = D == initial[seg_of]
     eq_init[is_first] = True
     is_fixed = np.logical_and.reduceat(eq_init, off[:-1])
@@ -183,114 +268,138 @@ def _encode_var_ragged(
     leq[is_first] = True
     is_inc = np.logical_and.reduceat(geq, off[:-1])
     is_dec = np.logical_and.reduceat(leq, off[:-1])
-    vmin = np.minimum.reduceat(V, off[:-1])
-    vmax = np.maximum.reduceat(V, off[:-1])
+    vmin = np.minimum.reduceat(V, off[:-1]).astype(_I64)
     if narrow:
         # the 32-bit path is only entered when the global range fits int32
         # delta arithmetic, so int64 subtraction can never overflow
         safe = np.ones(k, dtype=bool)
     else:
+        vmax = np.maximum.reduceat(V, off[:-1])
         diff = vmax - vmin
         safe = ((vmax ^ vmin) >= 0) | ((vmax ^ diff) >= 0)
-    const = vmin == vmax
     short = lengths <= MIN_REPEAT
     mono = (initial != 0) & (is_inc | is_dec)
 
-    direct = short | ~safe | (~const & ~is_fixed & ~mono & (zz100 - zz90 <= 1))
-    mono &= ~direct & ~const & ~is_fixed
+    direct = short | ~safe | (~is_fixed & ~mono & (zz100 - zz90 <= 1))
+    mono &= ~direct & ~is_fixed
+    first = V[off[:-1]].astype(_I64)
+    initial = initial.astype(_I64)
+    # constant and fixed-delta scopes
+    fd = ~direct & is_fixed
+    out.delta(rows[fd], 0, lengths[fd], first[fd], initial[fd], signed)
+    # PATCHED_BASE candidates, or DIRECT when the 95th/100th percentile
+    # base-reduced widths tie (or the base is too wide to store)
+    cand = np.flatnonzero(~direct & ~mono & ~is_fixed)
+    if len(cand):
+        direct[cand[_patched_base(V, off[cand], lengths[cand], vmin[cand],
+                                  out, rows[cand])]] = True
 
-    pieces: list[bytes | None] = [None] * k
+    # DIRECT scopes at the aligned 100th-percentile zigzag width
+    d = np.flatnonzero(direct)
+    fb = _CLOSEST_ALIGNED[zz100[d]]
+    out.start(rows[d], DIRECT, _ENCODE_BW[fb], lengths[d])
+    out.pack(0, rows[d], ZZ, off[d], lengths[d], fb)
 
-    # DIRECT scopes: group-pack per aligned width. Scopes whose bit count
-    # isn't byte-aligned get zero padding values appended (identical bytes
-    # to per-scope packing, which zero-pads the final byte).
-    direct_idx = np.flatnonzero(direct)
-    if len(direct_idx):
-        fbs = _CLOSEST_ALIGNED[zz100[direct_idx]]
-        for fb in np.unique(fbs):
-            fb = int(fb)
-            rows = direct_idx[fbs == fb]
-            packed, byte_off = _group_pack(ZZ, off[rows], lengths[rows], fb)
-            for j, r in enumerate(rows):
-                run = int(lengths[r]) - 1
-                header = bytes([
-                    (DIRECT << 6) | (encode_bit_width(fb) << 1) | ((run & 0x100) >> 8),
-                    run & 0xFF,
-                ])
-                pieces[r] = header + packed[byte_off[j]: byte_off[j + 1]]
-
-    # DELTA-var scopes (monotonic): group the abs-delta tails by width too
-    mono_emit = np.flatnonzero(mono)
-    if len(mono_emit):
+    # monotonic DELTA scopes: the absolute deltas after the first
+    m = np.flatnonzero(mono)
+    if len(m):
         absD = np.abs(D)
-        tail_starts = off[mono_emit] + 2
-        tail_lens = lengths[mono_emit] - 2
+        tail_starts = off[m] + 2
+        tail_lens = lengths[m] - 2
         tail_max = _ragged_max(absD, tail_starts, tail_lens)
-        dmax = np.maximum(initial[mono_emit].astype(_I64), tail_max.astype(_I64))
-        codes_d = np.searchsorted(_WIDTH_UPPER, dmax.view(_U64))
-        fbs_d = _CLOSEST_ALIGNED[DECODE_BIT_WIDTH[codes_d]]
-        fbs_d = np.where(fbs_d == 1, 2, fbs_d)
-        for fb in np.unique(fbs_d):
-            fb = int(fb)
-            rows = mono_emit[fbs_d == fb]
-            packed, byte_off = _group_pack(absD, tail_starts[fbs_d == fb],
-                                           tail_lens[fbs_d == fb], fb)
-            for j, r in enumerate(rows):
-                out = bytearray()
-                run = int(lengths[r]) - 1
-                out.append((DELTA << 6) | (encode_bit_width(fb) << 1) | ((run & 0x100) >> 8))
-                out.append(run & 0xFF)
-                if signed:
-                    write_vslong(out, int(V[off[r]]))
-                else:
-                    write_vulong(out, int(V[off[r]]))
-                write_vslong(out, int(initial[r]))
-                out.extend(packed[byte_off[j]: byte_off[j + 1]])
-                pieces[r] = bytes(out)
+        dmax = np.maximum(initial[m], tail_max.astype(_I64))
+        fb = _CLOSEST_ALIGNED[DECODE_BIT_WIDTH[np.searchsorted(
+            _WIDTH_UPPER, dmax.view(_U64))]]
+        fb = np.where(fb == 1, 2, fb)
+        out.delta(rows[m], _ENCODE_BW[fb], lengths[m], first[m], initial[m],
+                  signed)
+        out.pack(0, rows[m], absD, tail_starts, tail_lens, fb)
 
-    # the rest: constant and fixed-delta scopes, then PATCHED_BASE
-    # candidates (DIRECT when the 95th/100th base-reduced widths tie)
-    for r in np.flatnonzero(~direct & ~mono):
-        out = bytearray()
-        if const[r]:
-            _emit_delta_fixed(out, int(vmin[r]), 0, int(lengths[r]), signed)
-        elif is_fixed[r]:
-            _emit_delta_fixed(out, int(V[off[r]]), int(initial[r]), int(lengths[r]), signed)
-        else:
-            base_red = (V[off[r]: off[r + 1]].astype(_I64) - vmin[r]).view(_U64)
-            br95 = percentile_bits(base_red, 0.95)
-            br100 = percentile_bits(base_red, 1.0)
-            if br100 - br95 != 0:
-                _emit_patched_base(out, base_red, int(vmin[r]), br95, br100)
-            else:
-                _emit_direct(out, ZZ[off[r]: off[r + 1]], int(zz100[r]))
-        pieces[r] = bytes(out)
-    return pieces  # type: ignore[return-value]
+
+def _patched_base(V, starts, lengths, vmin, out: _RunWriter,
+                  rows: np.ndarray) -> np.ndarray:
+    """preparePatchedBlob + writePatchedBaseValues
+    (runlengthintegerwriterv2.go:415-517, 609-699) for every candidate
+    scope at once. Writes the PATCHED_BASE runs and returns the mask of
+    candidates that go DIRECT instead."""
+    k = len(starts)
+    seg = np.repeat(np.arange(k), lengths)
+    BR = (V[_ragged_arange(starts, lengths)].astype(_I64)
+          - vmin[seg]).view(_U64)
+    hist = np.bincount(seg * 32 + np.searchsorted(_WIDTH_UPPER, BR),
+                       minlength=k * 32).reshape(k, 32)
+    br95 = _pct_width(hist, lengths, 0.95)
+    br100 = _pct_width(hist, lengths, 1.0)
+    mag = np.abs(vmin).view(_U64)
+    go = (br100 != br95) & (mag < _BASE_LIMIT)
+    keep = go[seg]
+    BR, seg = BR[keep], (np.cumsum(go) - 1)[seg[keep]]
+    lengths, vmin, mag, rows = lengths[go], vmin[go], mag[go], rows[go]
+    br95, br100 = br95[go], br100[go]
+    k = len(rows)
+    if k == 0:
+        return ~go
+    off = np.cumsum(lengths) - lengths
+
+    # a 64-bit patch width is cut to 56 over an 8-bit reduced width
+    pw = _CLOSEST_FIXED[br100 - br95]
+    wide = pw == 64
+    pw[wide] = 56
+    fb = np.where(wide, 8, br95)
+    fbv = fb[seg].astype(_U64)
+    over = np.flatnonzero(BR >> fbv)  # at least one per scope
+    oseg = seg[over]
+    patch = BR[over] >> fbv[over]
+    BR &= (_U64(1) << fbv) - _U64(1)
+    # gaps are relative to the previous patched index (first one absolute);
+    # gaps over 255 take 255-gap, 0-patch escape entries before their patch
+    gap = over - off[oseg]
+    later = np.flatnonzero(oseg[1:] == oseg[:-1]) + 1
+    gap[later] -= over[later - 1] - off[oseg[later]]
+    npatch = np.bincount(oseg, minlength=k)
+    pfirst = np.cumsum(npatch) - npatch
+    pgw = np.minimum(_CLOSEST_FIXED[bit_length_u64(
+        np.maximum.reduceat(gap, pfirst).view(_U64))], 8)
+    esc = np.where(gap > 255, (gap - 1) // 255, 0)
+    entries = esc + 1
+    pwv = pw[oseg].astype(_U64)
+    gvp = np.repeat(_U64(255) << pwv, entries)
+    gvp[np.cumsum(entries) - 1] = ((gap - 255 * esc).astype(_U64) << pwv) | patch
+    n_gvp = np.add.reduceat(entries, pfirst)
+
+    nbytes = (_CLOSEST_FIXED[bit_length_u64(mag)] + 8) // 8
+    base = mag | ((vmin < 0).astype(_U64) << (8 * nbytes - 1).astype(_U64))
+    out.start(rows, PATCHED_BASE, _ENCODE_BW[fb], lengths)
+    out.byte(rows, 2, ((nbytes - 1) << 5) | _ENCODE_BW[pw])
+    out.byte(rows, 3, ((pgw - 1) << 5) | n_gvp)
+    out.big_endian(rows, base, nbytes)
+    out.pack(0, rows, BR, off, lengths, fb)
+    out.pack(1, rows, gvp, np.cumsum(n_gvp) - n_gvp, n_gvp,
+             _CLOSEST_FIXED[pgw + pw])
+    return ~go
+
+
+def _ragged_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] .. starts[i] + lens[i]``, concatenated."""
+    ends = np.cumsum(lens)
+    return (np.repeat(starts - (ends - lens), lens)
+            + np.arange(int(ends[-1]) if len(ends) else 0))
 
 
 def _group_pack(values: np.ndarray, starts: np.ndarray, lens: np.ndarray,
-                fb: int) -> tuple[bytes, np.ndarray]:
+                fb: int) -> tuple[bytes, np.ndarray, np.ndarray]:
     """Pack many ragged scopes at the same width in ONE pack_bits call.
-    Scopes are zero-padded to byte boundaries (bit-identical to per-scope
-    packing, whose final byte is zero-padded). Returns (packed bytes,
-    per-scope byte offsets)."""
-    k = len(starts)
-    pads = ((-(lens * fb)) % 8) // fb
-    pl = lens + pads
-    doff = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(pl, out=doff[1:])
-    soff = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(lens, out=soff[1:])
-    stotal = int(soff[-1])
-    out = np.zeros(int(doff[-1]), dtype=values.dtype)
-    pos = np.arange(stotal, dtype=np.int64) - np.repeat(soff[:-1], lens)
-    src = np.repeat(starts, lens) + pos
-    dst = np.repeat(doff[:-1], lens) + pos
-    out[dst] = values[src]
+    Each scope is zero-padded to a whole number of bytes' worth of values,
+    so it starts on a byte and its last byte ends in zero bits, as when
+    packed alone. Returns (packed bytes, per-scope byte start, per-scope
+    byte length)."""
+    pl = lens + (-lens) % (8 // math.gcd(fb, 8))
+    doff = np.cumsum(pl) - pl
+    out = np.zeros(int(pl.sum()), dtype=values.dtype)
+    out[_ragged_arange(doff, lens)] = values[_ragged_arange(starts, lens)]
     if out.dtype == np.int32:
         out = out.view(np.uint32)
-    packed = pack_bits(out, fb)
-    return packed, doff * fb // 8
+    return pack_bits(out, fb), doff * fb // 8, (lens * fb + 7) // 8
 
 
 def _ragged_max(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -306,175 +415,60 @@ def _ragged_max(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.
     return res[0::2]
 
 
-def _pct_from_hist_ragged(hist: np.ndarray, lengths: np.ndarray):
-    """Per-scope 100th and 90th percentileBits from (k, 32) width-code
-    histograms."""
+def _pct_width(hist: np.ndarray, lengths: np.ndarray, p: float) -> np.ndarray:
+    """Per-scope percentileBits (utils.go:233-260) from (k, 32) width-code
+    histograms: the width at which more than (1 - p) of the values,
+    counted from the widest, are reached."""
     cum = np.cumsum(hist[:, ::-1], axis=1)
-    j100 = np.argmax(cum > 0, axis=1)
-    j90 = np.argmax(cum > lengths.astype(np.float64)[:, None] * (1.0 - 0.9), axis=1)
-    return DECODE_BIT_WIDTH[31 - j100], DECODE_BIT_WIDTH[31 - j90]
+    j = np.argmax(cum > lengths.astype(np.float64)[:, None] * (1.0 - p), axis=1)
+    return DECODE_BIT_WIDTH[31 - j]
+
+
+def _swallowed(d: np.ndarray) -> np.ndarray:
+    """Values of a fixed run taken by the 512-value cuts of the ``d``
+    variable values before it: a cut that starts at most 509 values
+    before the run stops at it (the run's 3rd value carves it out), one
+    that starts 510 or 511 values before it runs 1-2 values in."""
+    return np.maximum((d + 2) // MAX_SCOPE * MAX_SCOPE - d, 0)
+
+
+def _segment_bounds(v: np.ndarray):
+    """(kind, start, end) arrays of the runs the reference state machine
+    flushes, kind 0 = fixed run and 1 = variable scope, in array passes.
+
+    Between maximal runs of >= MIN_REPEAT equal values ("big" runs), the
+    variable values are cut into 512-value scopes from their start; the
+    last cut may swallow 1-2 values of the next big run. The rest of that
+    run is cut into 512-value fixed runs, and a 1-2 value leftover opens
+    the next variable span. So run j's leftover is a function of run
+    j-1's, tabulated for leftovers 0-2 and prefix-composed by doubling."""
+    n = len(v)
+    bounds = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1, [n]))
+    big = np.diff(bounds) >= MIN_REPEAT
+    t, u = bounds[:-1][big], bounds[1:][big]
+    gap = t - np.concatenate(([0], u[:-1]))
+    # left[j, x]: what run j leaves over when run j - 1 left x
+    rest = (u - t)[:, None] - _swallowed(gap[:, None] + np.arange(3))
+    left = np.where(rest % MAX_SCOPE < MIN_REPEAT, rest % MAX_SCOPE, 0)
+    step = 1
+    while step < len(left):
+        left[step:] = np.take_along_axis(left[step:], left[:-step], axis=1)
+        step *= 2
+    # left[:, 0] is now what each run leaves over. Boundaries: variable span start a, fixed run start, ..., a, n
+    a = np.concatenate(([0], u - left[:, 0]))
+    bnd = np.empty(2 * len(a), dtype=np.int64)
+    bnd[0::2] = a
+    bnd[1::2] = np.append(t + _swallowed(t - a[:-1]), n)
+    rlen = np.diff(bnd)
+    nchunk = (rlen + MAX_SCOPE - 1) // MAX_SCOPE
+    rid = np.repeat(np.arange(len(rlen)), nchunk)
+    starts = bnd[rid] + MAX_SCOPE * _ragged_arange(np.zeros_like(nchunk), nchunk)
+    return 1 - rid % 2, starts, np.minimum(starts + MAX_SCOPE, bnd[rid + 1])
 
 
 def _segments(v: np.ndarray):
-    """Yield (kind, start, end) with kind 0=fixed-run, 1=variable, matching
-    the reference state machine's flush boundaries. Single vectorized run
-    detection, then a pointer walk over the BIG (>=MIN_REPEAT) runs only —
-    O(#big runs + #segments) Python steps, never O(#values): short runs
-    can't start a fixed segment, so their boundaries are irrelevant."""
-    n = len(v)
-    if n == 0:
-        return
-    if n == 1:
-        yield (1, 0, 1)
-        return
-    change_idx = np.flatnonzero(v[1:] != v[:-1])
-    run_bounds = np.empty(len(change_idx) + 2, dtype=np.int64)
-    run_bounds[0] = 0
-    run_bounds[1:-1] = change_idx + 1
-    run_bounds[-1] = n
-    big = (run_bounds[1:] - run_bounds[:-1]) >= MIN_REPEAT
-    big_starts = run_bounds[:-1][big].tolist()  # python ints: fast iteration
-    big_ends = run_bounds[1:][big].tolist()
-    nbig = len(big_starts)
-
-    c = 0
-    bi = 0  # first big run with end > c
-    bj = 0  # next big run with start > current variable-span start
-    while c < n:
-        while bi < nbig and big_ends[bi] <= c:
-            bi += 1
-        if bi < nbig and big_starts[bi] <= c:
-            # c is inside a big run (at its start, or at a post-512-cut tail)
-            L = big_ends[bi] - c
-            if L >= MIN_REPEAT:
-                while L >= MAX_SCOPE:
-                    yield (0, c, c + MAX_SCOPE)
-                    c += MAX_SCOPE
-                    L -= MAX_SCOPE
-                if L >= MIN_REPEAT:
-                    yield (0, c, c + L)
-                    c += L
-                    continue
-                if L == 0:
-                    continue
-            # 1-2 leftover equal values fall into the variable span
-        s = c
-        while bj < nbig and big_starts[bj] <= s:
-            bj += 1
-        t = big_starts[bj] if bj < nbig else -1
-        while True:
-            if t != -1 and t + 2 <= s + MAX_SCOPE - 1:
-                # carve-out: flush variable prefix, fixed run continues at t
-                yield (1, s, t)
-                c = t
-                break
-            e = min(s + MAX_SCOPE, n)
-            yield (1, s, e)
-            c = e
-            if e == n or (t != -1 and e >= t):
-                # hit the end, or the 512-cut swallowed the start of run t:
-                # outer loop re-evaluates the remaining tail of that run
-                break
-            s = e
-            while bj < nbig and big_starts[bj] <= s:
-                bj += 1
-            t = big_starts[bj] if bj < nbig else -1
-
-
-def _emit_fixed(out: bytearray, val: int, length: int, signed: bool) -> None:
-    """Fixed run of `length` (3..512) equal values: SHORT_REPEAT for 3..10,
-    DELTA(fixed 0) otherwise (writer Flush/variable-branch paths)."""
-    if length <= MAX_SHORT_REPEAT:
-        rep = zigzag_encode(np.array([val], dtype=_I64))[0] if signed else _u64(val)
-        rep = int(rep)
-        width = get_closest_fixed_bits(rep.bit_length())
-        nbytes = (width + 7) // 8 if width % 8 else width // 8
-        header = (SHORT_REPEAT << 6) | ((nbytes - 1) << 3) | (length - MIN_REPEAT)
-        out.append(header)
-        out.extend(rep.to_bytes(8, "big")[8 - nbytes:])
-    else:
-        _emit_delta_fixed(out, val, 0, length, signed)
-
-
-def _emit_delta_fixed(out: bytearray, first: int, delta: int, length: int, signed: bool) -> None:
-    """DELTA run with fixed delta (width code 0)."""
-    run = length - 1
-    out.append((DELTA << 6) | ((run & 0x100) >> 8))
-    out.append(run & 0xFF)
-    if signed:
-        write_vslong(out, first)
-    else:
-        write_vulong(out, first)
-    write_vslong(out, delta)
-
-
-def _emit_direct(out: bytearray, zz: np.ndarray, zz100: int) -> None:
-    fb = get_closest_aligned_fixed_bits(zz100)
-    run = len(zz) - 1
-    out.append((DIRECT << 6) | (encode_bit_width(fb) << 1) | ((run & 0x100) >> 8))
-    out.append(run & 0xFF)
-    out.extend(pack_bits(zz, fb))
-
-
-def _emit_patched_base(out: bytearray, base_red: np.ndarray, vmin: int, br95: int, br100: int) -> None:
-    """preparePatchedBlob + writePatchedBaseValues
-    (runlengthintegerwriterv2.go:415-517, 609-699)."""
-    n = len(base_red)
-    patch_width = get_closest_fixed_bits(br100 - br95)
-    if patch_width == 64:
-        patch_width = 56
-        br95 = 8
-    mask = (1 << br95) - 1
-
-    br = base_red.copy()
-    over = np.flatnonzero(br > _U64(mask))
-    patches = (br[over] >> _U64(br95)).astype(_U64)
-    br[over] &= _U64(mask)
-    # gaps are relative to the previous patched index (first one is absolute)
-    gaps = np.diff(np.concatenate(([0], over))).astype(np.int64) if len(over) else np.empty(0, np.int64)
-    max_gap = int(gaps.max()) if len(gaps) else 0
-
-    if max_gap == 0 and len(gaps) != 0:
-        patch_gap_width = 1
-    else:
-        patch_gap_width = get_closest_fixed_bits(_u64(max_gap).bit_length())
-    extra = 0
-    if patch_gap_width > 8:
-        patch_gap_width = 8
-        extra = 2 if max_gap == 511 else 1
-    # build gap-vs-patch entries, splitting gaps > 255 into 255-gap/0-patch escapes
-    gvp: list[int] = []
-    for g, p in zip(gaps.tolist(), patches.tolist()):
-        while g > 255:
-            gvp.append(255 << patch_width)
-            g -= 255
-        gvp.append((g << patch_width) | int(p))
-    patch_length = len(gvp)
-    assert patch_length == len(gaps) + extra
-
-    run = n - 1
-    fb = br95
-    out.append((PATCHED_BASE << 6) | (encode_bit_width(fb) << 1) | ((run & 0x100) >> 8))
-    out.append(run & 0xFF)
-
-    base = vmin
-    is_neg = base < 0
-    if is_neg:
-        base = -base
-    base_width = get_closest_fixed_bits(_u64(base).bit_length()) + 1
-    base_bytes = base_width // 8 if base_width % 8 == 0 else base_width // 8 + 1
-    if is_neg:
-        base |= 1 << (base_bytes * 8 - 1)
-    out.append(((base_bytes - 1) << 5) | encode_bit_width(patch_width))
-    out.append(((patch_gap_width - 1) << 5) | patch_length)
-    out.extend(_u64(base).to_bytes(8, "big")[8 - base_bytes:])
-    out.extend(pack_bits(br, get_closest_fixed_bits(fb)))
-    out.extend(
-        pack_bits(
-            np.array(gvp, dtype=_U64),
-            get_closest_fixed_bits(patch_gap_width + patch_width),
-        )
-    )
+    """``_segment_bounds`` as (kind, start, end) tuples."""
+    return zip(*(a.tolist() for a in _segment_bounds(v)))
 
 
 # ---------------------------------------------------------------------------

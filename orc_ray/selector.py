@@ -22,9 +22,11 @@ partition may re-encode to different (equally valid) bytes.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .codecs import CHUNKED_KINDS, forpack, outer_kind, planar, rle2
+from .codecs import CHUNKED_KINDS, forpack, fsst, outer_kind, planar, rle2
 from .config import EncoderConfig
 
 # streams larger than this are chosen on a sample: 16k is ample to
@@ -249,23 +251,25 @@ class SelectorState:
 
     def blob_codec(self, group: str, column: str) -> str | None:
         """Cached string-blob codec for (group, column), or None when a
-        full-trial re-measure is due. A full trial trains an FSST table and
-        runs every candidate; FSST is abandoned early once it cannot beat
-        raw or a chunked kind, but training still costs ~60 ms per
-        short-docs encode job, so later stripes encode only the cached
-        winner."""
+        full-trial re-measure is due. A full trial compresses with every
+        candidate, so later stripes encode only the cached winner."""
         key = (group, f"blob:{column}")
         return None if self._due(key) else self._choice[key]
 
     def record_blob_choice(self, group: str, column: str, codec: str) -> None:
         self._choice[(group, f"blob:{column}")] = codec
 
-    def fsst_table(self, group: str, column: str, train_fn):
-        """Reuse a trained FSST symbol table across chunks of the same
-        (source, column); retrain every Nth chunk. The table is serialized
-        into every stream, so blobs stay self-contained and a retrained
-        table never invalidates previously committed stripes."""
+    def fsst_table(self, group: str, column: str, sample_fn):
+        """The FSST symbol table for (group, column), as a callable that
+        trains it on its first call; a retrain is due every Nth use. On
+        a due use ``sample_fn()`` takes that chunk's training sample, so
+        a trial that never needs the table (``fsst.may_fit`` ruled FSST
+        out) trains nothing, and a later chunk that does need it trains
+        on that same sample. The table is serialized into every stream,
+        so blobs stay self-contained and a retrained table never
+        invalidates previously committed stripes."""
         key = (group, f"fsst:{column}")
         if self._due(key):
-            self._choice[key] = train_fn()
+            sample = sample_fn()
+            self._choice[key] = functools.cache(lambda: fsst.train(*sample))
         return self._choice[key]

@@ -189,12 +189,15 @@ def _encode_blob(
     stream carries compressed lengths. A chunked kind compresses in
     ``BLOB_CHUNK`` chunks, so a row-range read decompresses about its
     rows' bytes. The FSST trial gets a size limit
-    from raw and the chunked kinds and is abandoned once it cannot win, so
-    the choice equals encoding every candidate in full. When selector
-    state is present the trained FSST symbol table is reused across chunks
-    of the same (source, column) and retrained every Nth chunk (tables are
-    serialized into each stream, so blobs stay self-contained). Without
-    a caller's state a fresh one runs exactly the full trial."""
+    from raw and the chunked kinds; it trains no table when a table-free
+    bound (``fsst.may_fit``) already exceeds the limit, and it is
+    abandoned once it cannot win, so the choice equals encoding every
+    candidate in full. When selector state is present the FSST symbol
+    table is reused across chunks of the same (source, column) and
+    retrained every Nth chunk, from that chunk's sample and only when a
+    trial needs it (tables are serialized into each stream, so blobs stay
+    self-contained). Without a caller's state a fresh one runs exactly
+    the full trial."""
     if len(blob) == 0:
         return "none", blob, lengths
     selector = selector or SelectorState(config)
@@ -219,10 +222,12 @@ def _encode_blob(
                     + [len(sized[c][0]) - 1 for c in candidates[:at] if c in sized]
                     + [len(sized[c][0]) for c in candidates[at + 1:] if c in sized])
         table = selector.fsst_table(group, column,
-                                    lambda: fsst.train(arr, offsets))
-        comp = fsst.compress(table, arr, offsets, limit=limit)
-        if comp is not None:
-            sized["fsst"] = comp
+                                    lambda: fsst.train_sample(arr, offsets))
+        # the table is trained only if some table could fit the limit
+        if fsst.may_fit(arr, offsets, limit):
+            comp = fsst.compress(table(), arr, offsets, limit=limit)
+            if comp is not None:
+                sized["fsst"] = comp
     best = ("none", blob, lengths)
     for cand in candidates:
         if cand in sized and len(sized[cand][0]) < len(best[1]):
@@ -517,10 +522,12 @@ def _encode_string_column(name, arr, valid, w, config, selector, group, meta) ->
               bloom.build(bloom.hash_strings(denc.dictionary)))
     stats = {"num_values": n, "distinct": distinct}
     if n and not is_binary:
-        mm = pc.min_max(arr)
+        # the distinct values hold the same extremes as the rows
+        mm = pc.min_max(denc.dictionary)
         stats["min"] = mm["min"].as_py()
         stats["max"] = mm["max"].as_py()
-        stats["sum_lengths"] = int(pc.sum(pc.binary_length(arr)).as_py() or 0)
+        offsets = value_offsets(arr)
+        stats["sum_lengths"] = int(offsets[-1] - offsets[0])
     meta["stats"] = stats
     return meta
 

@@ -14,6 +14,7 @@ writes the inputs to DIR and runs that group of checks (default
 """
 
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -328,26 +329,40 @@ def _check_encode(d: str) -> None:
     done("blob digests")
 
 
+def _kill_group(pgid: int) -> None:
+    """SIGKILL what is left of a process group (Ray's daemons)."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
 def _run_at_one_cpu(tmp_path, group: str) -> str:
     """Run a check group in a fresh interpreter under TIMEOUT_S; its
-    stdout."""
+    stdout. The interpreter leads its own process group, and the whole
+    group is killed when it ends or times out, so no Ray process it
+    started outlives the check."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
                   if p]))
     env.pop("RAY_ADDRESS", None)
+    proc = subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), str(tmp_path), group],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
     try:
-        res = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), str(tmp_path), group],
-            cwd=root, env=env, capture_output=True, text=True,
-            timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired as e:
-        out = e.stdout.decode() if isinstance(e.stdout, bytes) else e.stdout
+        out, err = proc.communicate(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        _kill_group(proc.pid)
+        out, _ = proc.communicate()
         raise AssertionError(
             f"not finished in {TIMEOUT_S} s at 1 CPU; passed so far:\n"
             f"{out or ''}") from None
-    assert res.returncode == 0, res.stdout + res.stderr
-    return res.stdout
+    finally:
+        _kill_group(proc.pid)
+    assert proc.returncode == 0, out + err
+    return out
 
 
 def test_stages_finish_at_one_cpu(tmp_path):

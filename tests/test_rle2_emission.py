@@ -217,3 +217,20 @@ def test_fixed_runs_every_byte_width():
             first_len.add(e - p - 1)
         assert first_len >= set(range(1, 10)) if not signed else \
             first_len == set(range(1, 11))
+
+
+@pytest.mark.parametrize("min_bits, tag", [(55, rle2.PATCHED_BASE),
+                                           (56, rle2.DIRECT)])
+def test_patched_base_base_limit(min_bits, tag):
+    """A PATCHED_BASE base takes at most 8 bytes, sign bit included: a
+    scope whose minimum is -2^55 still patches (8-byte base), one whose
+    minimum is -2^56 goes DIRECT, as ORC's writers do."""
+    rng = np.random.default_rng(min_bits)
+    v = -rng.integers(1, 1 << (min_bits - 2), SCOPE)
+    v[5] = -(1 << min_bits)
+    v[[100, 300]] = [1 << 62, (1 << 62) + 5]
+    buf = _encode_checked(v, True)
+    tags, pos, _ = _runs(buf)
+    assert tags.tolist() == [tag]
+    if tag == rle2.PATCHED_BASE:
+        assert (buf[2] >> 5) + 1 == 8
