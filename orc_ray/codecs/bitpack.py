@@ -50,20 +50,12 @@ for _w in range(1, 65):
     _CLOSEST_ALIGNED[_w] = int(_ALIGNED[np.searchsorted(_ALIGNED, _w)])
 
 
-def encode_bit_width(w: int) -> int:
-    return int(_ENCODE_BW[w])
-
-
 def decode_bit_width(code: int) -> int:
     return int(DECODE_BIT_WIDTH[code])
 
 
 def get_closest_fixed_bits(w: int) -> int:
     return int(_CLOSEST_FIXED[w])
-
-
-def get_closest_aligned_fixed_bits(w: int) -> int:
-    return int(_CLOSEST_ALIGNED[w])
 
 
 def bit_length_u64(x: np.ndarray) -> np.ndarray:
@@ -76,26 +68,6 @@ def bit_length_u64(x: np.ndarray) -> np.ndarray:
     e_hi = np.frexp(hi)[1]
     e_lo = np.frexp(lo)[1]
     return np.where(hi != 0, e_hi + 32, e_lo).astype(np.int64)
-
-
-def closest_fixed_bits_arr(x_u64: np.ndarray) -> np.ndarray:
-    """Vectorized findClosestNumBits (utils.go:262-269): bit length rounded
-    up to an encodable fixed width (0 -> 1)."""
-    return _CLOSEST_FIXED[bit_length_u64(x_u64)]
-
-
-def percentile_bits(x_u64: np.ndarray, p: float) -> int:
-    """Vectorized percentileBits (utils.go:233-260): width such that at
-    least p of the values fit, walking the 32-bin width histogram from the
-    top."""
-    widths = closest_fixed_bits_arr(x_u64)
-    hist = np.bincount(_ENCODE_BW[widths], minlength=32)
-    per_len = float(len(x_u64)) * (1.0 - p)
-    for i in range(31, -1, -1):
-        per_len -= float(hist[i])
-        if per_len < 0:
-            return int(DECODE_BIT_WIDTH[i])
-    return 0
 
 
 # big-endian views for the widths that are whole machine words

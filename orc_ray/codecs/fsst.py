@@ -306,9 +306,10 @@ def may_fit(blob: np.ndarray, offsets: np.ndarray, limit: int) -> bool:
     a size-limited trial need not train one. Two lower bounds on the
     output size hold for any table. A token byte covers at most
     MAX_SYM_LEN string bytes, and the header takes at least one byte.
-    And a symbol stores its bytes in the header, so it saves bytes only
-    by repeating: at most one byte per string position whose byte pair
-    occurs at two or more positions, against one raw byte per position."""
+    And a symbol stores its own bytes in the header, so it saves bytes
+    only by repeating: the output is at least the input plus one byte,
+    less one byte per string position whose byte pair (both bytes in the
+    string) occurs at two or more positions."""
     lengths = np.diff(offsets)
     if 1 + int((-(-lengths // MAX_SYM_LEN)).sum()) > limit:
         return False
