@@ -110,7 +110,8 @@ def encode(values: np.ndarray, signed: bool) -> bytes:
     scopes, and ``_encode_var_ragged`` classifies every variable scope at
     once. Every run's header is a row of one byte matrix and every payload
     is bit-packed in per-width groups, so encoding takes array passes
-    over values and runs, with Python steps per distinct width only.
+    over values and runs; Python loops only over distinct widths and the
+    log2(runs) steps of ``_segment_bounds``.
 
     int32 inputs whose value range fits 32-bit delta arithmetic stay in
     32-bit end-to-end (identical output bytes, half the memory traffic —
